@@ -16,7 +16,7 @@ USE_NUMBA = os.environ.get("ESQPT_DISABLE_NUMBA", "").lower() not in ("1", "true
 if USE_NUMBA:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency normally
+    except ImportError:  # numba is an optional extra
         USE_NUMBA = False
 
 if USE_NUMBA:

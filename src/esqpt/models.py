@@ -132,28 +132,6 @@ def h_scaled(params: ModelParams) -> BosonExpr:
     )
 
 
-def dh_dlambda_scaled(params: ModelParams, side="auto") -> BosonExpr:
-    """N * dH/dlambda; side in {'auto','left','right'} resolves lambda = 1."""
-    lam, b0 = params.lam, _hashable(params.beta0p)
-    if side == "auto":
-        side = "left" if lam <= LAMBDA_CRITICAL else "right"
-    if (lam < LAMBDA_CRITICAL) or (lam == LAMBDA_CRITICAL and side == "left"):
-        ze = min(lam, 1.0)
-        nd = nd_op()
-        dc = d_creator_tensor()
-        gg = couple(dc, dc, 2)
-        # d/dzeta of h1_scaled: -4 zeta nd(nd-1) + cross + 14 zeta Q2
-        sw = BosonExpr()
-        q2 = BosonExpr()
-        for mu in range(-2, 3):
-            g = gg[mu]
-            sw = sw + BosonExpr.create(d_mode(mu)) * BosonExpr.create(0) * g.adjoint()
-            q2 = q2 + g * g.adjoint()
-        sw = math.sqrt(14.0) * b0 * (sw + sw.adjoint())
-        return (-4.0 * ze) * (nd * nd - nd) + sw + 14.0 * ze * q2
-    return s_pair_squared(b0)
-
-
 def classical_h(params: ModelParams):
     """Classical limit of H (energy in the scale of half the per-boson energy)."""
     f = h_scaled(params).classical()

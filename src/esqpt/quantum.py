@@ -1,33 +1,34 @@
-"""L=0 boson basis construction, Hamiltonian matrices, and spectra.
+"""L=0 boson basis, Hamiltonian matrices, and spectra in closed form.
 
-The zero-angular-momentum subspace at d-boson number n is spanned by the
-states (P+)^k (T+)^a |0> with 2k + 3a = n, where P+ = d+.d+ and
-T+ = [[d+ d+]^(2) d+]^(0).  The basis is built sector by sector in the
-m-scheme space of the five d modes, orthonormalized, and rotated to the
-seniority (tau) eigenbasis; all parameter-independent operator blocks are
-cached so Hamiltonians at any (lambda, beta0p, N) assemble in milliseconds.
+The L = 0 states of N s/d bosons are labelled by the U(5) > O(5) quantum
+numbers (n_d, tau): at d-boson number n the seniorities are
+tau in {n, n-2, ...} with tau = 0 (mod 3), one state each (Arima & Iachello,
+Ann. Phys. 99 (1976) 253).  States are ordered by n_d, then by ascending tau.
+Every parameter-independent operator is analytic in (n_d, tau), with all
+phases chosen +1 (k = tau / 3, G = [d+ d+]^(2), W = sum_mu G_mu d_mu):
+
+    sum_mu G_mu G_mu+        diagonal, (2/7) [n(n-2) + tau(tau+3)]
+    <n+2, tau|P+|n, tau>     sqrt((n-tau+2)(n+tau+5))
+    <n+1, tau+3|W|n, tau>^2  2(k+1)^2 / [7(2k+1)(2k+3)] (n-tau)(n+tau+5)(n+tau+7)
+    <n+1, tau-3|W|n, tau>^2  2k^2 / [7(2k-1)(2k+1)] (n-tau+2)(n-tau+4)(n+tau+3)
+
+N H is linear in (1, zeta^2, zeta, xi), so H(lambda, beta0p) and dH/dlambda
+are sums of four fixed sparse operators.  Spectra are exact for
+N <= N_CAP_DEFAULT = 200 (basis dimension 3434).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .algebra import BosonExpr, couple, d_creator_tensor
-from .models import (
-    LAMBDA_CRITICAL,
-    ModelParams,
-    dh_dlambda_scaled,
-    h_scaled,
-    pair_d_creator,
-)
+from .models import LAMBDA_CRITICAL, ModelParams
 
 N_CAP_DEFAULT = 200
+DEGENERACY_TOL = 1e-9  # levels closer than this times max(1, |E|) form one cluster
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ N_CAP_DEFAULT = 200
 
 
 def sector_labels(n):
-    """(k, a) with 2k + 3a = n, ordered by increasing a."""
+    """(k, a) with 2k + 3a = n, ordered by increasing a; the state has tau = 3a."""
     return [((n - 3 * a) // 2, a) for a in range(0, n // 3 + 1) if (n - 3 * a) % 2 == 0]
 
 
@@ -59,245 +60,99 @@ class L0Basis:
 
 
 # ---------------------------------------------------------------------------
-# m-scheme machinery over the five d modes (0..4 <-> mu = -2..+2)
+# parameter-independent operators
 
 
-@lru_cache(maxsize=None)
-def _sector_occs(n):
-    """All 5-mode occupations summing to n, lexicographically ordered."""
-    out = []
-    for a in range(n + 1):
-        for b in range(n - a + 1):
-            for c in range(n - a - b + 1):
-                for d in range(n - a - b - c + 1):
-                    out.append((a, b, c, d, n - a - b - c - d))
-    return np.array(out, dtype=np.int64)
-
-
-_BASE = None
-
-
-def _powers(n):
-    # key encoding base must exceed any occupation
-    base = n + 1
-    return np.array([base**4, base**3, base**2, base, 1], dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _sector_keys(n):
-    return _sector_occs(n) @ _powers(n)
-
-
-@lru_cache(maxsize=None)
-def _cmap(n, mode):
-    """Creation map sector n -> n+1 for one d mode: (dst index, amplitude)."""
-    occs = _sector_occs(n)
-    dst = occs.copy()
-    dst[:, mode] += 1
-    keys = dst @ _powers(n + 1)
-    idx = np.searchsorted(_sector_keys(n + 1), keys)
-    amp = np.sqrt(occs[:, mode] + 1.0)
-    return idx, amp
-
-
-def _create(v, n, mode):
-    """Apply d+_mode to columns of v living in sector n."""
-    idx, amp = _cmap(n, mode)
-    out = np.zeros((len(_sector_keys(n + 1)), v.shape[1]))
-    out[idx] = amp[:, None] * v
-    return out
-
-
-def _annihilate(v, n, mode):
-    idx, amp = _cmap(n - 1, mode)
-    return amp[:, None] * v[idx]
-
-
-def _expr_terms(expr: BosonExpr):
-    """BosonExpr over d modes -> [(coeff, creator d-indices, annihilator d-indices)]."""
-    out = []
-    for (cs, ans), coeff in expr.terms.items():
-        if 0 in cs or 0 in ans:
-            raise ValueError("expression touches the s mode")
-        if abs(coeff.imag) > 1e-12:
-            raise ValueError("complex coefficient in d-space operator")
-        out.append((coeff.real, tuple(m - 1 for m in cs), tuple(m - 1 for m in ans)))
-    return out
-
-
-def _apply_terms(terms, v, n):
-    """Apply a fixed-net-change d-space operator to sector-n columns."""
-    net = len(terms[0][1]) - len(terms[0][2])
-    out = np.zeros((len(_sector_keys(n + net)), v.shape[1]))
-    for coeff, cs, ans in terms:
-        w = v
-        k = n
-        for m in ans:
-            w = _annihilate(w, k, m)
-            k -= 1
-        for m in cs:
-            w = _create(w, k, m)
-            k += 1
-        out += coeff * w
-    return out
-
-
-@lru_cache(maxsize=None)
-def _op_terms():
-    dc = d_creator_tensor()
-    gg = couple(dc, dc, 2)
-    p_raise = _expr_terms(pair_d_creator())
-    t_raise = _expr_terms(couple(gg, dc, 0)[0])
-    w_raise = []
-    g_lower = []
-    for mu in range(-2, 3):
-        w_raise.append(_expr_terms(gg[mu] * BosonExpr.annihilate(3 + mu)))
-        g_lower.append(_expr_terms(gg[mu].adjoint()))
-    return p_raise, t_raise, w_raise, g_lower
-
-
-# ---------------------------------------------------------------------------
-# chain of parameter-independent blocks
-
-
-@dataclass
+@dataclass(frozen=True)
 class ChainBlocks:
+    """L=0 states with n_d <= n_max and the parameter-independent operators on them.
+
+    `pdag` and `w` hold the nonzero elements as (target rows, source columns,
+    values); `q2` is the diagonal of sum_mu G_mu G_mu+.
+    """
+
     n_max: int
-    sizes: list
-    taus: list  # per sector, integer seniority labels
-    q2: list  # per sector, (g, g)
-    pdag: list  # per sector n, (g(n+2), g(n)), <n+2|P+|n>
-    w: list  # per sector n, (g(n+1), g(n)), <n+1|W|n>
+    nd: np.ndarray
+    tau: np.ndarray
+    q2: np.ndarray
+    pdag: tuple  # <n+2, tau|P+|n, tau>
+    w: tuple  # <n+1, tau +- 3|W|n, tau>
 
 
-def _cache_dir():
-    env = os.environ.get("ESQPT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "esqpt"
-
-
-def _build_chain(n_max):
-    p_raise, t_raise, w_raise, g_lower = _op_terms()
-    sizes = [sector_size(n) for n in range(n_max + 1)]
-    taus = [None] * (n_max + 1)
-    q2 = [None] * (n_max + 1)
-    pdag = [None] * (n_max + 1)
-    wblk = [None] * (n_max + 1)
-    raw = {}
-    fin = {}
-    for n in range(n_max + 1):
-        dim = len(_sector_keys(n))
-        labels = sector_labels(n)
-        g = len(labels)
-        if g == 0:
-            raw[n] = np.zeros((dim, 0))
-            fin[n] = np.zeros((dim, 0))
-            taus[n] = np.zeros(0, dtype=int)
-            q2[n] = np.zeros((0, 0))
-        else:
-            cols = []
-            for k, a in labels:
-                if n == 0:
-                    v = np.ones((1, 1))
-                elif k > 0:
-                    j = sector_labels(n - 2).index((k - 1, a))
-                    v = _apply_terms(p_raise, raw[n - 2][:, j : j + 1], n - 2)
-                else:
-                    j = sector_labels(n - 3).index((0, a - 1))
-                    v = _apply_terms(t_raise, raw[n - 3][:, j : j + 1], n - 3)
-                cols.append(v[:, 0] / np.linalg.norm(v))
-            raw[n] = np.column_stack(cols)
-            q_mat, r_mat = np.linalg.qr(raw[n])
-            rd = np.abs(np.diag(r_mat))
-            if rd.min() < 1e-8 * rd.max():
-                raise RuntimeError(
-                    f"ill-conditioned generating set in d-sector {n}: "
-                    f"min R diag ratio {rd.min() / rd.max():.2e}"
-                )
-            # rotate to the seniority eigenbasis via the pairing operator
-            if n >= 2 and sizes[n - 2] > 0:
-                # P = sum_mu (-1)^mu d_mu d_{-mu}; reuse the adjoint of p_raise
-                low = _apply_terms(
-                    [(c, ans, cs) for c, cs, ans in p_raise], q_mat, n
-                )
-                m = fin[n - 2].T @ low
-                ppdag = m.T @ m
-                vals, vecs = np.linalg.eigh((ppdag + ppdag.T) / 2)
-            else:
-                vals = np.zeros(g)
-                vecs = np.eye(g)
-            tau_f = (-3 + np.sqrt(9 + 4 * (n * (n + 3) - vals))) / 2
-            tau = np.rint(tau_f).astype(int)
-            if np.abs(tau_f - tau).max() > 1e-6:
-                raise RuntimeError(f"non-integer seniority in sector {n}: {tau_f}")
-            order = np.argsort(tau)
-            tau = tau[order]
-            basis = q_mat @ vecs[:, order]
-            # deterministic sign convention
-            for j in range(g):
-                i = np.argmax(np.abs(basis[:, j]))
-                if basis[i, j] < 0:
-                    basis[:, j] = -basis[:, j]
-            fin[n] = basis
-            taus[n] = tau
-            # seniority-diagonal quadrupole-pair block
-            blk = np.zeros((g, g))
-            for mu in range(5):
-                gm = _apply_terms(g_lower[mu], basis, n) if n >= 2 else None
-                if gm is not None:
-                    blk += gm.T @ gm
-            q2[n] = blk
-        if n >= 2 and sizes[n] > 0 and sizes[n - 2] > 0:
-            pd = _apply_terms(p_raise, fin[n - 2], n - 2)
-            pdag[n - 2] = fin[n].T @ pd
-        elif n >= 2:
-            pdag[n - 2] = np.zeros((sizes[n], sizes[n - 2]))
-        if n >= 1:
-            if sizes[n] > 0 and sizes[n - 1] > 0:
-                wv = np.zeros((len(_sector_keys(n)), sizes[n - 1]))
-                for mu in range(5):
-                    wv += _apply_terms(w_raise[mu], fin[n - 1], n - 1)
-                wblk[n - 1] = fin[n].T @ wv
-            else:
-                wblk[n - 1] = np.zeros((sizes[n], sizes[n - 1]))
-        # sliding window: generation needs raw up to 3 back, blocks fin 2 back
-        raw.pop(n - 3, None)
-        fin.pop(n - 2, None)
-    return ChainBlocks(n_max, sizes, taus, q2, pdag, wblk)
+def _elements(states, dn, dtau):
+    """(rows, cols) of every state pair (n, tau) -> (n + dn, tau + dtau) in `states`."""
+    index = {s: i for i, s in enumerate(states)}
+    pairs = [
+        (index[(n + dn, t + dtau)], i)
+        for i, (n, t) in enumerate(states)
+        if (n + dn, t + dtau) in index
+    ]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
 @lru_cache(maxsize=4)
 def chain_blocks(n_max):
-    """Parameter-independent operator blocks for d-sectors up to n_max."""
-    cache = _cache_dir() / f"chain_{n_max}.npz"
-    if cache.exists():
-        data = np.load(cache, allow_pickle=False)
-        sizes = data["sizes"].tolist()
-        ch = ChainBlocks(
-            n_max,
-            sizes,
-            [data[f"tau_{n}"] for n in range(n_max + 1)],
-            [data[f"q2_{n}"] for n in range(n_max + 1)],
-            [data[f"pdag_{n}"] if f"pdag_{n}" in data else None for n in range(n_max + 1)],
-            [data[f"w_{n}"] if f"w_{n}" in data else None for n in range(n_max + 1)],
-        )
-        return ch
-    ch = _build_chain(n_max)
-    try:
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"sizes": np.array(ch.sizes)}
-        for n in range(n_max + 1):
-            payload[f"tau_{n}"] = np.asarray(ch.taus[n])
-            payload[f"q2_{n}"] = ch.q2[n]
-            if ch.pdag[n] is not None:
-                payload[f"pdag_{n}"] = ch.pdag[n]
-            if ch.w[n] is not None:
-                payload[f"w_{n}"] = ch.w[n]
-        np.savez_compressed(cache, **payload)
-    except OSError:
-        pass
-    return ch
+    """Parameter-independent operators on the L=0 states with n_d <= n_max."""
+    states = [(n, 3 * a) for n in range(n_max + 1) for _, a in sector_labels(n)]
+    nd, tau = np.array(states, dtype=np.int64).reshape(-1, 2).T
+    q2 = (2.0 / 7.0) * (nd * (nd - 2) + tau * (tau + 3))
+
+    rows, cols = _elements(states, 2, 0)
+    n, t = nd[cols], tau[cols]
+    pdag = (rows, cols, np.sqrt((n - t + 2.0) * (n + t + 5)))
+
+    up_rows, up_cols = _elements(states, 1, 3)
+    n, t = nd[up_cols], tau[up_cols]
+    k = t // 3
+    up = 2.0 * (k + 1) ** 2 / (7 * (2 * k + 1) * (2 * k + 3)) * (n - t) * (n + t + 5) * (n + t + 7)
+    down_rows, down_cols = _elements(states, 1, -3)
+    n, t = nd[down_cols], tau[down_cols]
+    k = t // 3
+    down = 2.0 * k**2 / (7 * (2 * k - 1) * (2 * k + 1)) * (n - t + 2) * (n - t + 4) * (n + t + 3)
+    w = (
+        np.concatenate([up_rows, down_rows]),
+        np.concatenate([up_cols, down_cols]),
+        np.sqrt(np.concatenate([up, down])),
+    )
+    return ChainBlocks(n_max, nd, tau, q2, pdag, w)
+
+
+def _operators(N, beta0p):
+    """A, B, C, D with N H = A + zeta^2 B + zeta C + xi D on the N-boson L=0 space.
+
+    Each operator is (rows, cols, values) listing every nonzero element once,
+    both triangles included, so that a scatter-add assembles it exactly.
+    """
+    ch = chain_blocks(N)
+    n = ch.nd
+    diag = np.arange(len(n))
+    a = (diag, diag, 2.0 * n * (n - 1) + 2.0 * beta0p**2 * (N - n) * n)
+    b = (diag, diag, -2.0 * n * (n - 1) + 7.0 * ch.q2)
+
+    rows, cols, w = ch.w
+    cw = math.sqrt(14.0) * beta0p * np.sqrt(N - n[cols]) * w
+    c = (np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([cw, cw]))
+
+    # D = S+ S with S = P - beta0p^2 s s from the N- to the (N-2)-boson space
+    rows, cols, p = ch.pdag
+    ss = beta0p**2 * np.sqrt((N - n) * np.maximum(N - n - 1, 0))
+    dd = ss**2
+    dd[rows] += p**2
+    off = -ss[cols] * p
+    d = (
+        np.concatenate([diag, rows, cols]),
+        np.concatenate([diag, cols, rows]),
+        np.concatenate([dd, off, off]),
+    )
+    return a, b, c, d
+
+
+def _assemble(dim, terms):
+    """Dense sum of coeff * operator over the (coeff, operator) pairs."""
+    m = np.zeros((dim, dim))
+    for coeff, (rows, cols, vals) in terms:
+        m[rows, cols] += coeff * vals
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -305,102 +160,28 @@ def chain_blocks(n_max):
 
 
 def build_basis(N):
-    ch = chain_blocks(max(N, 2))
-    states = []
-    for n in range(N + 1):
-        for tau in ch.taus[n]:
-            states.append((n, int(tau)))
-    return L0Basis(N, tuple(states))
-
-
-def _offsets(ch, N):
-    off = {}
-    pos = 0
-    for n in range(N + 1):
-        off[n] = pos
-        pos += ch.sizes[n]
-    return off, pos
-
-
-def _pair_matrix(ch, N, beta0p):
-    """Rectangular matrix of S = P - beta0p^2 s s from the N- to (N-2)-space."""
-    off_lo, dim_lo = _offsets(ch, N - 2)
-    off_hi, dim_hi = _offsets(ch, N)
-    s_mat = np.zeros((dim_lo, dim_hi))
-    for n in range(N + 1):
-        g = ch.sizes[n]
-        if g == 0:
-            continue
-        if n >= 2 and ch.sizes[n - 2] > 0 and n - 2 <= N - 2:
-            blk = ch.pdag[n - 2].T  # <n-2|P|n>
-            s_mat[off_lo[n - 2] : off_lo[n - 2] + ch.sizes[n - 2], off_hi[n] : off_hi[n] + g] += blk
-        if n <= N - 2:
-            ns = N - n
-            amp = -(beta0p**2) * math.sqrt(ns * (ns - 1))
-            s_mat[off_lo[n] : off_lo[n] + g, off_hi[n] : off_hi[n] + g] += amp * np.eye(g)
-    return s_mat
+    ch = chain_blocks(N)
+    return L0Basis(N, tuple(zip(ch.nd.tolist(), ch.tau.tolist())))
 
 
 def build_hamiltonian(params: ModelParams, N, n_cap=N_CAP_DEFAULT):
     """Dense symmetric matrix of H(lambda, beta0p) in the L=0 basis."""
     if N > n_cap:
         raise ValueError(f"N = {N} exceeds the configured cap {n_cap}")
-    ch = chain_blocks(max(N, 2))
-    off, dim = _offsets(ch, N)
-    b0, ze, xi = params.beta0p, params.zeta, params.xi
-    h = np.zeros((dim, dim))
-    for n in range(N + 1):
-        g = ch.sizes[n]
-        if g == 0:
-            continue
-        sl = slice(off[n], off[n] + g)
-        diag = 2.0 * (1.0 - ze**2) * n * (n - 1) + 2.0 * b0**2 * (N - n) * n
-        h[sl, sl] += diag * np.eye(g) + 7.0 * ze**2 * ch.q2[n]
-        if n + 1 <= N and ch.sizes[n + 1] > 0:
-            blk = math.sqrt(14.0) * b0 * ze * math.sqrt(N - n) * ch.w[n]
-            sl2 = slice(off[n + 1], off[n + 1] + ch.sizes[n + 1])
-            h[sl2, sl] += blk
-            h[sl, sl2] += blk.T
-    if xi != 0.0:
-        s_mat = _pair_matrix(ch, N, b0)
-        h += xi * (s_mat.T @ s_mat)
-    h /= N
-    return (h + h.T) / 2
+    a, b, c, d = _operators(N, params.beta0p)
+    ze = params.zeta
+    h = _assemble(basis_dimension(N), [(1.0, a), (ze**2, b), (ze, c), (params.xi, d)])
+    return h / N
 
 
 def _dh_dlambda_matrix(params: ModelParams, N, side):
-    ch = chain_blocks(max(N, 2))
-    off, dim = _offsets(ch, N)
-    b0, ze = params.beta0p, params.zeta
     lam = params.lam
     if side == "auto":
         side = "left" if lam <= LAMBDA_CRITICAL else "right"
     first = (lam < LAMBDA_CRITICAL) or (lam == LAMBDA_CRITICAL and side == "left")
-    m = np.zeros((dim, dim))
-    if first:
-        for n in range(N + 1):
-            g = ch.sizes[n]
-            if g == 0:
-                continue
-            sl = slice(off[n], off[n] + g)
-            m[sl, sl] += -4.0 * ze * n * (n - 1) * np.eye(g) + 14.0 * ze * ch.q2[n]
-            if n + 1 <= N and ch.sizes[n + 1] > 0:
-                blk = math.sqrt(14.0) * b0 * math.sqrt(N - n) * ch.w[n]
-                sl2 = slice(off[n + 1], off[n + 1] + ch.sizes[n + 1])
-                m[sl2, sl] += blk
-                m[sl, sl2] += blk.T
-    else:
-        s_mat = _pair_matrix(ch, N, b0)
-        m += s_mat.T @ s_mat
-    m /= N
-    return (m + m.T) / 2
-
-
-def _nd_diagonal(ch, N):
-    out = []
-    for n in range(N + 1):
-        out.extend([n] * ch.sizes[n])
-    return np.array(out, dtype=float)
+    _, b, c, d = _operators(N, params.beta0p)
+    terms = [(2.0 * params.zeta, b), (1.0, c)] if first else [(1.0, d)]
+    return _assemble(basis_dimension(N), terms) / N
 
 
 @dataclass
@@ -427,14 +208,25 @@ class SpectrumResult:
 
 
 def diagonalize(params: ModelParams, N, side="auto", n_cap=N_CAP_DEFAULT) -> SpectrumResult:
-    """Full spectrum with slope and <n_d> expectations per eigenstate."""
+    """Full spectrum with slope and <n_d> expectations per eigenstate.
+
+    Inside a cluster of degenerate levels (gaps <= DEGENERACY_TOL max(1, |E|))
+    the eigenvectors are rotated to diagonalize dH/dlambda, so the slopes are
+    the one-sided derivatives of the levels on `side` and <n_d> belongs to the
+    states those levels continue into, whatever basis `eigh` returned.
+    """
     h = build_hamiltonian(params, N, n_cap=n_cap)
     evals, evecs = np.linalg.eigh(h)
-    dh = _dh_dlambda_matrix(params, N, side)
-    slopes = np.einsum("ij,ij->j", evecs, dh @ evecs)
-    ch = chain_blocks(max(N, 2))
-    nd = _nd_diagonal(ch, N)
-    nd_exp = np.einsum("ij,i,ij->j", evecs, nd, evecs)
+    dh_v = _dh_dlambda_matrix(params, N, side) @ evecs
+    slopes = np.einsum("ij,ij->j", evecs, dh_v)
+    tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
+    edges = np.flatnonzero(np.diff(evals) > tol[1:]) + 1
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(evals)]):
+        if hi - lo > 1:
+            v = evecs[:, lo:hi]
+            slopes[lo:hi], u = np.linalg.eigh(v.T @ dh_v[:, lo:hi])
+            evecs[:, lo:hi] = v @ u
+    nd_exp = np.einsum("ij,i,ij->j", evecs, chain_blocks(N).nd, evecs)
     return SpectrumResult(params, N, evals, slopes, nd_exp, build_basis(N))
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from . import _kernels
 from .classical import R0_SQUARED, eval_H
@@ -46,11 +45,18 @@ class StationaryPoint:
         return SINGULARITY_CLASS[self.index_r]
 
 
+def _sobol_cube(n, seed):
+    """At least n scrambled Sobol points in [-1, 1]^4 (a power of two, >= 16)."""
+    # imported here, not at module load: scipy.stats takes ~0.3 s to import
+    from scipy.stats import qmc
+
+    m = max(4, math.ceil(math.log2(n)))
+    return qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m) * 2.0 - 1.0
+
+
 def _ball_seeds(n, seed=1234, radius=math.sqrt(R0_SQUARED)):
     """Low-discrepancy seed points in the open 4-ball."""
-    sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
-    m = max(4, math.ceil(math.log2(n * 3.5)))
-    pts = sampler.random_base2(m) * 2.0 - 1.0
+    pts = _sobol_cube(n * 3.5, seed)
     pts *= radius
     r2 = np.einsum("ij,ij->i", pts, pts)
     pts = pts[r2 < radius**2 * (1 - 1e-6)]
@@ -73,9 +79,9 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25):
         try:
             step = np.linalg.solve(h, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(
-                h.reshape(-1, 4, 4)[0], g.reshape(-1, 4)[0], rcond=None
-            )[0][None]
+            # an exactly singular member stops the batched solve; every point
+            # takes the least-squares step of its own Hessian instead
+            step = (np.linalg.pinv(h) @ g[..., None])[..., 0]
         norms = np.linalg.norm(step, axis=1)
         big = norms > step_cap
         step[big] *= (step_cap / norms[big])[:, None]
@@ -230,8 +236,7 @@ def boundary_extrema(params: ModelParams, n_starts=8, n_scan=4096, seed=77):
     A dense low-discrepancy scan of the 3-sphere selects candidate basins;
     the best few candidates per extremum kind are polished by Nelder-Mead.
     """
-    sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
-    dirs = sampler.random_base2(max(4, math.ceil(math.log2(n_scan)))) * 2 - 1
+    dirs = _sobol_cube(n_scan, seed)
     nrm = np.linalg.norm(dirs, axis=1)
     dirs = dirs[nrm > 1e-3] / nrm[nrm > 1e-3][:, None]
     r = math.sqrt(R0_SQUARED)

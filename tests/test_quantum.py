@@ -1,6 +1,7 @@
 """L=0 basis, Hamiltonian assembly, spectra, slopes, oscillatory density."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,43 @@ def test_n_cap():
         quantum.build_hamiltonian(ModelParams(1.0, 0.5), 300)
 
 
+def test_cap_n200_symmetric_and_u5_spectrum():
+    N, b0 = quantum.N_CAP_DEFAULT, 1.3
+    h = quantum.build_hamiltonian(ModelParams(1.7, 2.5), N)
+    assert h.shape == (3434, 3434)
+    assert np.array_equal(h, h.T)
+    del h
+    got = np.linalg.eigvalsh(quantum.build_hamiltonian(ModelParams(b0, 0.0), N))
+    want = [
+        (2.0 / N) * n * (n - 1) + (2.0 * b0**2 / N) * (N - n) * n
+        for n in range(N + 1)
+        for _ in range(quantum.sector_size(n))
+    ]
+    assert np.abs(got - np.sort(want)).max() < 1e-9
+    with pytest.raises(ValueError):
+        quantum.build_hamiltonian(ModelParams(b0, 0.5), N + 1)
+
+
+# Energies, slopes and <n_d> at N = 20 and 50 recorded from the earlier numeric
+# construction (m-scheme vectors orthonormalized sector by sector).
+FIXTURE = Path(__file__).parent / "data" / "spectra_fixture.npz"
+
+
+@pytest.mark.parametrize("N", [20, 50])
+def test_spectra_match_recorded_fixture(N):
+    data = np.load(FIXTURE)
+    for i, (b0, lam) in enumerate(data["points"]):
+        spec = quantum.diagonalize(ModelParams(float(b0), float(lam)), N)
+        energies = data[f"energies_{N}"][i]
+        assert np.abs(spec.energies - energies).max() < 1e-10
+        # slopes and <n_d> of a degenerate level depend on the basis chosen
+        gaps = np.diff(energies) > 1e-6
+        single = np.r_[True, gaps] & np.r_[gaps, True]
+        assert single.any()
+        assert np.abs(spec.slopes - data[f"slopes_{N}"][i])[single].max() < 1e-9
+        assert np.abs(spec.nd_expectation - data[f"nd_{N}"][i])[single].max() < 1e-9
+
+
 # -- known spectra ----------------------------------------------------------
 
 
@@ -136,6 +174,18 @@ def test_hf_slopes_match_finite_differences():
         fd = (e2 - e1) / (2 * d)
         hf = quantum.hf_slopes(params, 15)
         assert np.abs(fd - hf).max() < 1e-5
+
+
+@pytest.mark.parametrize("side, sign", [("left", -1.0), ("right", 1.0)])
+def test_degenerate_slopes_are_one_sided_derivatives(side, sign):
+    # two exactly degenerate E = 0 levels at the critical point
+    params, N, d = ModelParams(1.7, 1.0), 6, 1e-7
+    spec = quantum.diagonalize(params, N, side=side)
+    cluster = np.abs(spec.energies) < 1e-9
+    assert cluster.sum() == 2
+    moved = quantum.diagonalize(ModelParams(1.7, 1.0 + sign * d), N).energies
+    fd = sign * (moved - spec.energies) / d
+    assert np.abs(np.sort(fd[cluster]) - np.sort(spec.slopes[cluster])).max() < 1e-5
 
 
 def test_slopes_differ_across_critical_point():

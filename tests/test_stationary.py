@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from esqpt import stationary
+from esqpt import _kernels, stationary
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -47,6 +47,22 @@ def test_census_points_are_stationary():
         from esqpt.classical import grad_H
 
         assert np.abs(grad_H(params, sp.location * (1 - 1e-15))).max() < 1e-8
+
+
+def test_newton_singular_member_takes_its_own_step():
+    # at the antispinodal the origin's Hessian is exactly singular, which
+    # makes the batched solve raise for any batch that holds the origin
+    params = ModelParams(SQRT2, 4.0 / 3.0)
+    origin, regular = np.zeros(4), np.array([0.9, 0.1, 0.0, 0.2])
+    h0 = _kernels.h_hess(*origin, params.beta0p, params.zeta, params.xi)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(h0, np.ones(4))
+    (alone,) = stationary._newton_polish(params, regular[None])
+    for batch in ([origin, regular], [regular, origin]):
+        out = stationary._newton_polish(params, np.array(batch))
+        assert len(out) == 2
+        assert any(np.array_equal(p, origin) for p in out)
+        assert min(np.abs(p - alone).max() for p in out) < 1e-9
 
 
 def test_spinodal_values():
