@@ -1,7 +1,7 @@
 """Hot numerical kernels with a numba fast path and a pure-numpy fallback.
 
 Set the environment variable ESQPT_DISABLE_NUMBA=1 to force the numpy path
-(useful for debugging and for the benchmark comparison).
+(useful for debugging).
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ def mc_density(
     bins=DEFAULT_BINS,
     e_range=DEFAULT_E_RANGE,
     ref_N=DEFAULT_REF_N,
-    shards=1,
     batch=2_000_000,
 ) -> DensityGrid:
     """Monte-Carlo smoothed level density on the classical energy scale."""
@@ -67,18 +66,16 @@ def mc_density(
         raise ValueError("n_samples must be positive")
     edges = np.linspace(e_range[0], e_range[1], bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(shards)
-    per_shard = [n_samples // shards] * shards
-    per_shard[0] += n_samples - sum(per_shard)
-    for ss, m in zip(children, per_shard):
-        rng = np.random.default_rng(ss)
-        left = m
-        while left > 0:
-            take = min(left, batch)
-            pts = _sample_ball(rng, take)
-            e = eval_H_array(params, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-            counts += np.histogram(e, bins=edges)[0]
-            left -= take
+    # the seed's first child stream, not its root stream, is the one that
+    # density tables at each seed are drawn from
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    left = n_samples
+    while left > 0:
+        take = min(left, batch)
+        pts = _sample_ball(rng, take)
+        e = eval_H_array(params, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+        counts += np.histogram(e, bins=edges)[0]
+        left -= take
     dim = basis_dimension(ref_N)
     width = edges[1] - edges[0]
     p = counts / n_samples

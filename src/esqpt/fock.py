@@ -46,20 +46,6 @@ def matrix(expr: BosonExpr, n_total, n_total_out=None):
     return out
 
 
-def apply_to_vector(expr: BosonExpr, vec, n_total, n_total_out):
-    """Apply expr to a coefficient vector over fock_basis(n_total)."""
-    src = fock_basis(n_total)
-    idx = _index(n_total_out)
-    out = np.zeros(len(idx), dtype=complex)
-    for j, c in enumerate(vec):
-        if c == 0:
-            continue
-        for occ2, amp in expr.apply({src[j]: c}).items():
-            if sum(occ2) == n_total_out:
-                out[idx[occ2]] += amp
-    return out
-
-
 def condensate_vector(amps, n_total):
     """Normalized (sum_k amps[k] b_k^+)^N |0> as a coefficient vector."""
     amps = np.asarray(amps, dtype=complex)

@@ -57,10 +57,6 @@ class ModelParams:
         return "first" if self.lam <= LAMBDA_CRITICAL else "second"
 
 
-def _hashable(x):
-    return float(x)
-
-
 @lru_cache(maxsize=None)
 def nd_op():
     """d-boson number operator."""
@@ -126,10 +122,8 @@ def s_pair_squared(beta0p):
 def h_scaled(params: ModelParams) -> BosonExpr:
     """N * H(lambda, beta0p) on the appropriate branch."""
     if params.lam <= LAMBDA_CRITICAL:
-        return h1_scaled(_hashable(params.beta0p), _hashable(params.zeta))
-    return h1_scaled(_hashable(params.beta0p), 1.0) + params.xi * s_pair_squared(
-        _hashable(params.beta0p)
-    )
+        return h1_scaled(params.beta0p, params.zeta)
+    return h1_scaled(params.beta0p, 1.0) + params.xi * s_pair_squared(params.beta0p)
 
 
 def classical_h(params: ModelParams):

@@ -3,8 +3,8 @@
 Interior stationary points of the classical Hamiltonian are located by
 batched Newton iteration from low-discrepancy seeds and classified by the
 Hessian index r (number of negative eigenvalues).  The energy restricted to
-the boundary 3-sphere is analyzed separately, and critical borderlines
-E_c(lambda) are traced over a lambda grid.
+the boundary 3-sphere has a closed form, and critical borderlines E_c(lambda)
+are traced over a lambda grid.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
 from .classical import R0_SQUARED, eval_H
@@ -38,25 +37,25 @@ class StationaryPoint:
 
     @property
     def singularity_class(self):
-        if self.branch == "boundary":
-            return BOUNDARY_CLASS
-        if self.index_r == "degenerate":
-            return "degenerate"
-        return SINGULARITY_CLASS[self.index_r]
+        return _singularity_class(self.index_r, self.branch)
 
 
-def _sobol_cube(n, seed):
-    """At least n scrambled Sobol points in [-1, 1]^4 (a power of two, >= 16)."""
-    # imported here, not at module load: scipy.stats takes ~0.3 s to import
-    from scipy.stats import qmc
-
-    m = max(4, math.ceil(math.log2(n)))
-    return qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m) * 2.0 - 1.0
+def _singularity_class(index_r, branch):
+    if branch == "boundary":
+        return BOUNDARY_CLASS
+    if index_r == "degenerate":
+        return "degenerate"
+    return SINGULARITY_CLASS[index_r]
 
 
 def _ball_seeds(n, seed=1234, radius=math.sqrt(R0_SQUARED)):
     """Low-discrepancy seed points in the open 4-ball."""
-    pts = _sobol_cube(n * 3.5, seed)
+    # imported here, not at module load: scipy.stats takes ~0.3 s to import
+    from scipy.stats import qmc
+
+    # scrambled Sobol points in [-1, 1]^4 (a power of two, >= 16)
+    m = max(4, math.ceil(math.log2(n * 3.5)))
+    pts = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m) * 2.0 - 1.0
     pts *= radius
     r2 = np.einsum("ij,ij->i", pts, pts)
     pts = pts[r2 < radius**2 * (1 - 1e-6)]
@@ -126,14 +125,20 @@ def _classify(params, loc):
     )
 
 
+def _survey(params, seeds):
+    """Stationary points reached from the seeds, deduplicated and classified.
+
+    The first of near-duplicate points is kept, so the seed order matters.
+    """
+    # the origin is always stationary; make sure it is seeded exactly
+    converged = _newton_polish(params, np.vstack([np.zeros((1, 4)), seeds]))
+    locs = _dedupe(list(converged) + [np.zeros(4)])
+    return [_classify(params, loc) for loc in locs]
+
+
 def find_stationary_points(params: ModelParams, n_seeds=20000, seed=1234):
     """All interior stationary points, deduplicated and Hessian-classified."""
-    seeds = _ball_seeds(n_seeds, seed=seed)
-    # the origin is always stationary; make sure it is seeded exactly
-    seeds = np.vstack([np.zeros((1, 4)), seeds])
-    converged = _newton_polish(params, seeds)
-    locs = _dedupe(list(converged) + [np.zeros(4)])
-    pts = [_classify(params, loc) for loc in locs]
+    pts = _survey(params, _ball_seeds(n_seeds, seed=seed))
     pts.sort(key=lambda s: (s.energy, np.linalg.norm(s.location)))
     return pts
 
@@ -201,7 +206,7 @@ def spinodal_points(beta0p, tol=1e-5):
 class BoundaryExtremum:
     direction: np.ndarray  # unit 4-vector; location is sqrt(2) * direction
     energy: float
-    kind: str  # min | max | other-stationary
+    kind: str  # min | max
 
 
 def boundary_energy(params: ModelParams, angular):
@@ -218,66 +223,25 @@ def boundary_energy(params: ModelParams, angular):
     )
 
 
-def _boundary_objective(params, sgn):
-    b0, ze, xi = params.beta0p, params.zeta, params.xi
-    r = math.sqrt(R0_SQUARED)
+def boundary_extrema(params: ModelParams):
+    """Minimum and maximum of the boundary-restricted energy, in closed form.
 
-    def f(v):
-        n = np.linalg.norm(v)
-        w = v / n * r
-        return sgn * float(_kernels.h_eval(w[0], w[1], w[2], w[3], b0, ze, xi))
-
-    return f
-
-
-def boundary_extrema(params: ModelParams, n_starts=8, n_scan=4096, seed=77):
-    """Stationary directions of the boundary-restricted energy.
-
-    A dense low-discrepancy scan of the 3-sphere selects candidate basins;
-    the best few candidates per extremum kind are polished by Nelder-Mead.
+    On the boundary u = 1 the sqrt(1 - u) term vanishes and
+    p_beta^2 + w^2 = 1 - p_gamma^2, so E = 1 + xi/2 + (zeta^2 - xi/2) p_gamma^2
+    with p_gamma^2 in [0, 1], independent of beta0p.  The extrema are the
+    manifolds p_gamma = 0 and |p_gamma| = 1; each is represented by one
+    direction.  The two energies are equal at lambda = 0 and lambda = 3.
     """
-    dirs = _sobol_cube(n_scan, seed)
-    nrm = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[nrm > 1e-3] / nrm[nrm > 1e-3][:, None]
-    r = math.sqrt(R0_SQUARED)
-    vals = _kernels.h_eval(
-        r * dirs[:, 0], r * dirs[:, 1], r * dirs[:, 2], r * dirs[:, 3],
-        params.beta0p, params.zeta, params.xi,
-    )
-    order = np.argsort(vals)
-    k = max(2, n_starts // 2)
-    starts = np.vstack([dirs[order[:k]], dirs[order[-k:]]])
-    found = []  # (direction, energy)
-    for sgn in (1.0, -1.0):
-        obj = _boundary_objective(params, sgn)
-        for v0 in starts:
-            res = minimize(obj, v0, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
-            v = res.x / np.linalg.norm(res.x)
-            found.append((v, sgn * res.fun))
-    energies = np.array([e for _, e in found])
-    e_min, e_max = energies.min(), energies.max()
-    out = []
-    seen = []
-    for v, e in found:
-        if any(abs(e - e2) < 1e-9 and np.linalg.norm(v - v2) < 1e-4 for v2, e2 in seen):
-            continue
-        seen.append((v, e))
-        if abs(e - e_min) < 1e-9:
-            kind = "min"
-        elif abs(e - e_max) < 1e-9:
-            kind = "max"
-        else:
-            kind = "other-stationary"
-        out.append(BoundaryExtremum(v, float(e), kind))
-    out.sort(key=lambda b: b.energy)
-    return out
+    flat = (np.array([1.0, 0.0, 0.0, 0.0]), float(1.0 + params.xi / 2.0))
+    spun = (np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), float(1.0 + params.zeta**2))
+    lo, hi = sorted((flat, spun), key=lambda d: d[1])
+    return [BoundaryExtremum(lo[0], lo[1], "min"), BoundaryExtremum(hi[0], hi[1], "max")]
 
 
-def boundary_minmax(params: ModelParams, **kw):
+def boundary_minmax(params: ModelParams):
     """(min, max) of the boundary-restricted energy."""
-    ext = boundary_extrema(params, **kw)
-    return ext[0].energy, ext[-1].energy
+    lo, hi = boundary_extrema(params)
+    return lo.energy, hi.energy
 
 
 def boundary_exponent(k_list, m_exponent, f=2):
@@ -322,11 +286,7 @@ class CriticalBorderline:
 
     @property
     def singularity_class(self):
-        if self.branch == "boundary":
-            return BOUNDARY_CLASS
-        if self.index_r == "degenerate":
-            return "degenerate"
-        return SINGULARITY_CLASS[self.index_r]
+        return _singularity_class(self.index_r, self.branch)
 
     @property
     def kinetic(self):
@@ -366,11 +326,7 @@ def trace_borderlines(
     prev_locs = np.zeros((0, 4))
     for i, lam in enumerate(lambda_grid):
         params = ModelParams(beta0p, lam)
-        seeds = _ball_seeds(n_seeds, seed=seed)
-        seeds = np.vstack([np.zeros((1, 4)), prev_locs, seeds])
-        converged = _newton_polish(params, seeds)
-        locs = _dedupe(list(converged) + [np.zeros(4)])
-        pts = [_classify(params, loc) for loc in locs]
+        pts = _survey(params, np.vstack([prev_locs, _ball_seeds(n_seeds, seed=seed)]))
         prev_locs = np.array([sp.location for sp in pts]).reshape(-1, 4)
         # collapse symmetry copies, drop degenerate points
         recs = []
@@ -431,7 +387,7 @@ def trace_borderlines(
     if include_boundary:
         mins, maxs = [], []
         for lam in lambda_grid:
-            lo, hi = boundary_minmax(ModelParams(beta0p, lam), n_starts=6)
+            lo, hi = boundary_minmax(ModelParams(beta0p, lam))
             mins.append(lo)
             maxs.append(hi)
         out.append(CriticalBorderline(list(lambda_grid), mins, None, "boundary"))

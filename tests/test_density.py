@@ -31,7 +31,7 @@ def test_density_support_upper_bound_second_branch():
     assert np.all(grid.rho[bad] == 0.0)
 
 
-def test_density_deterministic_and_shard_invariant():
+def test_density_deterministic_and_seed_sensitive():
     params = ModelParams(1.7, 0.7)
     a = density.mc_density(params, n_samples=100_000, seed=9)
     b = density.mc_density(params, n_samples=100_000, seed=9)

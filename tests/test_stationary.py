@@ -91,6 +91,31 @@ def test_boundary_minmax_closed_form(beta0p):
         assert hi == pytest.approx(want_hi, abs=1e-6)
 
 
+@pytest.mark.parametrize("beta0p", [SQRT2, 1.7, 4.0])
+def test_boundary_extrema_bound_the_kernel(beta0p):
+    # the closed-form extrema against direct kernel evaluations on the sphere
+    rng = np.random.default_rng(3)
+    dirs = rng.standard_normal((200_000, 4))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r = math.sqrt(2.0)
+    for lam in (0.0, 0.3, 1.0, 1.4, 2.2, 3.0, 3.2, 5.0):
+        params = ModelParams(beta0p, lam)
+        ext = stationary.boundary_extrema(params)
+        assert [e.kind for e in ext] == ["min", "max"]
+        lo, hi = ext[0].energy, ext[1].energy
+        assert (lo, hi) == stationary.boundary_minmax(params)
+        e = _kernels.h_eval(*(r * dirs.T), beta0p, params.zeta, params.xi)
+        assert e.min() >= lo - 1e-6
+        assert e.max() <= hi + 1e-6
+        for x in ext:
+            assert np.linalg.norm(x.direction) == pytest.approx(1.0, abs=1e-15)
+            assert stationary.boundary_energy(params, x.direction) == pytest.approx(
+                x.energy, abs=1e-6
+            )
+    lo, hi = stationary.boundary_minmax(ModelParams(beta0p, 3.0))
+    assert lo == hi == 2.0
+
+
 def test_boundary_energy_unit_check():
     with pytest.raises(ValueError):
         stationary.boundary_energy(ModelParams(1.0, 0.5), [1.0, 1.0, 0.0, 0.0])

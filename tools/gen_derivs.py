@@ -1,9 +1,14 @@
 """Generate closed-form gradient/Hessian code for the classical Hamiltonian.
 
 Writes src/esqpt/_derivs.py.  Run manually after changing the Hamiltonian
-definition; the output file is committed.
+definition; the output file is committed, and a test checks that
+``derivs_source()`` still reproduces it.
 """
+from pathlib import Path
+
 import sympy as sp
+
+TARGET = Path(__file__).resolve().parent.parent / "src" / "esqpt" / "_derivs.py"
 
 x, y, px, py, b0, ze = sp.symbols('x y px py b0 ze', real=True)
 V = [x, y, px, py]
@@ -29,18 +34,23 @@ def emit(name, exprs, args):
     return "\n".join(lines)
 
 
-g1 = [sp.diff(H1, v) for v in V]
-h1 = [sp.diff(H1, a, b) for i, a in enumerate(V) for b in V[i:]]
-g2 = [sp.diff(EX, v) for v in V]
-h2 = [sp.diff(EX, a, b) for i, a in enumerate(V) for b in V[i:]]
+def derivs_source():
+    """The text of src/esqpt/_derivs.py."""
+    g1 = [sp.diff(H1, v) for v in V]
+    h1 = [sp.diff(H1, a, b) for i, a in enumerate(V) for b in V[i:]]
+    g2 = [sp.diff(EX, v) for v in V]
+    h2 = [sp.diff(EX, a, b) for i, a in enumerate(V) for b in V[i:]]
+    parts = [
+        '"""Machine-generated derivative formulas (tools/gen_derivs.py); do not edit by hand."""',
+        "from numpy import sqrt\n",
+        emit("grad_h1", g1, ["x", "y", "px", "py", "b0", "ze"]),
+        emit("hess_h1", h1, ["x", "y", "px", "py", "b0", "ze"]),
+        emit("grad_extra", g2, ["x", "y", "px", "py", "b0"]),
+        emit("hess_extra", h2, ["x", "y", "px", "py", "b0"]),
+    ]
+    return "\n\n".join(parts) + "\n"
 
-parts = [
-    '"""Machine-generated derivative formulas (tools/gen_derivs.py); do not edit by hand."""',
-    "from numpy import sqrt\n",
-    emit("grad_h1", g1, ["x", "y", "px", "py", "b0", "ze"]),
-    emit("hess_h1", h1, ["x", "y", "px", "py", "b0", "ze"]),
-    emit("grad_extra", g2, ["x", "y", "px", "py", "b0"]),
-    emit("hess_extra", h2, ["x", "y", "px", "py", "b0"]),
-]
-open("src/esqpt/_derivs.py", "w").write("\n\n".join(parts) + "\n")
-print("wrote src/esqpt/_derivs.py")
+
+if __name__ == "__main__":
+    TARGET.write_text(derivs_source())
+    print(f"wrote {TARGET}")
