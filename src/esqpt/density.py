@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .classical import R0_SQUARED, eval_H_array
 from .models import ModelParams
@@ -89,11 +88,10 @@ def density_derivative(grid: DensityGrid, presmooth_bins=2.0):
     rho = grid.rho
     err = grid.mc_error
     if presmooth_bins and presmooth_bins > 0:
-        rho = gaussian_filter1d(rho, presmooth_bins, mode="nearest")
-        # variance shrinks by the sum of squared kernel weights
         kernel = _gauss_kernel(presmooth_bins)
-        shrink = math.sqrt(float(np.sum(kernel**2)))
-        err = gaussian_filter1d(err, presmooth_bins, mode="nearest") * shrink
+        rho = _smooth(rho, kernel)
+        # variance shrinks by the sum of squared kernel weights
+        err = _smooth(err, kernel) * math.sqrt(float(np.sum(kernel**2)))
     w = grid.binwidth
     d = np.gradient(rho, w)
     derr = np.sqrt(np.roll(err, -1) ** 2 + np.roll(err, 1) ** 2) / (2 * w)
@@ -109,6 +107,12 @@ def _gauss_kernel(sigma):
     x = np.arange(-half, half + 1)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
+
+
+def _smooth(values, kernel):
+    """Symmetric kernel applied with edge padding (each end value repeats)."""
+    half = len(kernel) // 2
+    return np.convolve(np.pad(values, half, mode="edge"), kernel, mode="valid")
 
 
 @dataclass(frozen=True)
@@ -188,23 +192,6 @@ def detect_singularities(grid: DensityGrid, n_sigma=5.0, window=6):
             merged.append(f)
     merged.sort(key=lambda f: f.e_center)
     return merged
-
-
-def phase_diagram(
-    beta0p, lambda_grid, e_bins=DEFAULT_BINS, n_samples=200_000, seed=0, ref_N=DEFAULT_REF_N
-):
-    """Matrix of d rho / dE over (lambda, E); one MC density per lambda."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    out = np.zeros((len(lambda_grid), e_bins))
-    grids = []
-    for i, lam in enumerate(lambda_grid):
-        g = mc_density(
-            ModelParams(beta0p, lam), n_samples=n_samples, seed=seed + i, bins=e_bins,
-            ref_N=ref_N,
-        )
-        out[i] = density_derivative(g)
-        grids.append(g)
-    return out, grids
 
 
 @dataclass

@@ -104,11 +104,19 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25):
 
 
 def _dedupe(points, tol=1e-6):
+    """Rows of the (n, 4) array farther than tol from every earlier kept row.
+
+    Greedy in row order: the first row left is kept, and one distance test
+    against it drops every later row within tol, so the first of each
+    near-duplicate group survives.  Returns a (k, 4) array.
+    """
+    left = np.arange(len(points))
     kept = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
-            kept.append(p)
-    return kept
+    while len(left):
+        first, rest = left[0], left[1:]
+        kept.append(first)
+        left = rest[np.linalg.norm(points[rest] - points[first], axis=1) > tol]
+    return points[kept]
 
 
 def _classify(params, loc):
@@ -132,7 +140,7 @@ def _survey(params, seeds):
     """
     # the origin is always stationary; make sure it is seeded exactly
     converged = _newton_polish(params, np.vstack([np.zeros((1, 4)), seeds]))
-    locs = _dedupe(list(converged) + [np.zeros(4)])
+    locs = _dedupe(np.vstack([converged, np.zeros((1, 4))]))
     return [_classify(params, loc) for loc in locs]
 
 

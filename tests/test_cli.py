@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +95,32 @@ def test_stationary_subcommand(tmp_path):
     # 1e-7 slack: the truncated beta0p string enters as beta0p^4
     assert origin and float(origin[0][5]) == pytest.approx(3.0, abs=1e-6)
     assert origin[0][8] == "v"
+
+
+def test_stationary_manifest_records_the_seed_used(tmp_path):
+    # at lambda = 0 the census samples continuous manifolds, so the points
+    # it lists depend on the Sobol seed
+    base = ["stationary", "--beta0p", "1.7", "--lambda", "0", "--n-seeds", "300"]
+    runs = {"default": [], "1234": ["--seed", "1234"], "0": ["--seed", "0"]}
+    data, seeds = {}, {}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(base + extra + ["-o", str(out)]) == 0
+        data[name] = out.read_bytes()
+        seeds[name] = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["seed"]
+    assert seeds == {"default": 1234, "1234": 1234, "0": 0}
+    assert data["default"] == data["1234"]
+    assert data["0"] != data["default"]
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # each of these adds ~0.3-0.7 s to the start of every esqpt process
+    code = (
+        "import esqpt.cli, sys; "
+        "print([m for m in ('scipy.ndimage', 'scipy.stats') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_flow_and_oscillatory_subcommands(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from esqpt import density, quantum
+from esqpt import cli, density, quantum
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -75,10 +75,12 @@ def test_detect_singularities_spherical_cut():
 
 
 def test_phase_diagram_shapes():
-    lam_grid = np.array([0.1, 0.3])
-    mat, grids = density.phase_diagram(SQRT2, lam_grid, n_samples=50_000, seed=0)
-    assert mat.shape == (2, density.DEFAULT_BINS)
+    cfg = cli.JobConfig("phase-diagram", SQRT2, np.array([0.1, 0.3]), n_samples=50_000)
+    grids = cli._density_grids(cfg)
     assert len(grids) == 2
+    header, rows = cli.run_phase_diagram(cfg)
+    mat = np.array([r[header.index("drho_dE")] for r in rows]).reshape(2, -1)
+    assert mat.shape == (2, density.DEFAULT_BINS)
     assert np.array_equal(mat[0], grids[0].drho_dE)
 
 

@@ -1,6 +1,7 @@
 """Stationary-point census, spinodals, boundary analysis, borderlines."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,70 @@ def test_census_points_are_stationary():
         from esqpt.classical import grad_H
 
         assert np.abs(grad_H(params, sp.location * (1 - 1e-15))).max() < 1e-8
+
+
+def dedupe_loop(points, tol=1e-6):
+    """The O(n^2) dedupe that the batched one replaced, kept as its oracle."""
+    kept = []
+    for p in points:
+        if all(np.linalg.norm(p - q) > tol for q in kept):
+            kept.append(p)
+    return np.array(kept).reshape(-1, 4)
+
+
+def straddling_clusters(seed, tol=1e-6):
+    """Shuffled chains of points whose steps are 0.5 tol to 2 tol long."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    for center in rng.uniform(-1.0, 1.0, (25, 4)):
+        steps = rng.standard_normal((rng.integers(1, 12), 4))
+        steps *= (tol * rng.uniform(0.5, 2.0, len(steps)) / np.linalg.norm(steps, axis=1))[:, None]
+        chains.append(center + np.cumsum(steps, axis=0))
+    pts = np.vstack(chains)
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.zeros((0, 4)), np.array([[0.1, 0.2, 0.3, 0.4]]), np.tile([0.5, 0.0, 0.0, 0.1], (7, 1))],
+    ids=["empty", "one", "all-duplicates"],
+)
+def test_dedupe_small_inputs(points):
+    got = stationary._dedupe(points)
+    assert got.shape == (min(len(points), 1), 4)
+    assert np.array_equal(got, dedupe_loop(points))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dedupe_matches_loop_on_straddling_clusters(seed):
+    pts = straddling_clusters(seed)
+    got = stationary._dedupe(pts)
+    want = dedupe_loop(pts)
+    assert 25 <= len(want) < len(pts)
+    assert np.array_equal(got, want)
+
+
+def test_dedupe_matches_loop_on_continuous_manifold_census():
+    # lambda = 0 has continuous stationary manifolds: most points are distinct
+    params = ModelParams(1.7, 0.0)
+    seeds = np.vstack([np.zeros((1, 4)), stationary._ball_seeds(1000)])
+    pts = np.vstack([stationary._newton_polish(params, seeds), np.zeros((1, 4))])
+    got = stationary._dedupe(pts)
+    assert 900 < len(got) < len(pts)
+    assert np.array_equal(got, dedupe_loop(pts))
+
+
+CENSUS_FIXTURE = Path(__file__).parent / "data" / "census_fixture.npz"
+
+
+def test_census_matches_fixture():
+    # recorded with the O(n^2) dedupe at the default 20000 seeds and seed 1234
+    ref = np.load(CENSUS_FIXTURE)
+    pts = stationary.find_stationary_points(ModelParams(SQRT2, 0.3))
+    assert [str(sp.index_r) for sp in pts] == list(ref["index_r"])
+    assert [sp.branch for sp in pts] == list(ref["branch"])
+    assert np.abs(np.array([sp.location for sp in pts]) - ref["location"]).max() < 1e-12
+    assert np.abs(np.array([sp.energy for sp in pts]) - ref["energy"]).max() < 1e-12
 
 
 def test_newton_singular_member_takes_its_own_step():
