@@ -40,19 +40,13 @@ def _h_eval_impl(x, y, px, py, b0, ze, xi):
     return h
 
 
-def _potential_impl(x, y, b0, ze, xi):
-    u = 0.5 * (x * x + y * y)
-    a = -x * x * x + 3.0 * x * y * y
-    s = np.sqrt(np.abs(1.0 - u) / 2.0)
-    v = u * u + b0 * b0 * (1.0 - u) * u + ze * b0 * s * a
-    if xi != 0.0:
-        w = u - b0 * b0 * (1.0 - u)
-        v = v + xi * 0.5 * w * w
-    return v
-
-
 h_eval = _jit(_h_eval_impl)
-potential = _jit(_potential_impl)
+
+
+def potential(x, y, b0, ze, xi):
+    """Potential surface V(x, y) = H(x, y, 0, 0)."""
+    return h_eval(x, y, 0.0, 0.0, b0, ze, xi)
+
 
 grad_h1 = _jit(_derivs.grad_h1)
 hess_h1 = _jit(_derivs.hess_h1)

@@ -105,10 +105,6 @@ class BosonExpr:
         return BosonExpr(out)._cleaned()
 
     @staticmethod
-    def identity(coeff=1.0):
-        return BosonExpr({((), ()): complex(coeff)})
-
-    @staticmethod
     def create(mode, coeff=1.0):
         return BosonExpr({((mode,), ()): complex(coeff)})
 

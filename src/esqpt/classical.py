@@ -116,49 +116,3 @@ def potential(params: ModelParams, x, y):
     return _kernels.potential(
         np.asarray(x, float), np.asarray(y, float), params.beta0p, params.zeta, params.xi
     )
-
-
-def momentum_branches(params: ModelParams, q, grid=64, tol=1e-10, dedup=1e-8):
-    """All momentum stationary points of H at fixed coordinates q = (x, y).
-
-    Solves dH/dp = 0 on the momentum disc by a dense grid scan followed by
-    Newton polishing in the 2-D momentum plane.  Always contains p = (0, 0);
-    non-trivial solutions appear in sign-conjugated pairs.
-    """
-    x0, y0 = float(q[0]), float(q[1])
-    if x0 * x0 + y0 * y0 >= R0_SQUARED:
-        raise ValueError("coordinates outside the configuration disc")
-    pmax = math.sqrt(R0_SQUARED - x0 * x0 - y0 * y0)
-    lin = np.linspace(-pmax, pmax, grid)
-    gx, gy = np.meshgrid(lin, lin)
-    keep = gx**2 + gy**2 < pmax**2 * (1 - 1e-9)
-    seeds = np.column_stack([gx[keep], gy[keep]])
-
-    b0, ze, xi = params.beta0p, params.zeta, params.xi
-    sols = [np.zeros(2)]
-    for seed in seeds:
-        p = seed.copy()
-        ok = False
-        for _ in range(60):
-            g = _kernels.h_grad(x0, y0, p[0], p[1], b0, ze, xi)[2:]
-            h = _kernels.h_hess(x0, y0, p[0], p[1], b0, ze, xi)[2:, 2:]
-            try:
-                step = np.linalg.solve(h, g)
-            except np.linalg.LinAlgError:
-                break
-            p = p - step
-            if p[0] ** 2 + p[1] ** 2 > pmax**2:
-                break
-            if np.dot(step, step) < tol**2:
-                ok = abs(_kernels.h_grad(x0, y0, p[0], p[1], b0, ze, xi)[2:]).max() < 1e-9
-                break
-        if not ok:
-            continue
-        if all(np.hypot(*(p - s)) > dedup for s in sols):
-            sols.append(p)
-            if all(np.hypot(*(p + s)) > dedup for s in sols):
-                sols.append(-p)
-    nontrivial = sorted(
-        (s for s in sols[1:]), key=lambda s: (round(float(np.hypot(*s)), 9), s[0], s[1])
-    )
-    return [np.zeros(2)] + nontrivial

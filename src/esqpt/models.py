@@ -68,11 +68,6 @@ def nd_op():
 
 
 @lru_cache(maxsize=None)
-def ns_op():
-    return BosonExpr.create(0) * BosonExpr.annihilate(0)
-
-
-@lru_cache(maxsize=None)
 def pair_d_creator():
     """P+ = d+.d+ = sum_mu (-1)^mu d+_mu d+_{-mu}."""
     out = BosonExpr()

@@ -1,10 +1,12 @@
-"""Stationary-point census, spinodals, boundary analysis, and borderlines.
+"""Stationary-point census, momentum branches, spinodals, boundary analysis,
+and borderlines.
 
 Interior stationary points of the classical Hamiltonian are located by
 batched Newton iteration from low-discrepancy seeds and classified by the
-Hessian index r (number of negative eigenvalues).  The energy restricted to
-the boundary 3-sphere has a closed form, and critical borderlines E_c(lambda)
-are traced over a lambda grid.
+Hessian index r (number of negative eigenvalues); the same solver finds the
+momentum branches at fixed coordinates.  The spinodals and the energy
+restricted to the boundary 3-sphere have closed forms, and critical
+borderlines E_c(lambda) are traced over a lambda grid.
 """
 
 from __future__ import annotations
@@ -62,8 +64,12 @@ def _ball_seeds(n, seed=1234, radius=math.sqrt(R0_SQUARED)):
     return pts[:n]
 
 
-def _newton_polish(params, pts, max_iter=200, step_cap=0.25):
-    """Batched Newton iteration on grad H = 0; returns converged points."""
+def _newton_polish(params, pts, max_iter=200, step_cap=0.25, free=slice(None)):
+    """Batched Newton iteration on grad H = 0; returns converged points.
+
+    Only the coordinates selected by free move, and only their gradient
+    components must vanish: free=slice(2, 4) solves dH/dp = 0 at fixed q.
+    """
     b0, ze, xi = params.beta0p, params.zeta, params.xi
     x = np.asarray(pts, dtype=float).copy()
     alive = np.ones(len(x), dtype=bool)
@@ -75,6 +81,7 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25):
         p = x[idx]
         g = np.stack(_kernels.h_grad(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi), axis=-1)
         h = _kernels.h_hess(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi)
+        g, h = g[:, free], h[:, free, free]
         try:
             step = np.linalg.solve(h, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -84,7 +91,8 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25):
         norms = np.linalg.norm(step, axis=1)
         big = norms > step_cap
         step[big] *= (step_cap / norms[big])[:, None]
-        newp = p - step
+        newp = p.copy()
+        newp[:, free] -= step
         r2 = np.einsum("ij,ij->i", newp, newp)
         escaped = r2 > R0_SQUARED - 1e-9
         gnorm = np.abs(g).max(axis=1)
@@ -99,16 +107,16 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25):
         g = np.stack(
             _kernels.h_grad(out[:, 0], out[:, 1], out[:, 2], out[:, 3], b0, ze, xi), axis=-1
         )
-        out = out[np.abs(g).max(axis=1) <= GRAD_TOL]
+        out = out[np.abs(g[:, free]).max(axis=1) <= GRAD_TOL]
     return out
 
 
 def _dedupe(points, tol=1e-6):
-    """Rows of the (n, 4) array farther than tol from every earlier kept row.
+    """Rows of the (n, d) array farther than tol from every earlier kept row.
 
     Greedy in row order: the first row left is kept, and one distance test
     against it drops every later row within tol, so the first of each
-    near-duplicate group survives.  Returns a (k, 4) array.
+    near-duplicate group survives.  Returns a (k, d) array.
     """
     left = np.arange(len(points))
     kept = []
@@ -151,59 +159,63 @@ def find_stationary_points(params: ModelParams, n_seeds=20000, seed=1234):
     return pts
 
 
+def momentum_branches(params: ModelParams, q):
+    """All momentum stationary points of H at fixed coordinates q = (x, y).
+
+    Solves dH/dp = 0 by batched Newton in the momentum plane from a 64 x 64
+    grid of seeds on the momentum disc.  The first entry is p = (0, 0); the
+    others appear in sign-conjugated pairs, sorted by |p|.
+    """
+    x0, y0 = float(q[0]), float(q[1])
+    if x0 * x0 + y0 * y0 >= R0_SQUARED:
+        raise ValueError("coordinates outside the configuration disc")
+    pmax = math.sqrt(R0_SQUARED - x0 * x0 - y0 * y0)
+    lin = np.linspace(-pmax, pmax, 64)
+    gx, gy = np.meshgrid(lin, lin)
+    keep = gx**2 + gy**2 < pmax**2 * (1 - 1e-9)
+    q_col = np.ones(int(keep.sum()))
+    seeds = np.column_stack([x0 * q_col, y0 * q_col, gx[keep], gy[keep]])
+    p = _newton_polish(params, seeds, free=slice(2, 4))[:, 2:]
+    sols = _dedupe(np.vstack([np.zeros((1, 2)), p, -p]))
+    nontrivial = sorted(sols[1:], key=lambda s: (round(float(np.hypot(*s)), 9), s[0], s[1]))
+    return [sols[0]] + nontrivial
+
+
 # ---------------------------------------------------------------------------
 # spinodal / antispinodal
 
 
-def _axial_potential(params, x):
-    return _kernels.potential(np.asarray(x, float), 0.0, params.beta0p, params.zeta, params.xi)
+def spinodal_points(beta0p):
+    """(lambda_star, lambda_star_star), the spinodal and antispinodal, in closed form.
 
+    On the gamma = 0 axis of the first branch, with b = beta0p, u = beta^2/2
+    and r = sqrt(u / (1 - u)), the potential is
 
-def _has_deformed_minimum(beta0p, lam, n_grid=4000):
-    """True if the gamma=0 axial potential has an interior minimum off the origin."""
-    params = ModelParams(beta0p, lam)
-    x = np.linspace(1e-4, math.sqrt(R0_SQUARED) - 1e-9, n_grid)
-    v = _axial_potential(params, x)
-    dv = np.diff(v)
-    # local minimum: derivative changes - to +
-    sign = np.sign(dv)
-    idx = np.where((sign[:-1] < 0) & (sign[1:] > 0))[0]
-    return any(x[i + 1] > 1e-2 for i in idx)
+        V = r^2 (r^2 - 2 zeta b r + b^2) / (1 + r^2)^2,
 
+    and V'(r) = 0 exactly when zeta = f(r) = [b^2 + (2 - b^2) r^2] / [b r (3 - r^2)].
+    f' vanishes at the roots s of (2 - b^2) s^2 + 6 s - 3 b^2 = 0, s = r^2.
 
-def _origin_min_eig(beta0p, lam):
-    params = ModelParams(beta0p, lam)
-    h = _kernels.h_hess(0.0, 0.0, 0.0, 0.0, beta0p, params.zeta, params.xi)
-    return float(np.linalg.eigvalsh(h).min())
+    lambda_star is the lambda above which a deformed gamma = 0 minimum exists
+    at every larger lambda.  For b^2 < 3 it is the minimum of f on
+    (0, sqrt(3)), f(sqrt(s*)) with s* = 3 b^2 / (3 + sqrt(9 + 3 b^2 (2 - b^2)));
+    for b^2 >= 3 a deformed minimum exists at every lambda > 0 and
+    lambda_star = 0.  For 2 < b^2 < 3 a second, near-boundary minimum
+    (r > sqrt(3)) also exists on 0 < lambda < f(sqrt(s2)), s2 the other root;
+    it ends below lambda_star.
 
-
-def _bisect(f, lo, hi, tol):
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) == flo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def spinodal_points(beta0p, tol=1e-5):
-    """(lambda_star, lambda_star_star); either may be None if absent."""
-    lam_hi = 3.5
-    lam_star = None
-    if not _has_deformed_minimum(beta0p, 1e-6) and _has_deformed_minimum(beta0p, lam_hi):
-        lam_star = _bisect(lambda t: _has_deformed_minimum(beta0p, t), 1e-6, lam_hi, tol)
-    elif _has_deformed_minimum(beta0p, 1e-6):
-        lam_star = 0.0
-    lam_star_star = None
-    if _origin_min_eig(beta0p, 1.0) > 0 and _origin_min_eig(beta0p, lam_hi) < 0:
-        lam_star_star = _bisect(
-            lambda t: _origin_min_eig(beta0p, t) > 0, 1.0, lam_hi, tol
-        )
-    return lam_star, lam_star_star
+    lambda_star_star is the lambda at which the origin stops being a minimum.
+    Its Hessian eigenvalues are b^2 [1 - xi (1 + b^2)] in the coordinates and
+    b^2 [1 + xi (1 - b^2)] in the momenta; the first vanishes first, at
+    xi = 1 / (1 + b^2).
+    """
+    ModelParams(beta0p, 0.0)  # rejects beta0p <= 0
+    b2 = beta0p * beta0p
+    lam_star = 0.0
+    if b2 < 3.0:
+        s = 3.0 * b2 / (3.0 + math.sqrt(9.0 + 3.0 * b2 * (2.0 - b2)))
+        lam_star = (b2 + (2.0 - b2) * s) / (beta0p * math.sqrt(s) * (3.0 - s))  # f(sqrt(s*))
+    return lam_star, 1.0 + 1.0 / (1.0 + b2)
 
 
 # ---------------------------------------------------------------------------

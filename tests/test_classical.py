@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from esqpt import classical, models
+from esqpt import _kernels, classical, models, stationary
 from esqpt.classical import PhasePoint, R0_SQUARED
 from esqpt.models import ModelParams
 
@@ -96,7 +96,7 @@ def test_potential_gamma_symmetry(rng):
 def test_momentum_branches_structure():
     params = ModelParams(SQRT2, 0.2)
     # inside the kinetic region there are non-trivial momentum branches
-    sols = classical.momentum_branches(params, (-1.12, 0.0))
+    sols = stationary.momentum_branches(params, (-1.12, 0.0))
     assert np.allclose(sols[0], 0.0)
     nontrivial = sols[1:]
     assert len(nontrivial) >= 2
@@ -104,7 +104,87 @@ def test_momentum_branches_structure():
     for p in nontrivial:
         assert any(np.allclose(p, -q, atol=1e-7) for q in nontrivial)
     with pytest.raises(ValueError):
-        classical.momentum_branches(params, (1.5, 0.0))
+        stationary.momentum_branches(params, (1.5, 0.0))
+
+
+def momentum_loop(params, q, grid=64, tol=1e-10, dedup=1e-8):
+    """The per-seed Newton loop that the batched solver replaced, kept as its oracle."""
+    x0, y0 = float(q[0]), float(q[1])
+    pmax = math.sqrt(R0_SQUARED - x0 * x0 - y0 * y0)
+    gx, gy = np.meshgrid(np.linspace(-pmax, pmax, grid), np.linspace(-pmax, pmax, grid))
+    keep = gx**2 + gy**2 < pmax**2 * (1 - 1e-9)
+    b0, ze, xi = params.beta0p, params.zeta, params.xi
+    sols = [np.zeros(2)]
+    for seed in np.column_stack([gx[keep], gy[keep]]):
+        p = seed.copy()
+        ok = False
+        for _ in range(60):
+            g = _kernels.h_grad(x0, y0, p[0], p[1], b0, ze, xi)[2:]
+            h = _kernels.h_hess(x0, y0, p[0], p[1], b0, ze, xi)[2:, 2:]
+            try:
+                step = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                break
+            p = p - step
+            if p[0] ** 2 + p[1] ** 2 > pmax**2:
+                break
+            if np.dot(step, step) < tol**2:
+                ok = abs(_kernels.h_grad(x0, y0, p[0], p[1], b0, ze, xi)[2:]).max() < 1e-9
+                break
+        if ok and all(np.hypot(*(p - s)) > dedup for s in sols):
+            sols.append(p)
+            if all(np.hypot(*(p + s)) > dedup for s in sols):
+                sols.append(-p)
+    return sols
+
+
+def momentum_gradient(params, q, p):
+    return _kernels.h_grad(q[0], q[1], p[0], p[1], params.beta0p, params.zeta, params.xi)[2:]
+
+
+@pytest.mark.parametrize(
+    "beta0p, lam, q, n_found",
+    [
+        (SQRT2, 0.2, (-1.12, 0.0), 5),
+        (SQRT2, 0.5, (-0.9, 0.3), 7),
+        (1.7, 0.3, (-1.0, 0.0), 5),
+        (1.7, 2.2, (-0.7, 0.4), 5),
+        (1.0, 0.8, (-1.2, 0.1), 5),
+        (1.7, 0.7, (-1.3, 0.0), 1),
+    ],
+)
+def test_momentum_branches_match_loop(beta0p, lam, q, n_found):
+    params = ModelParams(beta0p, lam)
+    sols = stationary.momentum_branches(params, q)
+    assert len(sols) == n_found
+    assert np.array_equal(sols[0], np.zeros(2))
+    # every isolated solution of the loop is found ...
+    for want in momentum_loop(params, q):
+        assert min(np.abs(p - want).max() for p in sols) < 1e-9
+    # ... and the rest are stationary, in the disc and sign-paired: at
+    # (sqrt2, 0.5) the loop's undamped steps leave the disc before they reach
+    # the pair at R^2 = 1.994, which the capped batched steps find
+    for p in sols:
+        assert np.abs(momentum_gradient(params, q, p)).max() <= stationary.GRAD_TOL
+        assert q[0] ** 2 + q[1] ** 2 + p @ p < R0_SQUARED
+        assert min(np.abs(p + r).max() for r in sols) < 1e-9
+
+
+def test_momentum_branches_ring():
+    # at zeta = 0 H depends on p only through |p|, so the solutions form a
+    # ring and are not isolated: only stationarity and +- pairing (to the
+    # dedupe tolerance) are checked, not agreement with the loop
+    params = ModelParams(1.7, 0.0)
+    q = (0.5, 0.3)
+    sols = stationary.momentum_branches(params, q)
+    ring = np.array(sols[1:])
+    assert len(ring) > 100
+    radius = np.hypot(*ring.T)
+    assert radius.max() - radius.min() < 1e-9
+    for p in sols:
+        assert np.abs(momentum_gradient(params, q, p)).max() <= stationary.GRAD_TOL
+    for p in ring:
+        assert np.hypot(*(ring + p).T).min() <= 1e-6
 
 
 def test_numpy_fallback_matches_active_backend(rng, tmp_path):

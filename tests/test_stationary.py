@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esqpt import _kernels, stationary
+from esqpt import _kernels, classical, stationary
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -137,6 +137,46 @@ def test_spinodal_values():
     lo, hi = stationary.spinodal_points(1.7)
     assert lo == pytest.approx(0.4605, abs=1e-3)
     assert hi == pytest.approx(1.2571, abs=1e-3)
+
+
+def test_spinodal_closed_form():
+    lo, hi = stationary.spinodal_points(SQRT2)
+    assert abs(lo - 1 / math.sqrt(2)) < 1e-12
+    assert abs(hi - 4.0 / 3.0) < 1e-12
+    # for beta0p^2 >= 3 a deformed minimum exists at every lambda > 0
+    for beta0p in (2.0, 4.0):
+        assert stationary.spinodal_points(beta0p)[0] == 0.0
+    with pytest.raises(ValueError):
+        stationary.spinodal_points(0.0)
+
+
+def has_axial_minimum(beta0p, lam):
+    """A local minimum of the gamma = 0 kernel potential on 0 < beta < sqrt(1.5)."""
+    beta = np.linspace(1e-4, math.sqrt(1.5), 40_001)
+    v = classical.potential(ModelParams(beta0p, lam), beta, 0.0)
+    dv = np.diff(v)
+    return bool(np.any((dv[:-1] < 0) & (dv[1:] > 0)))
+
+
+SPINODAL_BETA0P = [0.3, 0.7, 1.0, SQRT2, 1.6, 1.7]
+
+
+@pytest.mark.parametrize("beta0p", SPINODAL_BETA0P)
+def test_spinodal_brackets_axial_minimum(beta0p):
+    lam_star, _ = stationary.spinodal_points(beta0p)
+    assert not has_axial_minimum(beta0p, lam_star - 1e-4)
+    assert has_axial_minimum(beta0p, lam_star + 1e-4)
+
+
+@pytest.mark.parametrize("beta0p", SPINODAL_BETA0P)
+def test_antispinodal_origin_hessian_sign_change(beta0p):
+    _, lam_ss = stationary.spinodal_points(beta0p)
+
+    def min_eig(lam):
+        return np.linalg.eigvalsh(classical.hess_H(ModelParams(beta0p, lam), np.zeros(4))).min()
+
+    assert min_eig(lam_ss - 1e-6) > 0
+    assert min_eig(lam_ss + 1e-6) < 0
 
 
 def boundary_closed_form(lam):
