@@ -3,15 +3,19 @@
 Every data file is written with a fixed numeric format and '\n' line endings
 so that repeated runs with the same configuration and seed are byte-identical;
 the accompanying manifest records the exact inputs, seed, package versions,
-and wall time needed to re-run the job.
+and wall time needed to re-run the job. Each file is written to a temporary
+file in the same directory and renamed onto its path, so a failed write
+leaves neither a partial file nor the temporary one behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import scipy
@@ -28,9 +32,22 @@ def fmt(value):
     return str(value)
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text handle on a temporary sibling of path, renamed onto path on success."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path, header, rows):
     """Single header row, '.'-decimal numbers, '\n' line endings."""
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
@@ -48,7 +65,7 @@ def write_json_records(path, header, rows):
                 value = float(value)
             rec[key] = value
         records.append(rec)
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
 
@@ -84,7 +101,7 @@ def write_manifest(data_path, command, inputs, seed, wall_time):
         "wall_time_s": round(float(wall_time), 3),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    with open(manifest_path(data_path), "w", newline="") as fh:
+    with _atomic_open(manifest_path(data_path)) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

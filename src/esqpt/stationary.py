@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -273,7 +272,9 @@ def boundary_exponent(k_list, m_exponent, f=2):
     density derivative of that order is discontinuous (integer I) or
     divergent (non-integer I).
     """
-    if m_exponent not in (0.5, 1.0, 1.5, 2.0, Fraction(1, 2), Fraction(3, 2), 1, 2):
+    from fractions import Fraction  # exact arithmetic decides whether I is an integer
+
+    if m_exponent not in (0.5, 1.0, 1.5, 2.0):
         raise ValueError(f"unsupported radial exponent {m_exponent}")
     k_list = list(k_list)
     if len(k_list) != 2 * f - 1:

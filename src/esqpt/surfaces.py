@@ -1,9 +1,25 @@
-"""Projective coherent states, condensate energies, and excited surfaces.
+"""Condensate energies and excited surfaces in closed form.
 
-The intrinsic boson triple (condensate, beta mode, gamma mode) spans the
-deformation-dependent single-particle states; excited potential surfaces are
-exact finite-N expectation values of the Hamiltonian in states carrying
-N_gamma quanta of the axial (d+2 d-2) pair on top of the condensate.
+The excited state carries N_gamma quanta of the axial (d+_{+2} d+_{-2}) pair
+on top of n = N - N_gamma bosons condensed in
+B+(beta) = s s+ + d d+_0, with s = sqrt(1 - beta^2/2) and d = beta/sqrt(2).
+N H is purely two-body, so its expectation in that state is a homogeneous
+quartic in (s, d):
+
+    2 N^2 E = sum_j f_j s^(4-j) d^j
+            = 2 n (n-1) V(s, d)
+              + n m (4 b^2 s^2 + 16 zeta b s d + 8 (1 + zeta^2) d^2) (s^2 + d^2)
+              + [4 (1 - zeta^2) m (m-1) + 4 (1 + zeta^2 + xi) m^2] (s^2 + d^2)^2
+
+with m = N_gamma/2, b = beta0', and V the gamma = 0 classical potential
+
+    V = xi b^4 s^4 / 2 + b^2 (1 - xi) s^2 d^2 - 2 zeta b s d^3 + (1 + xi/2) d^4.
+
+Since s^2 + d^2 = 1, s = cos(theta) and d = sin(theta) with theta in
+[0, pi/2); with t = tan(theta), dE/dtheta = cos^4(theta) p(t) / (2 N^2) for
+the quartic p(t) = sum_j f_j [j t^(j-1) - (4-j) t^(j+1)], whose roots are the
+stationary points of the surface. The test suite checks these formulas
+against brute-force expectation values of the boson-operator Hamiltonian.
 """
 
 from __future__ import annotations
@@ -13,200 +29,92 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelParams, h_scaled
+from . import _kernels
+from .models import ModelParams
 
 BETA_MAX = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class IntrinsicBosons:
-    """Amplitude 6-vectors over (s, d_{-2}, d_{-1}, d_0, d_{+1}, d_{+2})."""
-
-    beta: float
-    gamma: float
-
-    @property
-    def condensate(self):
-        b, g = self.beta, self.gamma
-        return np.array(
-            [
-                math.sqrt(max(1.0 - b * b / 2.0, 0.0)),
-                b * math.sin(g) / 2.0,
-                0.0,
-                b * math.cos(g) / math.sqrt(2.0),
-                0.0,
-                b * math.sin(g) / 2.0,
-            ]
-        )
-
-    @property
-    def beta_mode(self):
-        b, g = self.beta, self.gamma
-        s = math.sqrt(max(1.0 - b * b / 2.0, 0.0))
-        return np.array(
-            [
-                -b / math.sqrt(2.0),
-                s * math.sin(g) / math.sqrt(2.0),
-                0.0,
-                s * math.cos(g),
-                0.0,
-                s * math.sin(g) / math.sqrt(2.0),
-            ]
-        )
-
-    @property
-    def gamma_mode(self):
-        g = self.gamma
-        return np.array(
-            [
-                0.0,
-                math.cos(g) / math.sqrt(2.0),
-                0.0,
-                -math.sin(g),
-                0.0,
-                math.cos(g) / math.sqrt(2.0),
-            ]
-        )
-
-
-def _falling(n, k):
-    out = 1.0
-    for i in range(k):
-        out *= n - i
-    return out
-
-
-def condensate_expectation(expr, amps, n_total):
-    """<amps,N| expr |amps,N> for a normal-ordered expr and real amplitudes."""
-    amps = np.asarray(amps, dtype=float)
-    total = 0.0
-    for (cs, ans), coeff in expr.terms.items():
-        if len(cs) != len(ans):
-            continue
-        val = coeff.real * _falling(n_total, len(cs))
-        for m in cs:
-            val *= amps[m]
-        for m in ans:
-            val *= amps[m]
-        total += val
-    return total
 
 
 def condensate_energy(params: ModelParams, N, beta, gamma=0.0):
     """Exact finite-N energy per boson pair of the condensate state."""
     if not 0.0 <= beta <= BETA_MAX:
         raise ValueError(f"beta out of range [0, sqrt(2)]: {beta}")
-    amps = IntrinsicBosons(beta, gamma).condensate
-    return condensate_expectation(h_scaled(params), amps, N) / (2.0 * N * N)
+    v = _kernels.potential(
+        beta * math.cos(gamma), beta * math.sin(gamma), params.beta0p, params.zeta, params.xi
+    )
+    return (N - 1) / N * float(v)
 
 
-def _excited_value(terms, amps, n_cond, m_pair):
-    """Expectation in (d+2 d-2 pair)^m x condensate over the (s, d0) modes."""
-    total = 0.0
-    for coeff, cs, ans in terms:
-        # per-mode creator/annihilator counts
-        c2 = cs.count(5)
-        a2 = ans.count(5)
-        c3 = cs.count(1)
-        a3 = ans.count(1)
-        if c2 != a2 or c3 != a3:
-            continue
-        if 2 in cs or 2 in ans or 4 in cs or 4 in ans:
-            continue
-        g1c = [m for m in cs if m in (0, 3)]
-        g1a = [m for m in ans if m in (0, 3)]
-        if len(g1c) != len(g1a):
-            continue
-        val = coeff * _falling(m_pair, c2) * _falling(m_pair, c3)
-        val *= _falling(n_cond, len(g1c))
-        for m in g1c:
-            val *= amps[m]
-        for m in g1a:
-            val *= amps[m]
-        total += val
-    return total
-
-
-def _real_terms(expr):
-    out = []
-    for (cs, ans), coeff in expr.terms.items():
-        out.append((coeff.real, cs, ans))
-    return out
+def _quartic(params: ModelParams, N, N_gamma):
+    """Coefficients (f_0, ..., f_4) of 2 N^2 E = sum_j f_j s^(4-j) d^j."""
+    if N_gamma % 2 != 0:
+        raise ValueError("N_gamma must be even (K = 0 pair construction)")
+    if N_gamma < 0 or N_gamma > N:
+        raise ValueError("need 0 <= N_gamma <= N")
+    b, ze, xi = params.beta0p, params.zeta, params.xi
+    n, m = N - N_gamma, N_gamma // 2
+    v = np.array([0.5 * xi * b**4, 0.0, b * b * (1.0 - xi), -2.0 * ze * b, 1.0 + 0.5 * xi])
+    a, c = 4.0 * b * b, 8.0 * (1.0 + ze * ze)
+    mixed = np.array([a, 16.0 * ze * b, a + c, 16.0 * ze * b, c])
+    pairs = 4.0 * (1.0 - ze * ze) * m * (m - 1) + 4.0 * (1.0 + ze * ze + xi) * m * m
+    return 2.0 * n * (n - 1) * v + n * m * mixed + pairs * np.array([1.0, 0.0, 2.0, 0.0, 1.0])
 
 
 def excited_energy(params: ModelParams, N, N_gamma, beta):
     """Excited surface value along the gamma = 0 cut.
 
     Expectation of H in the normalized state
-    (d+_{+2} d+_{-2})^{N_gamma/2} (B+(beta, 0))^{N - N_gamma} |0>,
-    evaluated by closed-form contraction rules for the two orthogonal mode
-    families; N_gamma must be even (axial K = 0 selection).
+    (d+_{+2} d+_{-2})^{N_gamma/2} (B+(beta, 0))^{N - N_gamma} |0>;
+    N_gamma must be even (axial K = 0 selection).
     """
-    if N_gamma % 2 != 0:
-        raise ValueError("N_gamma must be even (K = 0 pair construction)")
-    if N_gamma < 0 or N_gamma > N:
-        raise ValueError("need 0 <= N_gamma <= N")
+    f = _quartic(params, N, N_gamma)
     if not 0.0 <= beta <= BETA_MAX:
         raise ValueError(f"beta out of range [0, sqrt(2)]: {beta}")
-    amps = IntrinsicBosons(beta, 0.0).condensate
-    terms = _real_terms(h_scaled(params))
-    val = _excited_value(terms, amps, N - N_gamma, N_gamma // 2)
-    return val / (2.0 * N * N)
+    s, d = math.sqrt(max(1.0 - beta * beta / 2.0, 0.0)), beta / BETA_MAX
+    return float(sum(fj * s ** (4 - j) * d**j for j, fj in enumerate(f))) / (2.0 * N * N)
 
 
 @dataclass(frozen=True)
 class SurfaceStationaryPoint:
     beta: float
     energy: float
-    kind: str  # primary_min | secondary_min | max | stationary
+    kind: str  # primary_min | secondary_min | max
 
 
-def surface_stationary_points(params: ModelParams, N, N_gamma, n_grid=1500):
-    """Stationary points of the excited surface V(beta) on [0, sqrt(2))."""
-    betas = np.linspace(0.0, BETA_MAX - 1e-6, n_grid)
-    v = np.array([excited_energy(params, N, N_gamma, b) for b in betas])
-    dv = np.gradient(v, betas)
-    pts = [(0.0, float(v[0]))]  # the origin is stationary by construction
-    for i in range(1, n_grid - 2):
-        if dv[i] == 0 or dv[i] * dv[i + 1] < 0:
-            lo, hi = betas[i], betas[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                h = 1e-6
-                dmid = (
-                    excited_energy(params, N, N_gamma, mid + h)
-                    - excited_energy(params, N, N_gamma, mid - h)
-                ) / (2 * h)
-                if dmid == 0:
-                    break
-                if dmid * dv[i] > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            b = 0.5 * (lo + hi)
-            if b > 0.02:
-                pts.append((float(b), float(excited_energy(params, N, N_gamma, b))))
-    # classify by the second derivative
-    out = []
-    h = 1e-4
-    for b, e in pts:
-        bl = max(b - h, 0.0)
-        d2 = (
-            excited_energy(params, N, N_gamma, b + h)
-            - 2 * e
-            + excited_energy(params, N, N_gamma, bl)
-        ) / ((b + h - bl) / 2) ** 2
-        out.append([b, e, "min" if d2 > 0 else "max"])
-    minima = sorted((p for p in out if p[2] == "min"), key=lambda p: p[1])
-    result = []
-    for rank, p in enumerate(minima):
-        kind = "primary_min" if rank == 0 else "secondary_min"
-        result.append(SurfaceStationaryPoint(p[0], p[1], kind))
-    for p in out:
-        if p[2] == "max":
-            result.append(SurfaceStationaryPoint(p[0], p[1], "max"))
-    result.sort(key=lambda s: s.beta)
-    return result
+def surface_stationary_points(params: ModelParams, N, N_gamma):
+    """Stationary points of the excited surface E(beta) on [0, sqrt(2)).
+
+    Interior points are the real roots t > 0 of the quartic p(t) (module
+    docstring) below beta = sqrt(2) - 1e-6, classified by the sign of
+    d^2E/dtheta^2, i.e. of p'(t). The origin is always reported as the
+    endpoint of the domain: its slope dE/dbeta(0) = 4 sqrt(2) zeta b n m / N^2
+    vanishes only for N_gamma = 0, N_gamma = N or zeta = 0, and it is a
+    minimum when the surface rises from it (a constant surface included).
+    Minima are ranked by energy to 12 decimals, then by beta, so the exact
+    lambda = 1 tie of the origin and beta = 2/sqrt(3) at E = 0 goes to the
+    origin whatever the rounding; the result is sorted by beta.
+    """
+    f = _quartic(params, N, N_gamma)
+    # p(t) from the highest power down: t^4, t^3, ..., t^0
+    p = np.array([-f[3], 4 * f[4] - 2 * f[2], 3 * (f[3] - f[1]), 2 * f[2] - 4 * f[0], f[1]])
+    # near t = 0 the lowest nonzero power of p sets the sign of dE/dtheta
+    rising = next((c for c in p[::-1] if c != 0.0), 0.0) >= 0.0
+    found = [(0.0, "min" if rising else "max")]
+    roots = np.roots(p)
+    dp = np.polyder(p)
+    for t in roots[(roots.imag == 0.0) & (roots.real > 0.0)].real:
+        beta = BETA_MAX * float(t) / math.sqrt(1.0 + t * t)
+        if beta < BETA_MAX - 1e-6:
+            found.append((beta, "min" if np.polyval(dp, t) > 0.0 else "max"))
+    pts = [(beta, excited_energy(params, N, N_gamma, beta), kind) for beta, kind in found]
+    minima = sorted((q for q in pts if q[2] == "min"), key=lambda q: (round(q[1], 12), q[0]))
+    out = [
+        SurfaceStationaryPoint(beta, e, "primary_min" if rank == 0 else "secondary_min")
+        for rank, (beta, e, _) in enumerate(minima)
+    ]
+    out += [SurfaceStationaryPoint(beta, e, "max") for beta, e, kind in pts if kind == "max"]
+    out.sort(key=lambda q: q.beta)
+    return out
 
 
 def phonon_ratio(lam):

@@ -1,13 +1,15 @@
 """Brute-force Fock-space oracle over the six s/d boson modes.
 
-Independent dense representation used to gate the optimized matrix builders
-and expectation engines at small particle number.
+Independent dense representation used to check the closed-form L = 0 blocks,
+condensate energies and excited surfaces at small particle number;
+`IntrinsicBosons` gives the coherent-state amplitudes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +46,57 @@ def matrix(expr: BosonExpr, n_total, n_total_out=None):
             if sum(occ2) == n_total_out:
                 out[idx[occ2], j] += amp
     return out
+
+
+@dataclass(frozen=True)
+class IntrinsicBosons:
+    """Amplitude 6-vectors over (s, d_{-2}, d_{-1}, d_0, d_{+1}, d_{+2})."""
+
+    beta: float
+    gamma: float
+
+    @property
+    def condensate(self):
+        b, g = self.beta, self.gamma
+        return np.array(
+            [
+                math.sqrt(max(1.0 - b * b / 2.0, 0.0)),
+                b * math.sin(g) / 2.0,
+                0.0,
+                b * math.cos(g) / math.sqrt(2.0),
+                0.0,
+                b * math.sin(g) / 2.0,
+            ]
+        )
+
+    @property
+    def beta_mode(self):
+        b, g = self.beta, self.gamma
+        s = math.sqrt(max(1.0 - b * b / 2.0, 0.0))
+        return np.array(
+            [
+                -b / math.sqrt(2.0),
+                s * math.sin(g) / math.sqrt(2.0),
+                0.0,
+                s * math.cos(g),
+                0.0,
+                s * math.sin(g) / math.sqrt(2.0),
+            ]
+        )
+
+    @property
+    def gamma_mode(self):
+        g = self.gamma
+        return np.array(
+            [
+                0.0,
+                math.cos(g) / math.sqrt(2.0),
+                0.0,
+                -math.sin(g),
+                0.0,
+                math.cos(g) / math.sqrt(2.0),
+            ]
+        )
 
 
 def condensate_vector(amps, n_total):

@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from esqpt import density, fock, models, quantum, stationary, surfaces
+from esqpt import density, quantum, stationary, surfaces
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
+from oracle import fock
+from oracle.hamiltonian import h_scaled
 
 _RESULTS = []
 
@@ -103,7 +105,7 @@ def test_acceptance_04_zero_modes(announce):
 
 
 def fock_l0_spectrum(params, N):
-    hf = fock.matrix(models.h_scaled(params), N).real / N
+    hf = fock.matrix(h_scaled(params), N).real / N
     l2 = fock.matrix(fock.l_operator_squared(), N).real
     evals, evecs = np.linalg.eigh(l2)
     q = evecs[:, np.abs(evals) < 1e-8]
@@ -125,9 +127,9 @@ def test_acceptance_05_fock_oracle(announce):
             beta = rng.uniform(0.0, 1.3)
             gamma = rng.uniform(0.0, 2 * math.pi)
             got = surfaces.condensate_energy(params, 8, beta, gamma)
-            amps = surfaces.IntrinsicBosons(beta, gamma).condensate
+            amps = fock.IntrinsicBosons(beta, gamma).condensate
             vec = fock.condensate_vector(amps, 8)
-            want = fock.expectation(models.h_scaled(params), vec, 8) / (2.0 * 64)
+            want = fock.expectation(h_scaled(params), vec, 8) / (2.0 * 64)
             worst_cs = max(worst_cs, abs(got - want))
     ok = worst < 1e-10 and worst_cs < 1e-10
     announce(5, "Fock-space oracle equivalence", ok,

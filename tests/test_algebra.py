@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esqpt import algebra
-from esqpt.algebra import (
+from oracle import algebra
+from oracle.algebra import (
     BosonExpr,
     cg,
     couple,
@@ -18,7 +18,7 @@ from esqpt.algebra import (
     parse_expr,
     scalar_product,
 )
-from esqpt.models import nd_op, pair_d_creator
+from oracle.hamiltonian import nd_op, pair_d_creator
 
 from conftest import interior_points
 

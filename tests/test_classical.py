@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from esqpt import _kernels, classical, models, stationary
+from esqpt import _kernels, classical, stationary
 from esqpt.classical import PhasePoint, R0_SQUARED
 from esqpt.models import ModelParams
 
 from conftest import SQRT2, interior_points
+from oracle.hamiltonian import classical_h
 
 PARAM_SETS = [ModelParams(SQRT2, 0.3), ModelParams(SQRT2, 2.0), ModelParams(1.7, 1.6)]
 
@@ -42,7 +43,7 @@ def test_eval_domain_check():
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_eval_matches_operator_classical_limit(params, rng):
     # the per-boson classical limit of N*H equals twice the phase-space energy
-    f = models.classical_h(params)
+    f = classical_h(params)
     for x, y, px, py in interior_points(rng, 40):
         lhs = f(x, y, px, py)
         rhs = 2.0 * classical.eval_H(params, (x, y, px, py))

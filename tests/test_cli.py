@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from esqpt import cli
-from esqpt.io import fmt, write_csv
+from esqpt.io import fmt, write_csv, write_manifest, write_table
 
 SQRT2_STR = "1.41421356"
 
@@ -34,6 +34,35 @@ def test_write_csv_newlines(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, ["a", "b"], [(1, 2.5), (3, "z")])
     assert p.read_bytes() == b"a,b\n1,2.5\n3,z\n"
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format this value")
+
+
+@pytest.mark.parametrize("fmt_kind", ["csv", "json"])
+def test_failed_write_leaves_no_data_file(tmp_path, fmt_kind):
+    p = tmp_path / "t.csv"
+    with pytest.raises((RuntimeError, TypeError)):
+        write_table(p, ["a"], [(1,), (Unprintable(),)], fmt_kind)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    p = tmp_path / "t.csv"
+    write_table(p, ["a"], [(1,)])
+    with pytest.raises(RuntimeError):
+        write_table(p, ["a"], [(2,), (Unprintable(),)])
+    assert p.read_bytes() == b"a\n1\n"
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_failed_manifest_leaves_no_file(tmp_path):
+    p = tmp_path / "t.csv"
+    with pytest.raises(TypeError):
+        write_manifest(p, "spinodal", {"beta0p": object()}, None, 0.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spinodal_subcommand(tmp_path):
@@ -118,6 +147,17 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded():
     code = (
         "import esqpt.cli, sys; "
         "print([m for m in ('scipy.ndimage', 'scipy.stats') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_oracle_out():
+    # the boson operator algebra is a test-only oracle; the library uses closed forms
+    code = (
+        "import esqpt.cli, sys; "
+        "print(sorted(m for m in sys.modules if m in ('fractions', 'esqpt.algebra', 'esqpt.fock')"
+        " or m.split('.')[0] == 'oracle'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

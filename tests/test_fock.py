@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from esqpt import fock
-from esqpt.algebra import BosonExpr, parse_expr
-from esqpt.models import nd_op
+from oracle import fock
+from oracle.algebra import BosonExpr, parse_expr
+from oracle.hamiltonian import nd_op
 
 
 def test_basis_size_is_stars_and_bars():

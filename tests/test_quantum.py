@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esqpt import density, fock, models, quantum
+from esqpt import density, quantum
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
+from oracle import fock
+from oracle.hamiltonian import h_scaled
 
 
 def fock_l0_spectrum(params, N):
     """Oracle: eigenvalues of H restricted to the L=0 subspace of Fock space."""
-    hf = fock.matrix(models.h_scaled(params), N).real / N
+    hf = fock.matrix(h_scaled(params), N).real / N
     l2 = fock.matrix(fock.l_operator_squared(), N).real
     evals, evecs = np.linalg.eigh(l2)
     q = evecs[:, np.abs(evals) < 1e-8]
