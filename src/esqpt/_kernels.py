@@ -69,6 +69,4 @@ def h_hess(x, y, px, py, b0, ze, xi):
     t = np.array(hess_h1(x, y, px, py, b0, ze), dtype=float)
     if xi != 0.0:
         t = t + xi * np.array(hess_extra(x, y, px, py, b0), dtype=float)
-    t = np.broadcast_arrays(*t)
-    full = np.stack([t[i] for i in _TRIU], axis=-1)
-    return full.reshape(full.shape[:-1] + (4, 4))
+    return np.moveaxis(t[_TRIU], 0, -1).reshape(t.shape[1:] + (4, 4))

@@ -49,14 +49,59 @@ def _singularity_class(index_r, branch):
     return SINGULARITY_CLASS[index_r]
 
 
+_SOBOL_BITS = 30
+# Joe-Kuo (s, a, m_1..m_s) of Sobol dimensions 2-4; dimension 1 has every m_j = 1
+_SOBOL_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+
+
+def _sobol_directions():
+    """(4, 30) Sobol direction numbers v[d, j] = m_j << (29 - j)."""
+    rows = [[1] * _SOBOL_BITS]
+    for s, a, m in _SOBOL_JOE_KUO:
+        m = list(m)
+        for j in range(s, _SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for k in range(1, s):
+                if (a >> (s - 1 - k)) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        rows.append(m)
+    return np.array(rows, np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def _sobol(m, seed):
+    """2**m scrambled Sobol points in [0, 1)^4, in Gray-code order.
+
+    Equal bit for bit to scipy's qmc.Sobol(d=4, scramble=True,
+    seed=seed).random_base2(m): the scramble is a random lower-triangular
+    bit matrix per dimension applied to the direction numbers plus a random
+    digital shift, drawn from default_rng(seed) in scipy's order.
+    """
+    if m > _SOBOL_BITS:
+        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points can be generated")
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (4, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << bits)
+    ltm = np.tril(rng.integers(0, 2, (4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # bit 29 - p of scrambled v[d, j] is the parity of ltm[d, p, ::-1] . bits(v[d, j])
+    v_bits = (_sobol_directions()[:, :, None] >> bits) & 1
+    parity = np.einsum("dpi,dji->djp", ltm[:, :, ::-1], v_bits) & 1
+    v = (parity << bits[::-1]).sum(axis=-1, dtype=np.uint32)
+    # point i is shift ^ v[:, k] over the set bits k of gray(i) = i ^ (i >> 1)
+    q = np.zeros((1, 4), dtype=np.uint32)
+    for k in range(m):
+        q = np.vstack([q, q[::-1] ^ v[:, k]])
+    return (q ^ shift) * 2.0**-_SOBOL_BITS
+
+
 def _ball_seeds(n, seed=1234, radius=math.sqrt(R0_SQUARED)):
     """Low-discrepancy seed points in the open 4-ball."""
-    # imported here, not at module load: scipy.stats takes ~0.3 s to import
-    from scipy.stats import qmc
-
+    if n < 1:
+        raise ValueError("n_seeds must be a positive integer")
     # scrambled Sobol points in [-1, 1]^4 (a power of two, >= 16)
     m = max(4, math.ceil(math.log2(n * 3.5)))
-    pts = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m) * 2.0 - 1.0
+    pts = _sobol(m, seed) * 2.0 - 1.0
     pts *= radius
     r2 = np.einsum("ij,ij->i", pts, pts)
     pts = pts[r2 < radius**2 * (1 - 1e-6)]

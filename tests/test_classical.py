@@ -66,6 +66,28 @@ def test_gradient_and_hessian_match_finite_differences(params, rng):
             assert np.abs(hess[i] - gd).max() < 5e-6
 
 
+def stacked_hessian(x, y, px, py, b0, ze, xi):
+    """Reference Hessian assembly: broadcast the 10 entries, then stack 16 of them."""
+    t = np.array(_kernels.hess_h1(x, y, px, py, b0, ze), dtype=float)
+    if xi != 0.0:
+        t = t + xi * np.array(_kernels.hess_extra(x, y, px, py, b0), dtype=float)
+    t = np.broadcast_arrays(*t)
+    full = np.stack([t[i] for i in _kernels._TRIU], axis=-1)
+    return full.reshape(full.shape[:-1] + (4, 4))
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.6])  # xi = 0 and xi != 0
+def test_hessian_assembly_matches_stacked(lam, rng):
+    params = ModelParams(1.7, lam)
+    b0, ze, xi = params.beta0p, params.zeta, params.xi
+    pts = interior_points(rng, 500)
+    for args in (pts[0], pts.T, pts.T.reshape(4, 20, 25)):
+        got = _kernels.h_hess(*args, b0, ze, xi)
+        want = stacked_hessian(*args, b0, ze, xi)
+        assert got.shape == want.shape == np.shape(args[0]) + (4, 4)
+        assert np.array_equal(got, want)
+
+
 def test_decompose_sums_to_total(rng):
     params = ModelParams(1.7, 2.2)
     for pt in interior_points(rng, 20):

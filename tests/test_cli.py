@@ -152,6 +152,20 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_stationary_run_leaves_scipy_stats_unloaded(tmp_path):
+    # the census seeds come from a numpy Sobol generator
+    code = (
+        "import sys; from esqpt import cli; "
+        "rc = cli.main(sys.argv[1:]); "
+        "print(rc, 'scipy.stats' in sys.modules)"
+    )
+    args = ["stationary", "--beta0p", "1.7", "--lambda", "0.5", "--n-seeds", "500",
+            "-o", str(tmp_path / "st.csv")]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "0 False"
+
+
 def test_cli_import_leaves_the_oracle_out():
     # the boson operator algebra is a test-only oracle; the library uses closed forms
     code = (
@@ -226,6 +240,17 @@ def test_exit_codes(tmp_path):
     # unwritable output
     assert cli.main(["spinodal", "--beta0p", "1.0",
                      "-o", str(tmp_path / "missing" / "x.csv")]) == 74
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-5"])
+def test_stationary_rejects_nonpositive_seed_counts(tmp_path, capsys, n_seeds):
+    out = tmp_path / "st.csv"
+    assert cli.main(["stationary", "--beta0p", "1.7", "--lambda", "0.5",
+                     "--n-seeds", n_seeds, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "esqpt: domain error: n_seeds must be a positive integer"
+    )
+    assert not out.exists()
 
 
 def test_lambda_range_validation(tmp_path):

@@ -1,6 +1,8 @@
 """Stationary-point census, spinodals, boundary analysis, borderlines."""
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,35 @@ def test_census_matches_fixture():
     assert [sp.branch for sp in pts] == list(ref["branch"])
     assert np.abs(np.array([sp.location for sp in pts]) - ref["location"]).max() < 1e-12
     assert np.abs(np.array([sp.energy for sp in pts]) - ref["energy"]).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [4, 12, 14, 17])
+@pytest.mark.parametrize("seed", [0, 1234, 20261017])
+def test_sobol_matches_scipy(seed, m):
+    from scipy.stats import qmc  # the oracle; the library does not import it
+
+    want = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m)
+    got = stationary._sobol(m, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape == (2**m, 4)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_seeds", [0, -3])
+def test_census_rejects_nonpositive_seed_counts(n_seeds):
+    with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
+        stationary.trace_borderlines(SQRT2, [0.2, 0.3], n_seeds=n_seeds)
+    with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
+        stationary.find_stationary_points(ModelParams(SQRT2, 0.3), n_seeds=n_seeds)
+
+
+def test_borderlines_leave_scipy_stats_unloaded():
+    code = (
+        "import sys; from esqpt import stationary; "
+        "stationary.trace_borderlines(1.7, [0.5, 0.6], n_seeds=200); "
+        "print('scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_newton_singular_member_takes_its_own_step():
