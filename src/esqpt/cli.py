@@ -52,6 +52,8 @@ class JobConfig:
     ref_N: int = density.DEFAULT_REF_N
     output: str = "out.csv"
     format: str = "csv"
+    # what the run found, for the manifest; set by the runner, not an input
+    diagnostics: dict | None = None
 
     def __post_init__(self):
         if len(self.lambdas) == 0:
@@ -228,9 +230,29 @@ def _density_grids(cfg):
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
 
 
+def _report_coverage(cfg, grids):
+    """Record MC coverage for the manifest; warn when samples left the window."""
+    coverage = [1.0 - g.n_outside / g.n_samples for g in grids]
+    cfg.diagnostics = {
+        "mc_samples": sum(g.n_samples for g in grids),
+        "coverage_min": min(coverage),
+    }
+    short = sum(g.n_outside > 0 for g in grids)
+    if short:
+        lo, hi = density.DEFAULT_E_RANGE
+        print(
+            f"esqpt: warning: {short} of {len(grids)} lambda values have Monte-Carlo "
+            f"samples outside the energy window [{lo:g}, {hi:g}]; the lowest "
+            f"in-window fraction is {min(coverage):.4f}",
+            file=sys.stderr,
+        )
+
+
 def run_phase_diagram(cfg):
+    grids = _density_grids(cfg)
+    _report_coverage(cfg, grids)
     rows = []
-    for lam, grid in zip(cfg.lambdas, _density_grids(cfg)):
+    for lam, grid in zip(cfg.lambdas, grids):
         for e, r, d, err in zip(grid.e_centers, grid.rho, grid.drho_dE, grid.mc_error):
             rows.append((lam, e, r, d, err))
     return DENSITY_HEADER, rows
@@ -337,7 +359,10 @@ def run(cfg: JobConfig):
     t0 = time.perf_counter()
     header, rows = RUNNERS[cfg.command](cfg)
     write_table(cfg.output, header, rows, cfg.format)
-    write_manifest(cfg.output, cfg.command, cfg.inputs(), cfg.seed, time.perf_counter() - t0)
+    write_manifest(
+        cfg.output, cfg.command, cfg.inputs(), cfg.seed, time.perf_counter() - t0,
+        cfg.diagnostics,
+    )
     return 0
 
 

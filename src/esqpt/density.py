@@ -9,7 +9,7 @@ count at a configured reference boson number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class DensityGrid:
     seed: int
     params: ModelParams
     ref_N: int
+    n_outside: int = 0  # samples whose energy falls outside the window
     drho_dE: np.ndarray | None = None
     drho_error: np.ndarray | None = None
 
@@ -43,12 +44,29 @@ class DensityGrid:
         return float(self.e_edges[1] - self.e_edges[0])
 
 
-def _sample_ball(rng, n):
-    """Uniform points in the 4-ball of radius sqrt(2)."""
-    v = rng.standard_normal((n, 4))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    r = math.sqrt(R0_SQUARED) * rng.random(n) ** 0.25
-    return v * r[:, None]
+def _ball_points(normals, u):
+    """Uniform points in the 4-ball of radius sqrt(2), as rows (x, y, px, py).
+
+    Each standard-normal row of `normals` is scaled to unit length and then to
+    radius sqrt(2) u**(1/4). The squared norm is summed x^2 + y^2 + px^2 + py^2
+    left to right, the order of np.linalg.norm(axis=1), so the points do not
+    depend on how a batch is cut into blocks.
+    """
+    w = normals.T.copy()
+    sq = w * w
+    nrm = sq[0]
+    nrm += sq[1]
+    nrm += sq[2]
+    nrm += sq[3]
+    w /= np.sqrt(nrm)
+    w *= math.sqrt(R0_SQUARED) * u**0.25
+    return w
+
+
+# Samples per RNG draw: with the seed, this fixes the sample stream.
+_BATCH = 2_000_000
+# Samples per energy evaluation: the temporaries of one block stay in cache.
+_BLOCK = 16_384
 
 
 def mc_density(
@@ -58,7 +76,6 @@ def mc_density(
     bins=DEFAULT_BINS,
     e_range=DEFAULT_E_RANGE,
     ref_N=DEFAULT_REF_N,
-    batch=2_000_000,
 ) -> DensityGrid:
     """Monte-Carlo smoothed level density on the classical energy scale."""
     if n_samples < 1:
@@ -70,17 +87,24 @@ def mc_density(
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     left = n_samples
     while left > 0:
-        take = min(left, batch)
-        pts = _sample_ball(rng, take)
-        e = eval_H_array(params, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-        counts += np.histogram(e, bins=edges)[0]
+        take = min(left, _BATCH)
+        normals = rng.standard_normal((take, 4))
+        u = rng.random(take)
+        for a in range(0, take, _BLOCK):
+            b = a + _BLOCK
+            x, y, px, py = _ball_points(normals[a:b], u[a:b])
+            counts += np.histogram(eval_H_array(params, x, y, px, py), bins=edges)[0]
+        del normals, u
         left -= take
     dim = basis_dimension(ref_N)
     width = edges[1] - edges[0]
     p = counts / n_samples
     rho = dim * p / width
     err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
-    return DensityGrid(edges, rho, err, int(n_samples), int(seed), params, int(ref_N))
+    return DensityGrid(
+        edges, rho, err, int(n_samples), int(seed), params, int(ref_N),
+        n_outside=int(n_samples - counts.sum()),
+    )
 
 
 def density_derivative(grid: DensityGrid, presmooth_bins=2.0):

@@ -47,10 +47,14 @@ def _atomic_open(path):
 
 def write_csv(path, header, rows):
     """Single header row, '.'-decimal numbers, '\n' line endings."""
+    # floats (np.float64 too) take fmt's format without its type dispatch
+    lines = (
+        ",".join(["%.12g" % v if isinstance(v, float) else fmt(v) for v in row]) + "\n"
+        for row in rows
+    )
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def write_json_records(path, header, rows):
@@ -81,8 +85,8 @@ def manifest_path(data_path):
     return str(data_path) + ".manifest.json"
 
 
-def write_manifest(data_path, command, inputs, seed, wall_time):
-    """JSON sidecar sufficient to re-run the job exactly."""
+def write_manifest(data_path, command, inputs, seed, wall_time, diagnostics=None):
+    """JSON sidecar sufficient to re-run the job exactly, plus run diagnostics."""
     try:
         version = __import__("esqpt").__version__
     except Exception:
@@ -101,6 +105,8 @@ def write_manifest(data_path, command, inputs, seed, wall_time):
         "wall_time_s": round(float(wall_time), 3),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+    if diagnostics is not None:
+        doc["diagnostics"] = {k: _jsonable(v) for k, v in diagnostics.items()}
     with _atomic_open(manifest_path(data_path)) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

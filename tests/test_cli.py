@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from esqpt import cli
@@ -34,6 +35,18 @@ def test_write_csv_newlines(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, ["a", "b"], [(1, 2.5), (3, "z")])
     assert p.read_bytes() == b"a,b\n1,2.5\n3,z\n"
+
+
+def test_write_csv_matches_fmt_bytes(tmp_path):
+    values = [True, np.bool_(False), 7, -3, np.int64(12), np.float32(0.1),
+              np.float32(float("nan")), 0.1, 1.0 / 3.0, -2.5e-17, 1e300, 4.0,
+              np.float64(2.0 / 3.0), np.float64(-0.0), float("nan"),
+              float("inf"), np.float64("-inf"), "first", ""]
+    rows = [values, values[::-1], [np.float64(1e-5), 123456789012345.0, "x"]]
+    p = tmp_path / "t.csv"
+    write_csv(p, ["h1", "h2"], rows)
+    expected = "h1,h2\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    assert p.read_bytes() == expected.encode()
 
 
 class Unprintable:
@@ -111,6 +124,45 @@ def test_density_cut_reproducible(tmp_path):
     assert cli.main(args + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert read_lines(a)[0] == "lambda,e_center,rho,drho_dE,mc_error"
+
+
+def test_phase_diagram_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    args = ["phase-diagram", "--beta0p", "1.7", "--lambda-start", "0.4",
+            "--lambda-stop", "2.0", "--lambda-step", "0.8", "--n-samples", "50000"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    monkeypatch.delenv("ESQPT_THREADS", raising=False)
+    assert cli.main(args + ["-o", str(serial)]) == 0
+    monkeypatch.setenv("ESQPT_THREADS", "2")
+    assert cli.main(args + ["-o", str(pooled)]) == 0
+    assert len(read_lines(serial)) == 1 + 3 * 300
+    assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_density_cut_warns_when_samples_leave_the_window(tmp_path, capsys):
+    out = tmp_path / "cut.csv"
+    assert cli.main(["density-cut", "--beta0p", "4", "--lambda", "0",
+                     "--n-samples", "20000", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("esqpt: warning: 1 of 1 lambda values")
+    assert err.count("\n") == 1
+    diag = json.loads((tmp_path / "cut.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["mc_samples"] == 20000
+    assert diag["coverage_min"] < 0.5
+
+
+def test_density_cut_inside_the_window_is_quiet(tmp_path, capsys):
+    out = tmp_path / "cut.csv"
+    assert cli.main(["density-cut", "--beta0p", SQRT2_STR, "--lambda", "0.2",
+                     "--n-samples", "20000", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    diag = json.loads((tmp_path / "cut.csv.manifest.json").read_text())["diagnostics"]
+    assert diag == {"mc_samples": 20000, "coverage_min": 1.0}
+
+
+def test_manifest_without_mc_has_no_diagnostics(tmp_path):
+    out = tmp_path / "spin.csv"
+    assert cli.main(["spinodal", "--beta0p", "1.7", "-o", str(out)]) == 0
+    assert "diagnostics" not in json.loads((tmp_path / "spin.csv.manifest.json").read_text())
 
 
 def test_stationary_subcommand(tmp_path):

@@ -1,9 +1,12 @@
 """Monte-Carlo level density, derivative, singularity detection, flow."""
 
+import math
+
 import numpy as np
 import pytest
 
 from esqpt import cli, density, quantum
+from esqpt.classical import eval_H_array
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -38,6 +41,76 @@ def test_density_deterministic_and_seed_sensitive():
     assert np.array_equal(a.rho, b.rho)
     c = density.mc_density(params, n_samples=100_000, seed=10)
     assert not np.array_equal(a.rho, c.rho)
+
+
+def _sample_ball(rng, n):
+    """The unblocked sampler: whole-batch rows and np.linalg.norm."""
+    v = rng.standard_normal((n, 4))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    r = math.sqrt(2.0) * rng.random(n) ** 0.25
+    return v * r[:, None]
+
+
+def _oracle_mc_density(params, n_samples, seed, batch):
+    """mc_density as one batch-wide evaluation per RNG draw."""
+    edges = np.linspace(*density.DEFAULT_E_RANGE, density.DEFAULT_BINS + 1)
+    counts = np.zeros(density.DEFAULT_BINS, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    left = n_samples
+    while left > 0:
+        take = min(left, batch)
+        pts = _sample_ball(rng, take)
+        e = eval_H_array(params, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+        counts += np.histogram(e, bins=edges)[0]
+        left -= take
+    dim = quantum.basis_dimension(density.DEFAULT_REF_N)
+    width = edges[1] - edges[0]
+    p = counts / n_samples
+    rho = dim * p / width
+    err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
+    return rho, err, n_samples - counts.sum()
+
+
+def test_ball_points_equal_the_row_norm_points():
+    # bit for bit, so no sample can change its energy bin
+    n = 100_000
+    rows = _sample_ball(np.random.default_rng(5), n)
+    rng = np.random.default_rng(5)
+    normals = rng.standard_normal((n, 4))
+    u = rng.random(n)
+    assert np.array_equal(density._ball_points(normals, u), rows.T)
+    assert np.array_equal(density._ball_points(normals[777:2000], u[777:2000]),
+                          rows[777:2000].T)
+
+
+@pytest.mark.parametrize("lam", [0.7, 2.5])  # xi = 0 and xi = 1.5
+@pytest.mark.parametrize("n", [1, 777, 16_384, 16_385, 200_000])
+def test_blocked_sampler_matches_unblocked(lam, n):
+    params = ModelParams(1.7, lam)
+    rho, err, outside = _oracle_mc_density(params, n, 13, density._BATCH)
+    grid = density.mc_density(params, n_samples=n, seed=13)
+    assert np.array_equal(grid.rho, rho)
+    assert np.array_equal(grid.mc_error, err)
+    assert grid.n_outside == outside
+
+
+@pytest.mark.parametrize("lam", [0.7, 2.5])
+def test_blocked_sampler_matches_unblocked_over_batches(monkeypatch, lam):
+    monkeypatch.setattr(density, "_BATCH", 50_000)
+    params = ModelParams(1.7, lam)
+    rho, err, _ = _oracle_mc_density(params, 120_001, 21, 50_000)
+    grid = density.mc_density(params, n_samples=120_001, seed=21)
+    assert np.array_equal(grid.rho, rho)
+    assert np.array_equal(grid.mc_error, err)
+
+
+def test_n_outside_counts_samples_off_the_window():
+    # beta0p = 4, lambda = 0: the energies reach far above E = 3.05
+    grid = density.mc_density(ModelParams(4.0, 0.0), n_samples=20_000, seed=3)
+    inside = grid.rho.sum() * grid.binwidth / quantum.basis_dimension(grid.ref_N)
+    assert grid.n_outside > 10_000
+    assert inside == pytest.approx(1.0 - grid.n_outside / grid.n_samples, abs=1e-12)
+    assert density.mc_density(ModelParams(SQRT2, 0.2), n_samples=20_000).n_outside == 0
 
 
 def test_mc_error_scaling():
