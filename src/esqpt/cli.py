@@ -23,8 +23,6 @@ from .io import write_manifest, write_table
 from .models import ModelParams
 
 DEFAULT_LAMBDA_RANGE = (0.0, 3.2, 0.01)
-# RNG seed when none is given; the stationary census has its own Sobol default
-DEFAULT_SEED = {"stationary": 1234}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,12 +151,12 @@ def build_parser():
     common.add_argument("--lambda-step", type=float, help="lambda grid step (default 0.01)")
     common.add_argument("--n", type=int, help="boson number N (default 50)")
     common.add_argument("--n-samples", type=int, help="Monte-Carlo samples (default 200000)")
-    common.add_argument("--seed", type=int, help="RNG seed (default 0; 1234 for stationary)")
+    common.add_argument("--seed", type=int, help="RNG seed (default 0)")
     common.add_argument("--e-bins", type=int, help="energy bins (default 300)")
     common.add_argument("--n-gamma", type=_int_list, help="comma list of N_gamma values (default 0,2,4)")
     common.add_argument("--n-beta", type=int, help="beta grid points for surfaces (default 200)")
     common.add_argument("--width", type=float, help="Gaussian smoothing width (default 0.05)")
-    common.add_argument("--n-seeds", type=int, help="multistart seeds for stationary search")
+    common.add_argument("--n-seeds", type=int, help="ignored: the stationary census is exact")
     common.add_argument("--ref-n", dest="ref_N", type=int, help="normalization N for densities (default 50)")
     common.add_argument("--output", "-o", help="output data file (default <command>.csv)")
     common.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
@@ -188,7 +186,7 @@ def make_config(args):
         lambdas=_lambda_grid(args, cfg),
         N=_pick(args, cfg, "n", int, 50),
         n_samples=_pick(args, cfg, "n_samples", int, 200_000),
-        seed=_pick(args, cfg, "seed", int, DEFAULT_SEED.get(command, 0)),
+        seed=_pick(args, cfg, "seed", int, 0),
         e_bins=_pick(args, cfg, "e_bins", int, density.DEFAULT_BINS),
         n_gamma=_int_list(_pick(args, cfg, "n_gamma", _int_list, [0, 2, 4])),
         n_beta=_pick(args, cfg, "n_beta", int, 200),
@@ -264,11 +262,11 @@ def run_density_cut(cfg):
 
 
 def run_stationary(cfg):
+    if cfg.n_seeds < 1:
+        raise ValueError("n_seeds must be a positive integer")
     rows = []
     for lam in cfg.lambdas:
-        pts = stationary.find_stationary_points(
-            ModelParams(cfg.beta0p, float(lam)), n_seeds=cfg.n_seeds, seed=cfg.seed
-        )
+        pts = stationary.find_stationary_points(ModelParams(cfg.beta0p, float(lam)))
         for sp in pts:
             x, y, px, py = sp.location
             rows.append(

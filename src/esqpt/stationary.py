@@ -1,12 +1,15 @@
 """Stationary-point census, momentum branches, spinodals, boundary analysis,
 and borderlines.
 
-Interior stationary points of the classical Hamiltonian are located by
-batched Newton iteration from low-discrepancy seeds and classified by the
-Hessian index r (number of negative eigenvalues); the same solver finds the
-momentum branches at fixed coordinates.  The spinodals and the energy
-restricted to the boundary 3-sphere have closed forms, and critical
-borderlines E_c(lambda) are traced over a lambda grid.
+Interior stationary points of the classical Hamiltonian are exact roots on
+the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two resultants, generated by
+tools/gen_derivs.py, give them as polynomial roots in x, a few Newton steps
+polish them, and the Z3 rotations and p -> -p carry them over the whole
+phase space.  Each point is classified by its Hessian index r (number of
+negative eigenvalues).  The same Newton solver finds the momentum branches at
+fixed coordinates.  The spinodals and the energy restricted to the boundary
+3-sphere have closed forms, and critical borderlines E_c(lambda) are traced
+over a lambda grid.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _derivs, _kernels
 from .classical import R0_SQUARED, eval_H
 from .models import ModelParams
 
 DEGENERACY_RATIO = 1e-6
 GRAD_TOL = 1e-9
 KINETIC_P_TOL = 1e-6
+# points with R^2 above this count as on the boundary sphere R^2 = 2
+INTERIOR_R2 = R0_SQUARED - 1e-9
+# roots of the plane polynomials with a smaller relative imaginary part are real
+REAL_ROOT_TOL = 1e-6
 
 SINGULARITY_CLASS = {0: "i", 1: "ii", 2: "iii", 3: "iv", 4: "v"}
 BOUNDARY_CLASS = "vi"
@@ -47,65 +54,6 @@ def _singularity_class(index_r, branch):
     if index_r == "degenerate":
         return "degenerate"
     return SINGULARITY_CLASS[index_r]
-
-
-_SOBOL_BITS = 30
-# Joe-Kuo (s, a, m_1..m_s) of Sobol dimensions 2-4; dimension 1 has every m_j = 1
-_SOBOL_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
-
-
-def _sobol_directions():
-    """(4, 30) Sobol direction numbers v[d, j] = m_j << (29 - j)."""
-    rows = [[1] * _SOBOL_BITS]
-    for s, a, m in _SOBOL_JOE_KUO:
-        m = list(m)
-        for j in range(s, _SOBOL_BITS):
-            new = m[j - s] ^ (m[j - s] << s)
-            for k in range(1, s):
-                if (a >> (s - 1 - k)) & 1:
-                    new ^= m[j - k] << k
-            m.append(new)
-        rows.append(m)
-    return np.array(rows, np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
-
-
-def _sobol(m, seed):
-    """2**m scrambled Sobol points in [0, 1)^4, in Gray-code order.
-
-    Equal bit for bit to scipy's qmc.Sobol(d=4, scramble=True,
-    seed=seed).random_base2(m): the scramble is a random lower-triangular
-    bit matrix per dimension applied to the direction numbers plus a random
-    digital shift, drawn from default_rng(seed) in scipy's order.
-    """
-    if m > _SOBOL_BITS:
-        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points can be generated")
-    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(0, 2, (4, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << bits)
-    ltm = np.tril(rng.integers(0, 2, (4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    ltm[:, bits, bits] = 1
-    # bit 29 - p of scrambled v[d, j] is the parity of ltm[d, p, ::-1] . bits(v[d, j])
-    v_bits = (_sobol_directions()[:, :, None] >> bits) & 1
-    parity = np.einsum("dpi,dji->djp", ltm[:, :, ::-1], v_bits) & 1
-    v = (parity << bits[::-1]).sum(axis=-1, dtype=np.uint32)
-    # point i is shift ^ v[:, k] over the set bits k of gray(i) = i ^ (i >> 1)
-    q = np.zeros((1, 4), dtype=np.uint32)
-    for k in range(m):
-        q = np.vstack([q, q[::-1] ^ v[:, k]])
-    return (q ^ shift) * 2.0**-_SOBOL_BITS
-
-
-def _ball_seeds(n, seed=1234, radius=math.sqrt(R0_SQUARED)):
-    """Low-discrepancy seed points in the open 4-ball."""
-    if n < 1:
-        raise ValueError("n_seeds must be a positive integer")
-    # scrambled Sobol points in [-1, 1]^4 (a power of two, >= 16)
-    m = max(4, math.ceil(math.log2(n * 3.5)))
-    pts = _sobol(m, seed) * 2.0 - 1.0
-    pts *= radius
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    pts = pts[r2 < radius**2 * (1 - 1e-6)]
-    return pts[:n]
 
 
 def _newton_polish(params, pts, max_iter=200, step_cap=0.25, free=slice(None)):
@@ -138,7 +86,7 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25, free=slice(None)):
         newp = p.copy()
         newp[:, free] -= step
         r2 = np.einsum("ij,ij->i", newp, newp)
-        escaped = r2 > R0_SQUARED - 1e-9
+        escaped = r2 > INTERIOR_R2
         gnorm = np.abs(g).max(axis=1)
         conv = (np.linalg.norm(step, axis=1) < 1e-12) & (gnorm < GRAD_TOL)
         sub_alive = ~escaped
@@ -185,21 +133,84 @@ def _classify(params, loc):
     )
 
 
-def _survey(params, seeds):
-    """Stationary points reached from the seeds, deduplicated and classified.
+def _real_roots(coeffs):
+    """Real parts of the polynomial's roots whose imaginary part is small."""
+    r = np.roots(coeffs)
+    return r.real[np.abs(r.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(r))]
 
-    The first of near-duplicate points is kept, so the seed order matters.
+
+def _plane_candidates(params):
+    """Approximate stationary points (x, 0, 0, py >= 0) on the plane Fix(sigma).
+
+    There, with s = sqrt((1 - u)/2) and t = py^2 = 2 - 4 s^2 - x^2, H is a
+    quartic polynomial P(x, s).  Points with py = 0 are the roots x of the
+    degree-8 resultant of 4 s P_x - x P_s and 4 s^2 + x^2 - 2; kinetic points
+    are the roots x of the degree-9 resultant of P_x and P_s, each with the
+    roots s > 0 of the cubic P_s(x, s) that leave t > 0.  The resultants also
+    have the roots x of the mirror points s < 0, and the cubic has roots that
+    P_x does not share; Newton polishing drops such candidates or moves them
+    onto a stationary point of the plane.
     """
-    # the origin is always stationary; make sure it is seeded exactly
-    converged = _newton_polish(params, np.vstack([np.zeros((1, 4)), seeds]))
-    locs = _dedupe(np.vstack([converged, np.zeros((1, 4))]))
-    return [_classify(params, loc) for loc in locs]
+    b0, ze, xi = params.beta0p, params.zeta, params.xi
+    cands = [np.zeros(4)]
+    for x in _real_roots(_derivs.trivial_resultant(b0, ze, xi)):
+        if x * x < INTERIOR_R2:
+            cands.append([x, 0.0, 0.0, 0.0])
+    for x in _real_roots(_derivs.kinetic_resultant(b0, ze, xi)):
+        for s in _real_roots(_derivs.ps_cubic(x, b0, ze, xi)):
+            t = 2.0 - 4.0 * s * s - x * x
+            if s > 0 and t > 0 and x * x + t < INTERIOR_R2:
+                cands.append([x, 0.0, 0.0, math.sqrt(t)])
+    return np.array(cands)
 
 
-def find_stationary_points(params: ModelParams, n_seeds=20000, seed=1234):
-    """All interior stationary points, deduplicated and Hessian-classified."""
-    pts = _survey(params, _ball_seeds(n_seeds, seed=seed))
-    pts.sort(key=lambda s: (s.energy, np.linalg.norm(s.location)))
+_C3, _S3 = -0.5, math.sqrt(3.0) / 2.0
+# rotation by 2 pi / 3 of (x, y) and (px, py) together
+_ROT3 = np.array([[_C3, -_S3, 0, 0], [_S3, _C3, 0, 0], [0, 0, _C3, -_S3], [0, 0, _S3, _C3]])
+
+
+def _orbits(pts):
+    """The (n, 4) points and their images under Z3 and p -> -p, without -0.0."""
+    pts = np.vstack([pts, pts @ _ROT3.T, pts @ (_ROT3 @ _ROT3).T])
+    return np.vstack([pts, pts * [1.0, 1.0, -1.0, -1.0]]) + 0.0
+
+
+def _flat_sphere(beta0p):
+    """R^2 of the sphere of stationary points at zeta = 0, or None.
+
+    At lambda = 0, H = u^2 + beta0p^2 (1 - u) u depends on u alone, and
+    dH/du = 0 at u* = beta0p^2 / (2 (beta0p^2 - 1)), inside the ball for
+    beta0p^2 > 2.
+    """
+    b2 = beta0p * beta0p
+    if b2 <= 2.0:
+        return None
+    r2 = b2 / (b2 - 1.0)
+    return r2 if r2 < INTERIOR_R2 else None
+
+
+def find_stationary_points(params: ModelParams):
+    """All interior stationary points, deduplicated and Hessian-classified.
+
+    Each is a Z3 x (p -> -p) image of a root on the plane Fix(sigma) (see
+    _plane_candidates), polished by at most 20 Newton steps.  At zeta = 0
+    the census is the origin and, for beta0p^2 > 2, the sphere u = u* of
+    _flat_sphere, reported once as the degenerate point (sqrt(2 u*), 0, 0, 0).
+    Where the kinetic resultant vanishes identically otherwise (beta0p =
+    sqrt2, lambda = 2), the stationary points form continuous manifolds,
+    reported as the orbits of the degenerate points the Newton polish
+    reaches on the plane.
+    Sorted by (energy, |location|, location).
+    """
+    if params.zeta == 0.0:
+        r2 = _flat_sphere(params.beta0p)
+        locs = [np.zeros(4)]
+        if r2 is not None:
+            locs.append(np.array([math.sqrt(r2), 0.0, 0.0, 0.0]))
+    else:
+        locs = _dedupe(_orbits(_newton_polish(params, _plane_candidates(params), max_iter=20)))
+    pts = [_classify(params, loc) for loc in locs]
+    pts.sort(key=lambda s: (s.energy, np.linalg.norm(s.location), tuple(s.location)))
     return pts
 
 
@@ -208,11 +219,20 @@ def momentum_branches(params: ModelParams, q):
 
     Solves dH/dp = 0 by batched Newton in the momentum plane from a 64 x 64
     grid of seeds on the momentum disc.  The first entry is p = (0, 0); the
-    others appear in sign-conjugated pairs, sorted by |p|.
+    others appear in sign-conjugated pairs, sorted by |p|.  At zeta = 0, H
+    depends on p only through u: the solutions besides p = 0 form the ring
+    |p|^2 = R^2 - |q|^2 on the sphere of _flat_sphere, reported as one pair
+    p = (-+|p|, 0).
     """
     x0, y0 = float(q[0]), float(q[1])
     if x0 * x0 + y0 * y0 >= R0_SQUARED:
         raise ValueError("coordinates outside the configuration disc")
+    if params.zeta == 0.0:
+        ring = (_flat_sphere(params.beta0p) or 0.0) - x0 * x0 - y0 * y0
+        if ring <= 0.0:
+            return [np.zeros(2)]
+        p = math.sqrt(ring)
+        return [np.zeros(2), np.array([-p, 0.0]), np.array([p, 0.0])]
     pmax = math.sqrt(R0_SQUARED - x0 * x0 - y0 * y0)
     lin = np.linspace(-pmax, pmax, 64)
     gx, gy = np.meshgrid(lin, lin)
@@ -365,35 +385,34 @@ def _signature(sp: StationaryPoint):
     return np.array([sp.energy, math.hypot(x, y), math.hypot(px, py)])
 
 
-def trace_borderlines(
-    beta0p,
-    lambda_grid,
-    n_seeds=6000,
-    seed=1234,
-    match_rate=6.0,
-    max_gap=8,
-    include_boundary=True,
-):
+# signature matching: energy tolerance per unit lambda, and the most grid
+# steps a curve may skip and still continue
+MATCH_RATE = 6.0
+MAX_GAP = 8
+
+
+def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boundary=True):
     """Critical borderlines E_c(lambda) from the stationary-point census.
 
     Interior points are traced by matching symmetry-invariant signatures
     (energy, beta, |p|) between adjacent lambda values, requiring equal
     Hessian index; the matching tolerance scales with the lambda gap
-    (match_rate per unit lambda).  Points flagged degenerate are skipped
+    (MATCH_RATE per unit lambda).  Points flagged degenerate are skipped
     (they occur on continuous stationary manifolds and at bifurcations and
-    carry no index).  Every survey is warm-started with the locations found
-    at the previous lambda so curves stay connected even when their Newton
-    basins are small.  Boundary min/max curves are appended when
+    carry no index).  Boundary min/max curves are appended when
     include_boundary is set.
+
+    The census is exact and takes no seeds: n_seeds and seed are accepted
+    and ignored, because the benchmark job perfbench/job.py still passes
+    them, and a non-positive n_seeds is still rejected.
     """
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be a positive integer")
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     step = float(np.min(np.diff(lambda_grid))) if len(lambda_grid) > 1 else 0.01
     curves = []  # dict: lambdas, energies, sig, r, branch, last_i
-    prev_locs = np.zeros((0, 4))
     for i, lam in enumerate(lambda_grid):
-        params = ModelParams(beta0p, lam)
-        pts = _survey(params, np.vstack([prev_locs, _ball_seeds(n_seeds, seed=seed)]))
-        prev_locs = np.array([sp.location for sp in pts]).reshape(-1, 4)
+        pts = find_stationary_points(ModelParams(beta0p, lam))
         # collapse symmetry copies, drop degenerate points
         recs = []
         for sp in pts:
@@ -411,9 +430,9 @@ def trace_borderlines(
         used = set()
         for c in curves:
             gap = i - c["last_i"]
-            if gap > max_gap:
+            if gap > MAX_GAP:
                 continue
-            tol = match_rate * step * gap
+            tol = MATCH_RATE * step * gap
             best, best_d = None, np.inf
             for j, sp in enumerate(recs):
                 if j in used or sp.branch != c["branch"] or sp.index_r != c["r"]:

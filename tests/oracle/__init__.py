@@ -1,6 +1,9 @@
-"""Test-only oracle: the s/d boson operator algebra and a brute-force Fock space.
+"""Test-only oracles: the s/d boson operator algebra, a brute-force Fock space,
+and the 4-D multistart stationary-point census.
 
 Independent of the closed forms in `esqpt`: the Hamiltonian is built here as a
 normal-ordered operator from its pair operators, and spectra, coherent-state
-energies and classical limits follow from that operator alone.
+energies and classical limits follow from that operator alone.  The multistart
+census searches the whole phase space with Newton's method, where `esqpt`
+solves polynomials on a symmetry plane.
 """

@@ -157,7 +157,7 @@ CUTS = {
 def reference_energies(params):
     """(energy, allowed kinds) references from the census and the boundary."""
     refs = []
-    for sp in stationary.find_stationary_points(params, n_seeds=20000):
+    for sp in stationary.find_stationary_points(params):
         if sp.index_r == "degenerate":
             refs.append((sp.energy, ANY_KIND))
         else:
@@ -198,9 +198,7 @@ def test_acceptance_07_kinetic_counts(announce):
     grid = np.arange(0.0, 3.2001, 0.02)
     counts = {}
     for beta0p in (SQRT2, 1.7):
-        curves = stationary.trace_borderlines(
-            beta0p, grid, n_seeds=3000, include_boundary=False
-        )
+        curves = stationary.trace_borderlines(beta0p, grid, include_boundary=False)
         counts[beta0p] = stationary.kinetic_borderline_count(curves)
     ok = counts[SQRT2] == 1 and counts[1.7] == 3
     announce(7, "kinetic borderline counts", ok,

@@ -195,13 +195,13 @@ def test_momentum_branches_match_loop(beta0p, lam, q, n_found):
 
 def test_momentum_branches_ring():
     # at zeta = 0 H depends on p only through |p|, so the solutions form a
-    # ring and are not isolated: only stationarity and +- pairing (to the
-    # dedupe tolerance) are checked, not agreement with the loop
+    # ring and are not isolated: it is reported as one +- pair, and only
+    # stationarity and pairing are checked, not agreement with the loop
     params = ModelParams(1.7, 0.0)
     q = (0.5, 0.3)
     sols = stationary.momentum_branches(params, q)
     ring = np.array(sols[1:])
-    assert len(ring) > 100
+    assert len(ring) == 2
     radius = np.hypot(*ring.T)
     assert radius.max() - radius.min() < 1e-9
     for p in sols:

@@ -179,8 +179,7 @@ def test_stationary_subcommand(tmp_path):
 
 
 def test_stationary_manifest_records_the_seed_used(tmp_path):
-    # at lambda = 0 the census samples continuous manifolds, so the points
-    # it lists depend on the Sobol seed
+    # the census is exact: the seed reaches the manifest but not the points
     base = ["stationary", "--beta0p", "1.7", "--lambda", "0", "--n-seeds", "300"]
     runs = {"default": [], "1234": ["--seed", "1234"], "0": ["--seed", "0"]}
     data, seeds = {}, {}
@@ -189,23 +188,24 @@ def test_stationary_manifest_records_the_seed_used(tmp_path):
         assert cli.main(base + extra + ["-o", str(out)]) == 0
         data[name] = out.read_bytes()
         seeds[name] = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())["seed"]
-    assert seeds == {"default": 1234, "1234": 1234, "0": 0}
-    assert data["default"] == data["1234"]
-    assert data["0"] != data["default"]
+    assert seeds == {"default": 0, "1234": 1234, "0": 0}
+    assert data["default"] == data["1234"] == data["0"]
+    # lambda = 0: the origin and the sphere of stationary points, once
+    assert len(read_lines(tmp_path / "default.csv")) == 1 + 2
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
     # each of these adds ~0.3-0.7 s to the start of every esqpt process
     code = (
         "import esqpt.cli, sys; "
-        "print([m for m in ('scipy.ndimage', 'scipy.stats') if m in sys.modules])"
+        "print([m for m in ('scipy.ndimage', 'scipy.stats', 'sympy') if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 
 
 def test_stationary_run_leaves_scipy_stats_unloaded(tmp_path):
-    # the census seeds come from a numpy Sobol generator
+    # the exact census needs no quasi-random seeds
     code = (
         "import sys; from esqpt import cli; "
         "rc = cli.main(sys.argv[1:]); "

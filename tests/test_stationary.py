@@ -12,6 +12,7 @@ from esqpt import _kernels, classical, stationary
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
+from oracle.multistart import ball_seeds, multistart_census
 
 
 def by_location(points, loc, tol=1e-6):
@@ -22,7 +23,7 @@ def by_location(points, loc, tol=1e-6):
 
 
 def test_census_spherical_phase():
-    pts = stationary.find_stationary_points(ModelParams(SQRT2, 0.2), n_seeds=6000)
+    pts = stationary.find_stationary_points(ModelParams(SQRT2, 0.2))
     origin = by_location(pts, [0, 0, 0, 0])
     assert origin.energy == pytest.approx(0.0, abs=1e-12)
     assert origin.index_r == 0
@@ -34,7 +35,7 @@ def test_census_spherical_phase():
 
 def test_census_origin_maximum_second_branch():
     params = ModelParams(SQRT2, 2.5)
-    pts = stationary.find_stationary_points(params, n_seeds=6000)
+    pts = stationary.find_stationary_points(params)
     origin = by_location(pts, [0, 0, 0, 0])
     assert origin.energy == pytest.approx(((2.5 - 1.0) / 2.0) * SQRT2**4, abs=1e-10)
     assert origin.index_r == 4
@@ -46,7 +47,7 @@ def test_census_origin_maximum_second_branch():
 
 def test_census_points_are_stationary():
     params = ModelParams(1.7, 1.3)
-    for sp in stationary.find_stationary_points(params, n_seeds=4000):
+    for sp in stationary.find_stationary_points(params):
         from esqpt.classical import grad_H
 
         assert np.abs(grad_H(params, sp.location * (1 - 1e-15))).max() < 1e-8
@@ -96,7 +97,7 @@ def test_dedupe_matches_loop_on_straddling_clusters(seed):
 def test_dedupe_matches_loop_on_continuous_manifold_census():
     # lambda = 0 has continuous stationary manifolds: most points are distinct
     params = ModelParams(1.7, 0.0)
-    seeds = np.vstack([np.zeros((1, 4)), stationary._ball_seeds(1000)])
+    seeds = np.vstack([np.zeros((1, 4)), ball_seeds(1000)])
     pts = np.vstack([stationary._newton_polish(params, seeds), np.zeros((1, 4))])
     got = stationary._dedupe(pts)
     assert 900 < len(got) < len(pts)
@@ -107,32 +108,94 @@ CENSUS_FIXTURE = Path(__file__).parent / "data" / "census_fixture.npz"
 
 
 def test_census_matches_fixture():
-    # recorded with the O(n^2) dedupe at the default 20000 seeds and seed 1234
+    # recorded from the 4-D multistart at 20000 seeds and seed 1234; the order
+    # of the copies within an orbit came from the seed order, so the points
+    # are compared as a set
     ref = np.load(CENSUS_FIXTURE)
     pts = stationary.find_stationary_points(ModelParams(SQRT2, 0.3))
-    assert [str(sp.index_r) for sp in pts] == list(ref["index_r"])
-    assert [sp.branch for sp in pts] == list(ref["branch"])
-    assert np.abs(np.array([sp.location for sp in pts]) - ref["location"]).max() < 1e-12
-    assert np.abs(np.array([sp.energy for sp in pts]) - ref["energy"]).max() < 1e-12
+    assert len(pts) == len(ref["location"])
+    for loc, energy, index_r, branch in zip(
+        ref["location"], ref["energy"], ref["index_r"], ref["branch"]
+    ):
+        sp = by_location(pts, loc, tol=1e-12)
+        assert (str(sp.index_r), sp.branch) == (index_r, branch)
+        assert abs(sp.energy - energy) < 1e-12
 
 
-@pytest.mark.parametrize("m", [4, 12, 14, 17])
-@pytest.mark.parametrize("seed", [0, 1234, 20261017])
-def test_sobol_matches_scipy(seed, m):
-    from scipy.stats import qmc  # the oracle; the library does not import it
+CENSUS_GRID_BETA0P = [0.7, 1.0, SQRT2, 1.7, 2.0, 4.0]
+CENSUS_GRID_LAMBDA = [0.0, 0.25, 0.6, 1.1, 1.5, 2.0, 2.5, 3.1]
 
-    want = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m)
-    got = stationary._sobol(m, seed)
-    assert got.dtype == want.dtype and got.shape == want.shape == (2**m, 4)
-    assert np.array_equal(got, want)
+
+def test_exact_census_contains_the_multistart():
+    # Points on a continuous manifold of stationary points (degenerate
+    # Hessian) are covered by a degenerate exact point at the same energy:
+    # the sphere at lambda = 0, and the manifolds at E = 1.5 and 2 at
+    # (sqrt2, 2), where the kinetic resultant vanishes identically.
+    misses, not_stationary = [], []
+    for beta0p in CENSUS_GRID_BETA0P:
+        for lam in CENSUS_GRID_LAMBDA:
+            params = ModelParams(beta0p, lam)
+            exact = stationary.find_stationary_points(params)
+            locs = np.array([sp.location for sp in exact])
+            flat = [sp.energy for sp in exact if sp.index_r == "degenerate"]
+            for loc in locs:
+                grad = _kernels.h_grad(*loc, params.beta0p, params.zeta, params.xi)
+                if np.abs(grad).max() > stationary.GRAD_TOL:
+                    not_stationary.append((beta0p, lam, loc))
+            for loc in multistart_census(params, 3000):
+                if np.linalg.norm(locs - loc, axis=1).min() <= 1e-6:
+                    continue
+                sp = stationary._classify(params, loc)
+                if sp.index_r != "degenerate" or not any(
+                    abs(sp.energy - e) <= 1e-9 for e in flat
+                ):
+                    misses.append((beta0p, lam, loc))
+    assert not misses
+    assert not not_stationary
+
+
+@pytest.mark.parametrize(
+    "beta0p, lam, energy, index_r",
+    [(2.0, 2.85, 1.909502, 1), (1.0, 0.25, 1.053869, 3)],
+)
+def test_census_finds_the_kinetic_orbits_the_multistart_missed(beta0p, lam, energy, index_r):
+    # the 4-D multistart at 20000 seeds returned 4 of these 10 points
+    pts = stationary.find_stationary_points(ModelParams(beta0p, lam))
+    assert len(pts) == 10
+    kinetic = [sp for sp in pts if sp.branch == "kinetic"]
+    assert len(kinetic) == 6
+    for sp in kinetic:
+        assert sp.energy == pytest.approx(energy, abs=1e-6)
+        assert sp.index_r == index_r
+
+
+@pytest.mark.parametrize("beta0p", [1.0, SQRT2, 1.7, 4.0])
+def test_census_at_zero_lambda_is_the_origin_and_the_flat_sphere(beta0p):
+    params = ModelParams(beta0p, 0.0)
+    pts = stationary.find_stationary_points(params)
+    assert np.array_equal(pts[0].location, np.zeros(4))
+    assert pts[0].index_r == 0
+    b2 = beta0p * beta0p
+    if b2 < 2.0 + 1e-9:  # the sphere u* = b2 / (2 (b2 - 1)) lies inside only for b2 > 2
+        assert len(pts) == 1
+        return
+    (sphere,) = pts[1:]
+    r2 = b2 / (b2 - 1.0)
+    assert np.allclose(sphere.location, [math.sqrt(r2), 0.0, 0.0, 0.0], atol=1e-15)
+    assert sphere.index_r == "degenerate"
+    # every point of the sphere is stationary at the same energy
+    dirs = np.random.default_rng(5).standard_normal((50, 4))
+    on_sphere = math.sqrt(r2) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    grad = _kernels.h_grad(*on_sphere.T, beta0p, 0.0, 0.0)
+    assert np.abs(grad).max() <= stationary.GRAD_TOL
+    energies = _kernels.h_eval(*on_sphere.T, beta0p, 0.0, 0.0)
+    assert np.abs(energies - sphere.energy).max() < 1e-12
 
 
 @pytest.mark.parametrize("n_seeds", [0, -3])
 def test_census_rejects_nonpositive_seed_counts(n_seeds):
     with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
         stationary.trace_borderlines(SQRT2, [0.2, 0.3], n_seeds=n_seeds)
-    with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
-        stationary.find_stationary_points(ModelParams(SQRT2, 0.3), n_seeds=n_seeds)
 
 
 def test_borderlines_leave_scipy_stats_unloaded():
@@ -279,9 +342,7 @@ def test_boundary_exponent_validation():
 
 def test_trace_borderlines_short_grid():
     grid = np.arange(0.1, 0.45, 0.05)
-    curves = stationary.trace_borderlines(
-        SQRT2, grid, n_seeds=2500, include_boundary=False
-    )
+    curves = stationary.trace_borderlines(SQRT2, grid, include_boundary=False)
     kinetic = [c for c in curves if c.kinetic and len(c.lambdas) >= 3]
     assert len(kinetic) == 1
     assert stationary.kinetic_borderline_count(curves) == 1
@@ -292,7 +353,7 @@ def test_trace_borderlines_short_grid():
 
 def test_trace_borderlines_includes_boundary_curves():
     grid = np.array([0.2, 0.3])
-    curves = stationary.trace_borderlines(SQRT2, grid, n_seeds=1500, include_boundary=True)
+    curves = stationary.trace_borderlines(SQRT2, grid, include_boundary=True)
     boundary = [c for c in curves if c.branch == "boundary"]
     assert len(boundary) == 2
     for c in boundary:
