@@ -1,28 +1,27 @@
 """Command-line front end: reproducible batch jobs emitting CSV/JSON artifacts.
 
 Every subcommand writes a data table plus a JSON manifest recording inputs,
-seed, package versions, and wall time.  Options may come from flags and/or a
-plain-text key=value config file; flags override the file.  Exit codes:
-0 success, 2 domain error, 3 numerical failure, 64 usage error, 74 I/O error.
+seed, package versions, and wall time.  Each subcommand declares only the
+options it reads (the `COMMANDS` table).  Options may come from flags and/or a
+plain-text key=value config file, whose keys are the flag names without `--`
+(`_` and `-` are interchangeable); flags override the file, and the file goes
+through the same parser as the flags.  Exit codes: 0 success, 2 domain error,
+3 numerical failure, 64 usage error, 74 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import density, quantum, stationary, surfaces
 from .io import write_manifest, write_table
 from .models import ModelParams
-
-DEFAULT_LAMBDA_RANGE = (0.0, 3.2, 0.01)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,56 +33,53 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(64)
 
 
-@dataclass
-class JobConfig:
-    command: str
-    beta0p: float
-    lambdas: np.ndarray
-    N: int = 50
-    n_samples: int = 200_000
-    seed: int = 0
-    e_bins: int = density.DEFAULT_BINS
-    n_gamma: list = field(default_factory=lambda: [0, 2, 4])
-    n_beta: int = 200
-    width: float = 0.05
-    n_seeds: int = 20000
-    ref_N: int = density.DEFAULT_REF_N
-    output: str = "out.csv"
-    format: str = "csv"
-    # what the run found, for the manifest; set by the runner, not an input
-    diagnostics: dict | None = None
-
-    def __post_init__(self):
-        if len(self.lambdas) == 0:
-            raise ValueError("empty lambda range")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format: {self.format}")
-
-    def inputs(self):
-        lam = self.lambdas
-        return dict(
-            beta0p=self.beta0p,
-            lambda_start=float(lam[0]),
-            lambda_stop=float(lam[-1]),
-            lambda_count=len(lam),
-            N=self.N,
-            n_samples=self.n_samples,
-            e_bins=self.e_bins,
-            n_gamma=list(self.n_gamma),
-            n_beta=self.n_beta,
-            width=self.width,
-            n_seeds=self.n_seeds,
-            ref_N=self.ref_N,
-            output=self.output,
-            format=self.format,
-        )
+def _int_list(text):
+    return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-_CONFIG_ALIASES = {"lambda": "lam", "ref_n": "ref_N"}
+# every option, by flag name; COMMANDS says which subcommands declare it
+OPTIONS = {
+    "config": dict(help="key = value config file; flags override it"),
+    "beta0p": dict(type=float, help="deformation parameter beta0' (required)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default %(default)s)"),
+    "output": dict(help="output data file (default <command>.<format>)"),
+    "format": dict(choices=("csv", "json"), default="csv",
+                   help="table format (default %(default)s)"),
+    "lambda": dict(dest="lam", type=float, help="single control-parameter value; "
+                   "replaces the lambda grid"),
+    "lambda-start": dict(type=float, default=0.0, help="lambda grid start (default %(default)s)"),
+    "lambda-stop": dict(type=float, default=3.2, help="lambda grid stop (default %(default)s)"),
+    "lambda-step": dict(type=float, default=0.01, help="lambda grid step (default %(default)s)"),
+    "n": dict(dest="N", type=int, default=50, help="boson number N (default %(default)s)"),
+    "n-samples": dict(type=int, default=200_000,
+                      help="Monte-Carlo samples per lambda (default %(default)s)"),
+    "e-bins": dict(type=int, default=density.DEFAULT_BINS,
+                   help="energy bins (default %(default)s)"),
+    "ref-n": dict(dest="ref_N", type=int, default=density.DEFAULT_REF_N,
+                  help="normalization N for densities (default %(default)s)"),
+    "width": dict(type=float, default=0.05, help="Gaussian smoothing width (default %(default)s)"),
+    "n-gamma": dict(type=_int_list, default="0,2,4",
+                    help="comma list of N_gamma values (default %(default)s)"),
+    "n-beta": dict(type=int, default=200,
+                   help="beta grid points for surfaces (default %(default)s)"),
+    "n-seeds": dict(type=int, default=20000,
+                    help="ignored: the stationary census is exact (default %(default)s)"),
+}
+COMMON = ("config", "beta0p", "seed", "output", "format")
+LAMBDA = ("lambda", "lambda-start", "lambda-stop", "lambda-step")
 
 
-def _read_config_file(path):
-    """Plain-text key=value lines; '#' starts a comment; blank lines ignored."""
+def _dest(option):
+    return OPTIONS[option].get("dest", option.replace("-", "_"))
+
+
+def _read_config_file(path, options, parser):
+    """Plain-text key=value lines ('#' starts a comment) as defaults by dest.
+
+    Values stay strings, so the parser converts them exactly like flags; a
+    key that names no option of the command is a usage error.
+    """
+    dests = {opt.replace("-", "_"): _dest(opt) for opt in options if opt != "config"}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -93,109 +89,24 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            values[_CONFIG_ALIASES.get(key, key)] = val.strip()
+            key = key.strip()
+            dest = dests.get(key.replace("-", "_"))
+            if dest is None:
+                parser.error(f"{path}:{lineno}: unknown config key {key!r}")
+            values[dest] = val.strip()
     return values
 
 
-def _pick(args, cfg, key, cast, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cast(cfg[key])
-    return default
-
-
-def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
-
-
-def _lambda_grid(args, cfg):
-    lam = _pick(args, cfg, "lam", float)
-    if lam is not None:
-        return np.array([lam])
-    start = _pick(args, cfg, "lambda_start", float, DEFAULT_LAMBDA_RANGE[0])
-    stop = _pick(args, cfg, "lambda_stop", float, DEFAULT_LAMBDA_RANGE[1])
-    step = _pick(args, cfg, "lambda_step", float, DEFAULT_LAMBDA_RANGE[2])
+def _lambda_grid(args):
+    if args.lam is not None:
+        return np.array([args.lam])
+    start, stop, step = args.lambda_start, args.lambda_stop, args.lambda_step
     if step <= 0:
         raise ValueError("lambda step must be positive")
     if stop < start:
         raise ValueError("lambda range is empty")
     n = int(round((stop - start) / step)) + 1
     return start + step * np.arange(n)
-
-
-def build_parser():
-    parser = _Parser(
-        prog="esqpt",
-        description="Spectra, level densities, stationary-point phase diagrams, "
-        "and excited surfaces of the s-d interacting boson Hamiltonian family.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
-
-    def add(name, help_text, **flags):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        return p
-
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--beta0p", type=float, help="deformation parameter beta0'")
-    common.add_argument("--lambda", dest="lam", type=float, help="single control-parameter value")
-    common.add_argument("--lambda-start", type=float, help="lambda grid start (default 0)")
-    common.add_argument("--lambda-stop", type=float, help="lambda grid stop (default 3.2)")
-    common.add_argument("--lambda-step", type=float, help="lambda grid step (default 0.01)")
-    common.add_argument("--n", type=int, help="boson number N (default 50)")
-    common.add_argument("--n-samples", type=int, help="Monte-Carlo samples (default 200000)")
-    common.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    common.add_argument("--e-bins", type=int, help="energy bins (default 300)")
-    common.add_argument("--n-gamma", type=_int_list, help="comma list of N_gamma values (default 0,2,4)")
-    common.add_argument("--n-beta", type=int, help="beta grid points for surfaces (default 200)")
-    common.add_argument("--width", type=float, help="Gaussian smoothing width (default 0.05)")
-    common.add_argument("--n-seeds", type=int, help="ignored: the stationary census is exact")
-    common.add_argument("--ref-n", dest="ref_N", type=int, help="normalization N for densities (default 50)")
-    common.add_argument("--output", "-o", help="output data file (default <command>.csv)")
-    common.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
-
-    add("phase-diagram", "d rho/dE matrix over a (lambda, E) grid")
-    add("density-cut", "smoothed level density and derivative at one lambda")
-    add("stationary", "stationary-point census over lambda")
-    add("boundary", "boundary energy minimum and maximum over lambda")
-    add("spectrum", "quantum spectrum with slopes and <n_d>")
-    add("flow", "smoothed level density, flow, and velocity field")
-    add("oscillatory", "oscillatory part of the level density")
-    add("excited-surfaces", "excited energy surfaces and their stationary points")
-    add("spinodal", "spinodal and antispinodal lambda values")
-    return parser
-
-
-def make_config(args):
-    cfg = _read_config_file(args.config) if args.config else {}
-    beta0p = _pick(args, cfg, "beta0p", float)
-    if beta0p is None:
-        raise ValueError("beta0p is required (flag --beta0p or config file)")
-    command = args.command
-    ext = "json" if _pick(args, cfg, "format", str, "csv") == "json" else "csv"
-    return JobConfig(
-        command=command,
-        beta0p=beta0p,
-        lambdas=_lambda_grid(args, cfg),
-        N=_pick(args, cfg, "n", int, 50),
-        n_samples=_pick(args, cfg, "n_samples", int, 200_000),
-        seed=_pick(args, cfg, "seed", int, 0),
-        e_bins=_pick(args, cfg, "e_bins", int, density.DEFAULT_BINS),
-        n_gamma=_int_list(_pick(args, cfg, "n_gamma", _int_list, [0, 2, 4])),
-        n_beta=_pick(args, cfg, "n_beta", int, 200),
-        width=_pick(args, cfg, "width", float, 0.05),
-        n_seeds=_pick(args, cfg, "n_seeds", int, 20000),
-        ref_N=_pick(args, cfg, "ref_N", int, density.DEFAULT_REF_N),
-        output=_pick(args, cfg, "output", str, f"{command}.{ext}"),
-        format=_pick(args, cfg, "format", str, "csv"),
-    )
 
 
 def _single_lambda(cfg):
@@ -315,6 +226,8 @@ def run_oscillatory(cfg):
 
 
 def run_excited_surfaces(cfg):
+    if cfg.n_beta < 1:
+        raise ValueError(f"n_beta must be a positive integer, got {cfg.n_beta}")
     betas = np.linspace(0.0, surfaces.BETA_MAX - 1e-9, cfg.n_beta)
     rows, spt_rows = [], []
     for lam in cfg.lambdas:
@@ -339,37 +252,86 @@ def run_spinodal(cfg):
     return ["beta0p", "spinodal", "antispinodal"], [(cfg.beta0p, lo, hi)]
 
 
-RUNNERS = {
-    "phase-diagram": run_phase_diagram,
-    "density-cut": run_density_cut,
-    "stationary": run_stationary,
-    "boundary": run_boundary,
-    "spectrum": run_spectrum,
-    "flow": run_flow,
-    "oscillatory": run_oscillatory,
-    "excited-surfaces": run_excited_surfaces,
-    "spinodal": run_spinodal,
+# subcommand: (runner, help line, options it reads besides COMMON)
+COMMANDS = {
+    "phase-diagram": (run_phase_diagram, "d rho/dE matrix over a (lambda, E) grid",
+                      LAMBDA + ("n-samples", "e-bins", "ref-n")),
+    "density-cut": (run_density_cut, "smoothed level density and derivative at one lambda",
+                    LAMBDA + ("n-samples", "e-bins", "ref-n")),
+    "stationary": (run_stationary, "stationary-point census over lambda",
+                   LAMBDA + ("n-seeds",)),
+    "boundary": (run_boundary, "boundary energy minimum and maximum over lambda", LAMBDA),
+    "spectrum": (run_spectrum, "quantum spectrum with slopes and <n_d>", LAMBDA + ("n",)),
+    "flow": (run_flow, "smoothed level density, flow, and velocity field",
+             LAMBDA + ("n", "width", "e-bins")),
+    "oscillatory": (run_oscillatory, "oscillatory part of the level density",
+                    LAMBDA + ("n", "n-samples", "e-bins")),
+    "excited-surfaces": (run_excited_surfaces,
+                         "excited energy surfaces and their stationary points",
+                         LAMBDA + ("n", "n-gamma", "n-beta")),
+    "spinodal": (run_spinodal, "spinodal and antispinodal lambda values", ()),
 }
 
 
-def run(cfg: JobConfig):
+def build_parser():
+    parser = _Parser(
+        prog="esqpt",
+        description="Spectra, level densities, stationary-point phase diagrams, "
+        "and excited surfaces of the s-d interacting boson Hamiltonian family.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub.required = True
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt in COMMON + options:
+            flags = ("--output", "-o") if opt == "output" else ("--" + opt,)
+            p.add_argument(*flags, **OPTIONS[opt])
+    parser.commands = sub.choices
+    return parser
+
+
+def make_config(argv=None):
+    """Parsed namespace of one job: flags over config-file values over defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    options = COMMON + COMMANDS[args.command][2]
+    if args.config:
+        sub = parser.commands[args.command]
+        sub.set_defaults(**_read_config_file(args.config, options, sub))
+        args = parser.parse_args(argv)
+    if args.beta0p is None:
+        raise ValueError("beta0p is required (flag --beta0p or config file)")
+    if args.format not in ("csv", "json"):
+        raise ValueError(f"unknown format: {args.format}")
+    if args.output is None:
+        args.output = f"{args.command}.{args.format}"
+    inputs = {_dest(opt): getattr(args, _dest(opt))
+              for opt in options if opt not in ("config", "seed") + LAMBDA}
+    if "lambda" in options:
+        args.lambdas = _lambda_grid(args)
+        inputs.update(lambda_start=float(args.lambdas[0]), lambda_stop=float(args.lambdas[-1]),
+                      lambda_count=len(args.lambdas))
+    args.inputs = inputs
+    # what the run found, for the manifest; set by the runner
+    args.diagnostics = None
+    return args
+
+
+def run(cfg):
     """Execute one job: data table(s) plus a manifest next to the output."""
     t0 = time.perf_counter()
-    header, rows = RUNNERS[cfg.command](cfg)
+    header, rows = COMMANDS[cfg.command][0](cfg)
     write_table(cfg.output, header, rows, cfg.format)
     write_manifest(
-        cfg.output, cfg.command, cfg.inputs(), cfg.seed, time.perf_counter() - t0,
+        cfg.output, cfg.command, cfg.inputs, cfg.seed, time.perf_counter() - t0,
         cfg.diagnostics,
     )
     return 0
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = make_config(args)
-        return run(cfg)
+        return run(make_config(argv))
     except ValueError as exc:
         print(f"esqpt: domain error: {exc}", file=sys.stderr)
         return 2

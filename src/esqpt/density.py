@@ -80,6 +80,10 @@ def mc_density(
     """Monte-Carlo smoothed level density on the classical energy scale."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    if bins < 2:
+        raise ValueError(f"bins must be at least 2, got {bins}")
+    if ref_N < 1:
+        raise ValueError(f"ref_N must be a positive integer, got {ref_N}")
     edges = np.linspace(e_range[0], e_range[1], bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     # the seed's first child stream, not its root stream, is the one that
@@ -244,6 +248,10 @@ def smoothed_flow(spectra, width=0.05, bins=DEFAULT_BINS, e_range=DEFAULT_E_RANG
     spectrum; the density from its level positions, both on the classical
     energy scale.
     """
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
+    if bins < 1:
+        raise ValueError(f"bins must be positive, got {bins}")
     if isinstance(spectra, SpectrumResult):
         spectra = [spectra]
     ns = {s.N for s in spectra}

@@ -18,7 +18,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import scipy
 
 
 def fmt(value):
@@ -59,16 +58,7 @@ def write_csv(path, header, rows):
 
 def write_json_records(path, header, rows):
     """The same table as a list of JSON objects (format = json option)."""
-    records = []
-    for row in rows:
-        rec = {}
-        for key, value in zip(header, row):
-            if isinstance(value, (np.integer,)):
-                value = int(value)
-            elif isinstance(value, (np.floating,)):
-                value = float(value)
-            rec[key] = value
-        records.append(rec)
+    records = [{key: _jsonable(value) for key, value in zip(header, row)} for row in rows]
     with _atomic_open(path) as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
@@ -98,7 +88,6 @@ def write_manifest(data_path, command, inputs, seed, wall_time, diagnostics=None
         "versions": {
             "esqpt": version,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "argv": sys.argv[1:],

@@ -8,6 +8,7 @@ the second branch). `LAMBDA_CRITICAL` = 1 separates the branches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 LAMBDA_CRITICAL = 1.0
@@ -21,10 +22,10 @@ class ModelParams:
     lam: float
 
     def __post_init__(self):
-        if self.beta0p <= 0:
-            raise ValueError(f"beta0p must be positive, got {self.beta0p}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.beta0p) and self.beta0p > 0):
+            raise ValueError(f"beta0p must be positive and finite, got {self.beta0p}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be non-negative and finite, got {self.lam}")
 
     @property
     def zeta(self):

@@ -166,6 +166,8 @@ def build_basis(N):
 
 def build_hamiltonian(params: ModelParams, N, n_cap=N_CAP_DEFAULT):
     """Dense symmetric matrix of H(lambda, beta0p) in the L=0 basis."""
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
     if N > n_cap:
         raise ValueError(f"N = {N} exceeds the configured cap {n_cap}")
     a, b, c, d = _operators(N, params.beta0p)

@@ -47,6 +47,8 @@ def condensate_energy(params: ModelParams, N, beta, gamma=0.0):
 
 def _quartic(params: ModelParams, N, N_gamma):
     """Coefficients (f_0, ..., f_4) of 2 N^2 E = sum_j f_j s^(4-j) d^j."""
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
     if N_gamma % 2 != 0:
         raise ValueError("N_gamma must be even (K = 0 pair construction)")
     if N_gamma < 0 or N_gamma > N:

@@ -10,6 +10,7 @@ import pytest
 
 from esqpt import cli
 from esqpt.io import fmt, write_csv, write_manifest, write_table
+from esqpt.models import ModelParams
 
 SQRT2_STR = "1.41421356"
 
@@ -198,7 +199,7 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded():
     # each of these adds ~0.3-0.7 s to the start of every esqpt process
     code = (
         "import esqpt.cli, sys; "
-        "print([m for m in ('scipy.ndimage', 'scipy.stats', 'sympy') if m in sys.modules])"
+        "print([m for m in ('scipy', 'scipy.ndimage', 'scipy.stats', 'sympy') if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
@@ -289,9 +290,112 @@ def test_exit_codes(tmp_path):
     assert cli.main(["boundary", "--beta0p", "-1.0", "--lambda", "0",
                      "-o", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["flow", "--beta0p", "1.0", "-o", str(tmp_path / "x.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
     # unwritable output
     assert cli.main(["spinodal", "--beta0p", "1.0",
                      "-o", str(tmp_path / "missing" / "x.csv")]) == 74
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--lambda", "0", "--n", "0"], "N must be a positive integer, got 0"),
+    (["spectrum", "--lambda", "0", "--n", "-3"], "N must be a positive integer, got -3"),
+    (["excited-surfaces", "--lambda", "1", "--n", "0"], "N must be a positive integer, got 0"),
+    (["density-cut", "--lambda", "0.2", "--e-bins", "0"], "bins must be at least 2, got 0"),
+    (["density-cut", "--lambda", "0.2", "--ref-n", "-1"],
+     "ref_N must be a positive integer, got -1"),
+    (["phase-diagram", "--lambda-step", "0.8", "--ref-n", "0"],
+     "ref_N must be a positive integer, got 0"),
+    (["oscillatory", "--lambda", "1", "--e-bins", "1"], "bins must be at least 2, got 1"),
+    (["flow", "--lambda", "0.5", "--n", "10", "--width", "-1"], "width must be positive, got -1.0"),
+    (["flow", "--lambda", "0.5", "--n", "10", "--e-bins", "0"], "bins must be positive, got 0"),
+    (["excited-surfaces", "--lambda", "1", "--n-beta", "0"],
+     "n_beta must be a positive integer, got 0"),
+])
+def test_exit_codes_for_bad_sizes(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--beta0p", "1.7", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"esqpt: domain error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("beta0p, lam, argv", [
+    ("nan", "0.5", ["boundary", "--beta0p", "nan", "--lambda", "0.5"]),
+    ("1.7", "nan", ["boundary", "--beta0p", "1.7", "--lambda", "nan"]),
+    ("inf", "0", ["spinodal", "--beta0p", "inf"]),
+    ("-inf", "0.5", ["stationary", "--beta0p=-inf", "--lambda", "0.5"]),
+    ("1.7", "inf", ["spectrum", "--beta0p", "1.7", "--lambda", "inf", "--n", "4"]),
+])
+def test_non_finite_parameters_are_domain_errors(tmp_path, capsys, beta0p, lam, argv):
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(float(beta0p), float(lam))
+    assert cli.main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("esqpt: domain error: ") and "finite" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--beta0p", "1.7", "--lambda", "0", "--n-samples", "5",
+                  "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spinodal", "--beta0p", "1.7", "--lambda", "0.5",
+                  "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 64
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text("beta0p = 1.7\nlambda = 0.2\nn_sample = 1000\n")
+    out = tmp_path / "cut.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["density-cut", "--config", str(cfgfile), "-o", str(out)])
+    assert exc.value.code == 64
+    assert "unknown config key 'n_sample'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+def test_config_values_are_converted_like_flags(tmp_path, capsys):
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text("beta0p = 1.7\nlambda = 0.2\nn = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(cfgfile), "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 64
+    assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
+    cfgfile.write_text("beta0p = 1.7\nlambda = 0.2\nformat = xml\n")
+    assert cli.main(["boundary", "--config", str(cfgfile), "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "esqpt: domain error: unknown format: xml\n"
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+def test_config_keys_take_either_separator(tmp_path):
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text("beta0p = 1.7\nlambda = 0.2\nn-samples = 20000\nref_n = 30\n"
+                       "e_bins = 40\n")
+    out = tmp_path / "cut.csv"
+    assert cli.main(["density-cut", "--config", str(cfgfile), "-o", str(out)]) == 0
+    assert len(read_lines(out)) == 1 + 40
+    inputs = json.loads((tmp_path / "cut.csv.manifest.json").read_text())["inputs"]
+    assert (inputs["n_samples"], inputs["ref_N"], inputs["e_bins"]) == (20000, 30, 40)
+
+
+def test_manifest_inputs_are_the_declared_options(tmp_path):
+    out = tmp_path / "spin.csv"
+    assert cli.main(["spinodal", "--beta0p", "1.7", "-o", str(out)]) == 0
+    inputs = json.loads((tmp_path / "spin.csv.manifest.json").read_text())["inputs"]
+    assert inputs == {"beta0p": 1.7, "output": str(out), "format": "csv"}
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda-start", "0.5",
+                     "--lambda-stop", "0.7", "--lambda-step", "0.1", "--n", "4",
+                     "-o", str(out)]) == 0
+    inputs = json.loads((tmp_path / "spec.csv.manifest.json").read_text())["inputs"]
+    assert inputs["N"] == 4
+    assert (inputs["lambda_start"], inputs["lambda_count"]) == (0.5, 3)
+    assert inputs["lambda_stop"] == pytest.approx(0.7)
+    assert not {"n_samples", "n_seeds", "lambda_step"} & set(inputs)
 
 
 @pytest.mark.parametrize("n_seeds", ["0", "-5"])

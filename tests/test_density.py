@@ -148,7 +148,8 @@ def test_detect_singularities_spherical_cut():
 
 
 def test_phase_diagram_shapes():
-    cfg = cli.JobConfig("phase-diagram", SQRT2, np.array([0.1, 0.3]), n_samples=50_000)
+    cfg = cli.make_config(["phase-diagram", "--beta0p", repr(SQRT2), "--lambda-start", "0.1",
+                           "--lambda-stop", "0.3", "--lambda-step", "0.2", "--n-samples", "50000"])
     grids = cli._density_grids(cfg)
     assert len(grids) == 2
     header, rows = cli.run_phase_diagram(cfg)
