@@ -12,6 +12,7 @@ through the same parser as the flags.  Exit codes: 0 success, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -34,7 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text):
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    values = [int(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
 # every option, by flag name; COMMANDS says which subcommands declare it
@@ -101,6 +105,9 @@ def _lambda_grid(args):
     if args.lam is not None:
         return np.array([args.lam])
     start, stop, step = args.lambda_start, args.lambda_stop, args.lambda_step
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"lambda grid bounds and step must be finite, got "
+                         f"start={start}, stop={stop}, step={step}")
     if step <= 0:
         raise ValueError("lambda step must be positive")
     if stop < start:

@@ -3,19 +3,21 @@ and borderlines.
 
 Interior stationary points of the classical Hamiltonian are exact roots on
 the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two resultants, generated by
-tools/gen_derivs.py, give them as polynomial roots in x, a few Newton steps
-polish them, and the Z3 rotations and p -> -p carry them over the whole
-phase space.  Each point is classified by its Hessian index r (number of
-negative eigenvalues).  The same Newton solver finds the momentum branches at
-fixed coordinates.  The spinodals and the energy restricted to the boundary
-3-sphere have closed forms, and critical borderlines E_c(lambda) are traced
-over a lambda grid.
+tools/gen_derivs.py, give them as polynomial roots in x, and a few Newton
+steps polish them.  The plane census keeps one point (x, 0, 0, py >= 0) per
+Z3 x (p -> -p) orbit and classifies it once by its Hessian index r (number
+of negative eigenvalues); the full census carries each point over the phase
+space with the orbit's images, which share its energy and index.  The same
+Newton solver finds the momentum branches at fixed coordinates.  The
+spinodals and the energy restricted to the boundary 3-sphere have closed
+forms, and critical borderlines E_c(lambda) follow the plane census from one
+lambda grid value to the next.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +25,8 @@ from . import _derivs, _kernels
 from .classical import R0_SQUARED, eval_H
 from .models import ModelParams
 
-DEGENERACY_RATIO = 1e-6
+# gradient tolerance of a stationary point; a Hessian eigenvalue smaller in
+# magnitude makes the point degenerate
 GRAD_TOL = 1e-9
 KINETIC_P_TOL = 1e-6
 # points with R^2 above this count as on the boundary sphere R^2 = 2
@@ -122,11 +125,9 @@ def _dedupe(points, tol=1e-6):
 def _classify(params, loc):
     h = _kernels.h_hess(loc[0], loc[1], loc[2], loc[3], params.beta0p, params.zeta, params.xi)
     evals = np.linalg.eigvalsh(h)
-    scale = np.abs(evals).max()
-    if scale == 0 or np.abs(evals).min() < DEGENERACY_RATIO * scale:
-        r = "degenerate"
-    else:
-        r = int(np.sum(evals < 0))
+    # an absolute test: near the ball boundary one eigenvalue diverges like
+    # 1/s, which would swamp a ratio to the largest one
+    r = "degenerate" if np.abs(evals).min() < GRAD_TOL else int(np.sum(evals < 0))
     branch = "kinetic" if math.hypot(loc[2], loc[3]) > KINETIC_P_TOL else "trivial_momentum"
     return StationaryPoint(
         np.asarray(loc, float), float(eval_H(params, loc)), r, branch, evals
@@ -189,18 +190,16 @@ def _flat_sphere(beta0p):
     return r2 if r2 < INTERIOR_R2 else None
 
 
-def find_stationary_points(params: ModelParams):
-    """All interior stationary points, deduplicated and Hessian-classified.
+def _plane_census(params: ModelParams):
+    """One classified point (x, 0, 0, py >= 0) per Z3 x (p -> -p) orbit.
 
-    Each is a Z3 x (p -> -p) image of a root on the plane Fix(sigma) (see
-    _plane_candidates), polished by at most 20 Newton steps.  At zeta = 0
+    The roots on the plane Fix(sigma) (see _plane_candidates) are polished
+    by at most 20 Newton steps; p -> -p folds py onto py >= 0.  At zeta = 0
     the census is the origin and, for beta0p^2 > 2, the sphere u = u* of
     _flat_sphere, reported once as the degenerate point (sqrt(2 u*), 0, 0, 0).
     Where the kinetic resultant vanishes identically otherwise (beta0p =
     sqrt2, lambda = 2), the stationary points form continuous manifolds,
-    reported as the orbits of the degenerate points the Newton polish
-    reaches on the plane.
-    Sorted by (energy, |location|, location).
+    reported by the degenerate points the Newton polish reaches on the plane.
     """
     if params.zeta == 0.0:
         r2 = _flat_sphere(params.beta0p)
@@ -208,8 +207,25 @@ def find_stationary_points(params: ModelParams):
         if r2 is not None:
             locs.append(np.array([math.sqrt(r2), 0.0, 0.0, 0.0]))
     else:
-        locs = _dedupe(_orbits(_newton_polish(params, _plane_candidates(params), max_iter=20)))
-    pts = [_classify(params, loc) for loc in locs]
+        locs = _newton_polish(params, _plane_candidates(params), max_iter=20)
+        locs[:, 3] = np.abs(locs[:, 3])
+        locs = _dedupe(locs)
+    return [_classify(params, loc) for loc in locs]
+
+
+def find_stationary_points(params: ModelParams):
+    """All interior stationary points, deduplicated and Hessian-classified.
+
+    Each point of _plane_census stands for its Z3 x (p -> -p) orbit of 1, 3
+    or 6 images, which share its energy, index and Hessian eigenvalues.  At
+    zeta = 0 the points are not expanded: the sphere is reported once.
+    Sorted by (energy, |location|, location).
+    """
+    pts = _plane_census(params)
+    if params.zeta != 0.0:
+        pts = [
+            replace(sp, location=loc) for sp in pts for loc in _dedupe(_orbits(sp.location[None]))
+        ]
     pts.sort(key=lambda s: (s.energy, np.linalg.norm(s.location), tuple(s.location)))
     return pts
 
@@ -385,22 +401,20 @@ def _signature(sp: StationaryPoint):
     return np.array([sp.energy, math.hypot(x, y), math.hypot(px, py)])
 
 
-# signature matching: energy tolerance per unit lambda, and the most grid
-# steps a curve may skip and still continue
+# signature matching: energy tolerance per unit lambda
 MATCH_RATE = 6.0
-MAX_GAP = 8
 
 
 def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boundary=True):
-    """Critical borderlines E_c(lambda) from the stationary-point census.
+    """Critical borderlines E_c(lambda) from the plane census.
 
-    Interior points are traced by matching symmetry-invariant signatures
-    (energy, beta, |p|) between adjacent lambda values, requiring equal
-    Hessian index; the matching tolerance scales with the lambda gap
-    (MATCH_RATE per unit lambda).  Points flagged degenerate are skipped
-    (they occur on continuous stationary manifolds and at bifurcations and
-    carry no index).  Boundary min/max curves are appended when
-    include_boundary is set.
+    Each point of _plane_census stands for one orbit.  A curve continues from
+    one grid lambda to the next only: it takes the point of equal branch and
+    Hessian index whose energy moved less than MATCH_RATE times the lambda
+    step and whose signature (energy, beta, |p|) is closest; a curve that
+    finds none ends.  Degenerate points carry no index and are skipped (they
+    occur on continuous stationary manifolds and at bifurcations).  Boundary
+    min/max curves are appended when include_boundary is set.
 
     The census is exact and takes no seeds: n_seeds and seed are accepted
     and ignored, because the benchmark job perfbench/job.py still passes
@@ -409,30 +423,14 @@ def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boun
     if n_seeds < 1:
         raise ValueError("n_seeds must be a positive integer")
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    step = float(np.min(np.diff(lambda_grid))) if len(lambda_grid) > 1 else 0.01
-    curves = []  # dict: lambdas, energies, sig, r, branch, last_i
+    curves, live = [], []  # dict: lambdas, energies, sig, r, branch
     for i, lam in enumerate(lambda_grid):
-        pts = find_stationary_points(ModelParams(beta0p, lam))
-        # collapse symmetry copies, drop degenerate points
-        recs = []
-        for sp in pts:
-            if sp.index_r == "degenerate":
-                continue
-            sig = _signature(sp)
-            if any(
-                r.branch == sp.branch
-                and r.index_r == sp.index_r
-                and np.abs(_signature(r) - sig).max() < 1e-6
-                for r in recs
-            ):
-                continue
-            recs.append(sp)
-        used = set()
-        for c in curves:
-            gap = i - c["last_i"]
-            if gap > MAX_GAP:
-                continue
-            tol = MATCH_RATE * step * gap
+        recs = [
+            sp for sp in _plane_census(ModelParams(beta0p, lam)) if sp.index_r != "degenerate"
+        ]
+        tol = MATCH_RATE * (lam - lambda_grid[i - 1]) if i else 0.0
+        used, grown = set(), []
+        for c in live:
             best, best_d = None, np.inf
             for j, sp in enumerate(recs):
                 if j in used or sp.branch != c["branch"] or sp.index_r != c["r"]:
@@ -451,20 +449,15 @@ def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boun
                 c["lambdas"].append(lam)
                 c["energies"].append(sp.energy)
                 c["sig"] = _signature(sp)
-                c["last_i"] = i
+                grown.append(c)
         for j, sp in enumerate(recs):
             if j in used:
                 continue
-            curves.append(
-                dict(
-                    lambdas=[lam],
-                    energies=[sp.energy],
-                    sig=_signature(sp),
-                    r=sp.index_r,
-                    branch=sp.branch,
-                    last_i=i,
-                )
-            )
+            c = dict(lambdas=[lam], energies=[sp.energy], sig=_signature(sp),
+                     r=sp.index_r, branch=sp.branch)
+            curves.append(c)
+            grown.append(c)
+        live = grown
     out = [
         CriticalBorderline(c["lambdas"], c["energies"], c["r"], c["branch"])
         for c in curves
@@ -481,7 +474,7 @@ def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boun
 
 
 def kinetic_borderline_count(borderlines, min_length=3):
-    """Number of distinct kinetic-branch bordelines of non-trivial extent."""
+    """Number of distinct kinetic-branch borderlines of non-trivial extent."""
     return sum(
         1
         for c in borderlines

@@ -414,3 +414,33 @@ def test_lambda_range_validation(tmp_path):
                      "--lambda-stop", "0.5", "-o", str(tmp_path / "x.csv")]) == 2
     assert cli.main(["boundary", "--beta0p", "1.0", "--lambda-step", "0",
                      "-o", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda-stop", "inf"), ("--lambda-start", "nan"), ("--lambda-step", "inf"),
+    ("--lambda-step", "nan"), ("--lambda-stop", "nan"),
+])
+def test_non_finite_lambda_grids_are_domain_errors(tmp_path, capsys, flag, value):
+    assert cli.main(["boundary", "--beta0p", "1.7", flag, value,
+                     "-o", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("esqpt: domain error: lambda grid") and "finite" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_n_gamma_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "surf.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["excited-surfaces", "--beta0p", "1.7", "--lambda", "1", "--n", "4",
+                  "--n-gamma", "", "-o", str(out)])
+    assert exc.value.code == 64
+    assert "argument --n-gamma: expected at least one integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text("beta0p = 1.7\nlambda = 1\nn = 4\nn_gamma =\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["excited-surfaces", "--config", str(cfgfile), "-o", str(out)])
+    assert exc.value.code == 64
+    assert "argument --n-gamma: expected at least one integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfgfile]

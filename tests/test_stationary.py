@@ -192,6 +192,60 @@ def test_census_at_zero_lambda_is_the_origin_and_the_flat_sphere(beta0p):
     assert np.abs(energies - sphere.energy).max() < 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.68, 0.70, 0.72])
+def test_kinetic_orbit_near_the_ball_boundary_keeps_its_index(lam):
+    # the orbit nears R^2 = 2 at lambda = 1/sqrt2, where one Hessian eigenvalue
+    # diverges like 1/s; the index stays 3 on both sides
+    kinetic = [
+        sp for sp in stationary.find_stationary_points(ModelParams(SQRT2, lam))
+        if sp.branch == "kinetic"
+    ]
+    assert kinetic
+    assert all(sp.index_r == 3 for sp in kinetic)
+
+
+def test_continuous_manifolds_stay_degenerate():
+    (sphere,) = stationary.find_stationary_points(ModelParams(1.7, 0.0))[1:]
+    assert sphere.index_r == "degenerate"
+    manifold = [
+        sp for sp in stationary.find_stationary_points(ModelParams(SQRT2, 2.0))
+        if abs(sp.energy - 1.5) < 1e-9 or abs(sp.energy - 2.0) < 1e-9
+    ]
+    assert {round(sp.energy, 9) for sp in manifold} == {1.5, 2.0}
+    assert all(sp.index_r == "degenerate" for sp in manifold)
+
+
+def orbit_size(loc):
+    """Number of Z3 x (p -> -p) images of a point (x, 0, 0, py) of the plane census."""
+    if not loc.any():
+        return 1
+    return 3 if loc[3] == 0.0 else 6
+
+
+@pytest.mark.parametrize("beta0p", CENSUS_GRID_BETA0P)
+def test_census_is_the_orbits_of_the_plane_census(beta0p):
+    for lam in CENSUS_GRID_LAMBDA[1:]:
+        params = ModelParams(beta0p, lam)
+        plane = stationary._plane_census(params)
+        assert all(sp.location[1] == sp.location[2] == 0.0 <= sp.location[3] for sp in plane)
+        pts = stationary.find_stationary_points(params)
+        assert len(pts) == sum(orbit_size(sp.location) for sp in plane)
+        classes = {(sp.energy, sp.index_r, sp.branch) for sp in plane}
+        assert {(sp.energy, sp.index_r, sp.branch) for sp in pts} == classes
+
+
+@pytest.mark.parametrize("beta0p", [SQRT2, 1.7])
+def test_borderlines_continue_step_to_step(beta0p):
+    # acceptance 07's grid: no curve skips a grid value or jumps in energy
+    grid = np.arange(0.0, 3.2001, 0.02)
+    curves = stationary.trace_borderlines(beta0p, grid, include_boundary=False)
+    for c in curves:
+        first = int(np.argmin(np.abs(grid - c.lambdas[0])))
+        assert np.array_equal(c.lambdas, grid[first:first + len(c.lambdas)])
+        steps = np.abs(np.diff(c.energies))
+        assert np.all(steps <= stationary.MATCH_RATE * np.diff(c.lambdas))
+
+
 @pytest.mark.parametrize("n_seeds", [0, -3])
 def test_census_rejects_nonpositive_seed_counts(n_seeds):
     with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
