@@ -136,8 +136,13 @@ def _density_grids(cfg):
         (cfg.beta0p, float(lam), cfg.n_samples, cfg.seed + i, cfg.e_bins, cfg.ref_N)
         for i, lam in enumerate(cfg.lambdas)
     ]
-    workers = int(os.environ.get("ESQPT_THREADS", "1"))
-    if workers > 1 and len(tasks) > 1:
+    threads = os.environ.get("ESQPT_THREADS", "1")
+    try:
+        # the pool forks all max_workers processes at its first submit
+        workers = min(int(threads), len(tasks))
+    except ValueError:
+        raise ValueError(f"ESQPT_THREADS must be an integer, got {threads!r}") from None
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_density_job, tasks))
     return [_density_job(t) for t in tasks]

@@ -164,12 +164,12 @@ def build_basis(N):
     return L0Basis(N, tuple(zip(ch.nd.tolist(), ch.tau.tolist())))
 
 
-def build_hamiltonian(params: ModelParams, N, n_cap=N_CAP_DEFAULT):
+def build_hamiltonian(params: ModelParams, N):
     """Dense symmetric matrix of H(lambda, beta0p) in the L=0 basis."""
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if N > n_cap:
-        raise ValueError(f"N = {N} exceeds the configured cap {n_cap}")
+    if N > N_CAP_DEFAULT:
+        raise ValueError(f"N = {N} exceeds the cap {N_CAP_DEFAULT}")
     a, b, c, d = _operators(N, params.beta0p)
     ze = params.zeta
     h = _assemble(basis_dimension(N), [(1.0, a), (ze**2, b), (ze, c), (params.xi, d)])
@@ -209,7 +209,7 @@ class SpectrumResult:
         return self.energies - self.energies[0]
 
 
-def diagonalize(params: ModelParams, N, side="auto", n_cap=N_CAP_DEFAULT) -> SpectrumResult:
+def diagonalize(params: ModelParams, N, side="auto") -> SpectrumResult:
     """Full spectrum with slope and <n_d> expectations per eigenstate.
 
     Inside a cluster of degenerate levels (gaps <= DEGENERACY_TOL max(1, |E|))
@@ -217,7 +217,7 @@ def diagonalize(params: ModelParams, N, side="auto", n_cap=N_CAP_DEFAULT) -> Spe
     the one-sided derivatives of the levels on `side` and <n_d> belongs to the
     states those levels continue into, whatever basis `eigh` returned.
     """
-    h = build_hamiltonian(params, N, n_cap=n_cap)
+    h = build_hamiltonian(params, N)
     evals, evecs = np.linalg.eigh(h)
     dh_v = _dh_dlambda_matrix(params, N, side) @ evecs
     slopes = np.einsum("ij,ij->j", evecs, dh_v)

@@ -7,8 +7,7 @@ tools/gen_derivs.py, give them as polynomial roots in x, and a few Newton
 steps polish them.  The plane census keeps one point (x, 0, 0, py >= 0) per
 Z3 x (p -> -p) orbit and classifies it once by its Hessian index r (number
 of negative eigenvalues); the full census carries each point over the phase
-space with the orbit's images, which share its energy and index.  The same
-Newton solver finds the momentum branches at fixed coordinates.  The
+space with the orbit's images, which share its energy and index.  The
 spinodals and the energy restricted to the boundary 3-sphere have closed
 forms, and critical borderlines E_c(lambda) follow the plane census from one
 lambda grid value to the next.
@@ -33,6 +32,7 @@ KINETIC_P_TOL = 1e-6
 INTERIOR_R2 = R0_SQUARED - 1e-9
 # roots of the plane polynomials with a smaller relative imaginary part are real
 REAL_ROOT_TOL = 1e-6
+NEWTON_STEP_CAP = 0.25  # longest step of the batched Newton polish
 
 SINGULARITY_CLASS = {0: "i", 1: "ii", 2: "iii", 3: "iv", 4: "v"}
 BOUNDARY_CLASS = "vi"
@@ -59,12 +59,8 @@ def _singularity_class(index_r, branch):
     return SINGULARITY_CLASS[index_r]
 
 
-def _newton_polish(params, pts, max_iter=200, step_cap=0.25, free=slice(None)):
-    """Batched Newton iteration on grad H = 0; returns converged points.
-
-    Only the coordinates selected by free move, and only their gradient
-    components must vanish: free=slice(2, 4) solves dH/dp = 0 at fixed q.
-    """
+def _newton_polish(params, pts, max_iter):
+    """Batched Newton iteration on grad H = 0; returns converged points."""
     b0, ze, xi = params.beta0p, params.zeta, params.xi
     x = np.asarray(pts, dtype=float).copy()
     alive = np.ones(len(x), dtype=bool)
@@ -76,7 +72,6 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25, free=slice(None)):
         p = x[idx]
         g = np.stack(_kernels.h_grad(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi), axis=-1)
         h = _kernels.h_hess(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi)
-        g, h = g[:, free], h[:, free, free]
         try:
             step = np.linalg.solve(h, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -84,25 +79,23 @@ def _newton_polish(params, pts, max_iter=200, step_cap=0.25, free=slice(None)):
             # takes the least-squares step of its own Hessian instead
             step = (np.linalg.pinv(h) @ g[..., None])[..., 0]
         norms = np.linalg.norm(step, axis=1)
-        big = norms > step_cap
-        step[big] *= (step_cap / norms[big])[:, None]
-        newp = p.copy()
-        newp[:, free] -= step
+        big = norms > NEWTON_STEP_CAP
+        step[big] *= (NEWTON_STEP_CAP / norms[big])[:, None]
+        newp = p - step
         r2 = np.einsum("ij,ij->i", newp, newp)
         escaped = r2 > INTERIOR_R2
         gnorm = np.abs(g).max(axis=1)
         conv = (np.linalg.norm(step, axis=1) < 1e-12) & (gnorm < GRAD_TOL)
-        sub_alive = ~escaped
         x[idx] = np.where(escaped[:, None], p, newp)
         ai = np.where(idx)[0]
         alive[ai[escaped]] = False
-        done[ai[conv & sub_alive]] = True
+        done[ai[conv & ~escaped]] = True
     out = x[done]
     if len(out):
         g = np.stack(
             _kernels.h_grad(out[:, 0], out[:, 1], out[:, 2], out[:, 3], b0, ze, xi), axis=-1
         )
-        out = out[np.abs(g[:, free]).max(axis=1) <= GRAD_TOL]
+        out = out[np.abs(g).max(axis=1) <= GRAD_TOL]
     return out
 
 
@@ -233,29 +226,56 @@ def find_stationary_points(params: ModelParams):
 def momentum_branches(params: ModelParams, q):
     """All momentum stationary points of H at fixed coordinates q = (x, y).
 
-    Solves dH/dp = 0 by batched Newton in the momentum plane from a 64 x 64
-    grid of seeds on the momentum disc.  The first entry is p = (0, 0); the
-    others appear in sign-conjugated pairs, sorted by |p|.  At zeta = 0, H
-    depends on p only through u: the solutions besides p = 0 form the ring
-    |p|^2 = R^2 - |q|^2 on the sphere of _flat_sphere, reported as one pair
-    p = (-+|p|, 0).
+    With s = sqrt((1 - u)/2) and rho = |p|^2 = 2 - |q|^2 - 4 s^2, H splits as
+    G(rho) + p^T K(s) p + zeta beta0p s c_a, where K = A + zeta beta0p s M,
+    A = zeta^2 n n^T + (xi/2) q q^T, n = (-y, x), M = [[-x, y], [y, x]] and
+    c_a = 3 x y^2 - x^3.  So a stationary p != 0 is sqrt(rho) times a unit
+    eigenvector v of K(s), of eigenvalue mu = tr K/2 +- D, with
+
+        8 s (G_rho + mu) - zeta beta0p (rho v^T M v + c_a) = 0,
+
+    G_rho = u + beta0p^2 (1 - 2u)/2 + xi (beta0p^2 - 1) w/2, u = (|q|^2 + rho)/2,
+    w = (|q|^2 - rho)/2 - beta0p^2 (1 - u), D^2 = ((K11 - K22)/2)^2 + K12^2 and
+    v^T M v = +-N/D, N = y K12 - x (K11 - K22)/2.  Clearing D gives
+    P0^2 D^2 - P1^2 = 0, of degree 8 in s, with P0 = 8 s (G_rho + tr K/2) -
+    zeta beta0p c_a and P1 = 8 s D^2 - zeta beta0p rho N.  Each real root
+    s > 0 inside the ball, polished by 3 Newton steps, gives one candidate p
+    per eigenvector of K(s); those with |dH/dp| <= GRAD_TOL are kept.  Where
+    K = 0 (zeta = 0 or q = 0) the polynomial vanishes, H depends on p only
+    through rho, and each root of P0 = 8 s G_rho is a ring, reported as one
+    pair p = (-+|p|, 0).  The first entry is p = (0, 0); the others appear
+    in sign-conjugated pairs, sorted by |p|.
     """
     x0, y0 = float(q[0]), float(q[1])
     if x0 * x0 + y0 * y0 >= R0_SQUARED:
         raise ValueError("coordinates outside the configuration disc")
-    if params.zeta == 0.0:
-        ring = (_flat_sphere(params.beta0p) or 0.0) - x0 * x0 - y0 * y0
-        if ring <= 0.0:
-            return [np.zeros(2)]
-        p = math.sqrt(ring)
-        return [np.zeros(2), np.array([-p, 0.0]), np.array([p, 0.0])]
-    pmax = math.sqrt(R0_SQUARED - x0 * x0 - y0 * y0)
-    lin = np.linspace(-pmax, pmax, 64)
-    gx, gy = np.meshgrid(lin, lin)
-    keep = gx**2 + gy**2 < pmax**2 * (1 - 1e-9)
-    q_col = np.ones(int(keep.sum()))
-    seeds = np.column_stack([x0 * q_col, y0 * q_col, gx[keep], gy[keep]])
-    p = _newton_polish(params, seeds, free=slice(2, 4))[:, 2:]
+    b0, ze, xi = float(params.beta0p), float(params.zeta), float(params.xi)
+    q2, zb = x0 * x0 + y0 * y0, ze * b0
+    s = np.poly1d([1.0, 0.0])
+    rho, u = 2.0 - q2 - 4.0 * s * s, 1.0 - 2.0 * s * s
+    w = (q2 - rho) / 2.0 - b0 * b0 * (1.0 - u)
+    g_rho = u + b0 * b0 * (1.0 - 2.0 * u) / 2.0 + xi * (b0 * b0 - 1.0) * w / 2.0
+    k11 = ze * ze * y0 * y0 + xi * x0 * x0 / 2.0 - zb * x0 * s
+    k22 = ze * ze * x0 * x0 + xi * y0 * y0 / 2.0 + zb * x0 * s
+    k12 = (xi / 2.0 - ze * ze) * x0 * y0 + zb * y0 * s
+    d = (k11 - k22) / 2.0
+    d2 = d * d + k12 * k12
+    p0 = 8.0 * s * (g_rho + (k11 + k22) / 2.0) - zb * (3.0 * x0 * y0 * y0 - x0**3)
+    poly = p0 * p0 * d2 - (8.0 * s * d2 - zb * rho * (y0 * k12 - x0 * d)) ** 2
+    f = poly if poly.coeffs.any() else p0
+    roots = _real_roots(f.coeffs)
+    # s = 0, on the boundary, can be a double root where f' = 0 too
+    roots = roots[roots > 0]
+    for _ in range(3):
+        roots = roots - f(roots) / f.deriv()(roots)
+    cands = [np.zeros((0, 2))]
+    for r in roots[(roots > 0) & (rho(roots) > 0) & (q2 + rho(roots) < INTERIOR_R2)]:
+        k = np.array([[k11(r), k12(r)], [k12(r), k22(r)]])
+        vecs = np.linalg.eigh(k)[1].T if f is poly else np.array([[1.0, 0.0]])
+        cands.append(math.sqrt(rho(r)) * vecs)
+    p = np.vstack(cands)
+    g = _kernels.h_grad(x0, y0, p[:, 0], p[:, 1], b0, ze, xi)[2:]
+    p = p[np.abs(g).max(axis=0) <= GRAD_TOL]
     sols = _dedupe(np.vstack([np.zeros((1, 2)), p, -p]))
     nontrivial = sorted(sols[1:], key=lambda s: (round(float(np.hypot(*s)), 9), s[0], s[1]))
     return [sols[0]] + nontrivial

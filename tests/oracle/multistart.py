@@ -29,5 +29,5 @@ def ball_seeds(n, seed=1234):
 def multistart_census(params, n_seeds, seed=1234):
     """Deduplicated (k, 4) locations reached by Newton from the origin and the seeds."""
     seeds = np.vstack([np.zeros((1, 4)), ball_seeds(n_seeds, seed)])
-    converged = stationary._newton_polish(params, seeds)
+    converged = stationary._newton_polish(params, seeds, max_iter=200)
     return stationary._dedupe(np.vstack([converged, np.zeros((1, 4))]))

@@ -171,9 +171,16 @@ def momentum_gradient(params, q, p):
         (SQRT2, 0.2, (-1.12, 0.0), 5),
         (SQRT2, 0.5, (-0.9, 0.3), 7),
         (1.7, 0.3, (-1.0, 0.0), 5),
-        (1.7, 2.2, (-0.7, 0.4), 5),
+        (1.7, 2.2, (-0.7, 0.4), 9),
         (1.0, 0.8, (-1.2, 0.1), 5),
         (1.7, 0.7, (-1.3, 0.0), 1),
+        # pairs close to the ball boundary that no grid seed reaches, at
+        # 2 - R^2 = 6.6e-5; 1.2e-5 and 4.0e-6; 6.5e-3 and 4.9e-4; 4.3e-4; 2.3e-3
+        (1.0, 0.4, (-0.2, -0.1), 3),
+        (1.0, 2.6, (-0.7, 0.4), 7),
+        (2.0, 1.0, (0.3, 0.2), 11),
+        (2.5, 2.8, (0.9, 0.6), 5),
+        (0.7, 0.8, (0.8, 0.2), 3),
     ],
 )
 def test_momentum_branches_match_loop(beta0p, lam, q, n_found):
@@ -184,9 +191,10 @@ def test_momentum_branches_match_loop(beta0p, lam, q, n_found):
     # every isolated solution of the loop is found ...
     for want in momentum_loop(params, q):
         assert min(np.abs(p - want).max() for p in sols) < 1e-9
-    # ... and the rest are stationary, in the disc and sign-paired: at
-    # (sqrt2, 0.5) the loop's undamped steps leave the disc before they reach
-    # the pair at R^2 = 1.994, which the capped batched steps find
+    # ... and the rest are stationary, in the disc and sign-paired: the loop's
+    # undamped steps leave the disc before they reach the pair at R^2 = 1.994
+    # at (sqrt2, 0.5), and at (1.7, 2.2) its grid misses the two pairs at
+    # 2 - R^2 = 2.1e-5 and 1.5e-6
     for p in sols:
         assert np.abs(momentum_gradient(params, q, p)).max() <= stationary.GRAD_TOL
         assert q[0] ** 2 + q[1] ** 2 + p @ p < R0_SQUARED
@@ -208,6 +216,25 @@ def test_momentum_branches_ring():
         assert np.abs(momentum_gradient(params, q, p)).max() <= stationary.GRAD_TOL
     for p in ring:
         assert np.hypot(*(ring + p).T).min() <= 1e-6
+
+
+def test_momentum_branches_at_the_origin_are_one_ring():
+    # at q = 0, H depends on p only through |p|: besides p = 0 the solutions
+    # form the ring G_rho = 0, |p|^2 = 2 u* with u* = beta0p^2 / (2 (beta0p^2 - 1))
+    # at lambda <= 1, reported as one +- pair
+    params = ModelParams(1.7, 0.5)
+    sols = stationary.momentum_branches(params, (0.0, 0.0))
+    assert len(sols) == 3
+    assert np.array_equal(sols[0], np.zeros(2))
+    radius = math.sqrt(1.7**2 / (1.7**2 - 1.0))
+    assert radius == pytest.approx(1.236568, abs=1e-6)
+    for p in sols[1:]:
+        assert np.hypot(*p) == pytest.approx(radius, abs=1e-12)
+        assert np.abs(momentum_gradient(params, (0.0, 0.0), p)).max() <= stationary.GRAD_TOL
+    assert np.array_equal(sols[1], -sols[2])
+    # at lambda = 2.2 G_rho has no root inside the ball
+    sols = stationary.momentum_branches(ModelParams(1.7, 2.2), (0.0, 0.0))
+    assert len(sols) == 1 and np.array_equal(sols[0], np.zeros(2))
 
 
 def test_numpy_fallback_matches_active_backend(rng, tmp_path):

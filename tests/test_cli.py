@@ -139,6 +139,52 @@ def test_phase_diagram_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        SerialPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads, lambdas, workers", [
+    ("64", ["0.4", "2.0", "0.8"], [3]),
+    ("64", ["0.5", "0.5", "1"], []),
+])
+def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, threads,
+                                                         lambdas, workers):
+    start, stop, step = lambdas
+    monkeypatch.setattr(SerialPool, "max_workers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("ESQPT_THREADS", threads)
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--beta0p", "1.7", "--lambda-start", start,
+                     "--lambda-stop", stop, "--lambda-step", step, "--n-samples", "2000",
+                     "-o", str(out)]) == 0
+    assert SerialPool.max_workers == workers
+
+
+def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("ESQPT_THREADS", "abc")
+    assert cli.main(["density-cut", "--beta0p", "1.7", "--lambda", "0.5",
+                     "--n-samples", "2000", "-o", str(tmp_path / "cut.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "esqpt: domain error: ESQPT_THREADS must be an integer, got 'abc'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_density_cut_warns_when_samples_leave_the_window(tmp_path, capsys):
     out = tmp_path / "cut.csv"
     assert cli.main(["density-cut", "--beta0p", "4", "--lambda", "0",

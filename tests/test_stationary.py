@@ -98,7 +98,7 @@ def test_dedupe_matches_loop_on_continuous_manifold_census():
     # lambda = 0 has continuous stationary manifolds: most points are distinct
     params = ModelParams(1.7, 0.0)
     seeds = np.vstack([np.zeros((1, 4)), ball_seeds(1000)])
-    pts = np.vstack([stationary._newton_polish(params, seeds), np.zeros((1, 4))])
+    pts = np.vstack([stationary._newton_polish(params, seeds, max_iter=200), np.zeros((1, 4))])
     got = stationary._dedupe(pts)
     assert 900 < len(got) < len(pts)
     assert np.array_equal(got, dedupe_loop(pts))
@@ -270,9 +270,9 @@ def test_newton_singular_member_takes_its_own_step():
     h0 = _kernels.h_hess(*origin, params.beta0p, params.zeta, params.xi)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(h0, np.ones(4))
-    (alone,) = stationary._newton_polish(params, regular[None])
+    (alone,) = stationary._newton_polish(params, regular[None], max_iter=200)
     for batch in ([origin, regular], [regular, origin]):
-        out = stationary._newton_polish(params, np.array(batch))
+        out = stationary._newton_polish(params, np.array(batch), max_iter=200)
         assert len(out) == 2
         assert any(np.array_equal(p, origin) for p in out)
         assert min(np.abs(p - alone).max() for p in out) < 1e-9
