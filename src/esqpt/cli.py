@@ -7,6 +7,12 @@ plain-text key=value config file, whose keys are the flag names without `--`
 (`_` and `-` are interchangeable); flags override the file, and the file goes
 through the same parser as the flags.  Exit codes: 0 success, 2 domain error,
 3 numerical failure, 64 usage error, 74 I/O error.
+
+Threads: each process runs BLAS on one thread, and `ESQPT_THREADS` worker
+processes share the lambda values of a grid.  At these matrix sizes a
+threaded eigh costs CPU time without saving wall time, and its results
+depend on the number of threads.  Importing this module before numpy sets
+the BLAS thread variables below to 1 unless one of them is already set.
 """
 
 from __future__ import annotations
@@ -16,7 +22,14 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the variables set here; BLAS reads them once, when numpy loads it, so this
+# stays above the first numpy import of the package
+BLAS_THREADS_SET = ()
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+    BLAS_THREADS_SET = BLAS_THREAD_VARIABLES
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
 
 import numpy as np
 
@@ -131,21 +144,32 @@ def _density_job(task):
     return grid
 
 
-def _density_grids(cfg):
-    tasks = [
-        (cfg.beta0p, float(lam), cfg.n_samples, cfg.seed + i, cfg.e_bins, cfg.ref_N)
-        for i, lam in enumerate(cfg.lambdas)
-    ]
+def _map_lambdas(cfg, job, tasks):
+    """[job(t) for t in tasks], over up to ESQPT_THREADS worker processes.
+
+    Each task is one lambda value; the results keep the order of `tasks`.
+    """
     threads = os.environ.get("ESQPT_THREADS", "1")
     try:
         # the pool forks all max_workers processes at its first submit
         workers = min(int(threads), len(tasks))
     except ValueError:
         raise ValueError(f"ESQPT_THREADS must be an integer, got {threads!r}") from None
+    cfg.workers = max(workers, 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_density_job, tasks))
-    return [_density_job(t) for t in tasks]
+            return list(pool.map(job, tasks))
+    return [job(t) for t in tasks]
+
+
+def _density_grids(cfg):
+    tasks = [
+        (cfg.beta0p, float(lam), cfg.n_samples, cfg.seed + i, cfg.e_bins, cfg.ref_N)
+        for i, lam in enumerate(cfg.lambdas)
+    ]
+    return _map_lambdas(cfg, _density_job, tasks)
 
 
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
@@ -154,10 +178,10 @@ DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
 def _report_coverage(cfg, grids):
     """Record MC coverage for the manifest; warn when samples left the window."""
     coverage = [1.0 - g.n_outside / g.n_samples for g in grids]
-    cfg.diagnostics = {
-        "mc_samples": sum(g.n_samples for g in grids),
-        "coverage_min": min(coverage),
-    }
+    cfg.diagnostics.update(
+        mc_samples=sum(g.n_samples for g in grids),
+        coverage_min=min(coverage),
+    )
     short = sum(g.n_outside > 0 for g in grids)
     if short:
         lo, hi = density.DEFAULT_E_RANGE
@@ -206,12 +230,16 @@ def run_boundary(cfg):
     return ["lambda", "e_min", "e_max"], rows
 
 
+def _spectrum_job(task):
+    beta0p, lam, N = task
+    spec = quantum.diagonalize(ModelParams(beta0p, float(lam)), N)
+    return [(lam, i, e, s, nd) for i, (e, s, nd)
+            in enumerate(zip(spec.energies, spec.slopes, spec.nd_expectation))]
+
+
 def run_spectrum(cfg):
-    rows = []
-    for lam in cfg.lambdas:
-        spec = quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
-        for i, (e, s, nd) in enumerate(zip(spec.energies, spec.slopes, spec.nd_expectation)):
-            rows.append((lam, i, e, s, nd))
+    tables = _map_lambdas(cfg, _spectrum_job, [(cfg.beta0p, lam, cfg.N) for lam in cfg.lambdas])
+    rows = [row for table in tables for row in table]
     return ["lambda", "level_index", "energy", "slope", "nd_expect"], rows
 
 
@@ -228,6 +256,7 @@ def run_flow(cfg):
 
 def run_oscillatory(cfg):
     lam = _single_lambda(cfg)
+    quantum.check_boson_number(cfg.N)
     params = ModelParams(cfg.beta0p, lam)
     grid = density.mc_density(
         params, n_samples=cfg.n_samples, seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.N
@@ -325,8 +354,18 @@ def make_config(argv=None):
                       lambda_count=len(args.lambdas))
     args.inputs = inputs
     # what the run found, for the manifest; set by the runner
-    args.diagnostics = None
+    args.diagnostics = {}
+    args.workers = 1
     return args
+
+
+def _thread_diagnostics(workers):
+    """Processes a job ran in and the BLAS thread variables they saw."""
+    return {
+        "workers": workers,
+        "blas": {v: {"value": os.environ.get(v), "set_by_esqpt": v in BLAS_THREADS_SET}
+                 for v in BLAS_THREAD_VARIABLES},
+    }
 
 
 def run(cfg):
@@ -336,7 +375,7 @@ def run(cfg):
     write_table(cfg.output, header, rows, cfg.format)
     write_manifest(
         cfg.output, cfg.command, cfg.inputs, cfg.seed, time.perf_counter() - t0,
-        cfg.diagnostics,
+        {"threads": _thread_diagnostics(cfg.workers), **cfg.diagnostics},
     )
     return 0
 

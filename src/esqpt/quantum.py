@@ -45,8 +45,16 @@ def sector_size(n):
 
 
 def basis_dimension(N):
-    """Number of L=0 states for N bosons."""
-    return sum(sector_size(n) for n in range(N + 1))
+    """Number of L=0 states for N bosons: pairs (k, a) with 2k + 3a <= N."""
+    return sum((N - 3 * a) // 2 + 1 for a in range(N // 3 + 1))
+
+
+def check_boson_number(N):
+    """Raise ValueError unless 1 <= N <= N_CAP_DEFAULT."""
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
+    if N > N_CAP_DEFAULT:
+        raise ValueError(f"N = {N} exceeds the cap {N_CAP_DEFAULT}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,7 @@ def _operators(N, beta0p):
     Each operator is (rows, cols, values) listing every nonzero element once,
     both triangles included, so that a scatter-add assembles it exactly.
     """
+    check_boson_number(N)
     ch = chain_blocks(N)
     n = ch.nd
     diag = np.arange(len(n))
@@ -164,26 +173,27 @@ def build_basis(N):
     return L0Basis(N, tuple(zip(ch.nd.tolist(), ch.tau.tolist())))
 
 
-def build_hamiltonian(params: ModelParams, N):
-    """Dense symmetric matrix of H(lambda, beta0p) in the L=0 basis."""
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    if N > N_CAP_DEFAULT:
-        raise ValueError(f"N = {N} exceeds the cap {N_CAP_DEFAULT}")
-    a, b, c, d = _operators(N, params.beta0p)
+def build_hamiltonian(params: ModelParams, N, operators=None):
+    """Dense symmetric matrix of H(lambda, beta0p) in the L=0 basis.
+
+    `operators` is `_operators(N, params.beta0p)` when the caller has it.
+    """
+    if operators is None:
+        operators = _operators(N, params.beta0p)
+    a, b, c, d = operators
     ze = params.zeta
-    h = _assemble(basis_dimension(N), [(1.0, a), (ze**2, b), (ze, c), (params.xi, d)])
+    h = _assemble(len(a[0]), [(1.0, a), (ze**2, b), (ze, c), (params.xi, d)])
     return h / N
 
 
-def _dh_dlambda_matrix(params: ModelParams, N, side):
+def _dh_dlambda_matrix(params: ModelParams, N, side, operators):
     lam = params.lam
     if side == "auto":
         side = "left" if lam <= LAMBDA_CRITICAL else "right"
     first = (lam < LAMBDA_CRITICAL) or (lam == LAMBDA_CRITICAL and side == "left")
-    _, b, c, d = _operators(N, params.beta0p)
+    a, b, c, d = operators
     terms = [(2.0 * params.zeta, b), (1.0, c)] if first else [(1.0, d)]
-    return _assemble(basis_dimension(N), terms) / N
+    return _assemble(len(a[0]), terms) / N
 
 
 @dataclass
@@ -217,9 +227,9 @@ def diagonalize(params: ModelParams, N, side="auto") -> SpectrumResult:
     the one-sided derivatives of the levels on `side` and <n_d> belongs to the
     states those levels continue into, whatever basis `eigh` returned.
     """
-    h = build_hamiltonian(params, N)
-    evals, evecs = np.linalg.eigh(h)
-    dh_v = _dh_dlambda_matrix(params, N, side) @ evecs
+    operators = _operators(N, params.beta0p)
+    evals, evecs = np.linalg.eigh(build_hamiltonian(params, N, operators))
+    dh_v = _dh_dlambda_matrix(params, N, side, operators) @ evecs
     slopes = np.einsum("ij,ij->j", evecs, dh_v)
     tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
     edges = np.flatnonzero(np.diff(evals) > tol[1:]) + 1

@@ -1,14 +1,16 @@
 """CLI subcommands, config handling, exit codes, artifact reproducibility."""
 
+import concurrent.futures
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from esqpt import cli
+from esqpt import cli, quantum
 from esqpt.io import fmt, write_csv, write_manifest, write_table
 from esqpt.models import ModelParams
 
@@ -165,7 +167,7 @@ def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, t
                                                          lambdas, workers):
     start, stop, step = lambdas
     monkeypatch.setattr(SerialPool, "max_workers", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("ESQPT_THREADS", threads)
     out = tmp_path / "pd.csv"
     assert cli.main(["phase-diagram", "--beta0p", "1.7", "--lambda-start", start,
@@ -175,7 +177,7 @@ def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, t
 
 
 def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("ESQPT_THREADS", "abc")
     assert cli.main(["density-cut", "--beta0p", "1.7", "--lambda", "0.5",
                      "--n-samples", "2000", "-o", str(tmp_path / "cut.csv")]) == 2
@@ -203,13 +205,83 @@ def test_density_cut_inside_the_window_is_quiet(tmp_path, capsys):
                      "--n-samples", "20000", "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
     diag = json.loads((tmp_path / "cut.csv.manifest.json").read_text())["diagnostics"]
+    assert diag.pop("threads")["workers"] == 1
     assert diag == {"mc_samples": 20000, "coverage_min": 1.0}
 
 
-def test_manifest_without_mc_has_no_diagnostics(tmp_path):
+def test_manifest_without_mc_has_only_thread_diagnostics(tmp_path):
     out = tmp_path / "spin.csv"
     assert cli.main(["spinodal", "--beta0p", "1.7", "-o", str(out)]) == 0
-    assert "diagnostics" not in json.loads((tmp_path / "spin.csv.manifest.json").read_text())
+    diag = json.loads((tmp_path / "spin.csv.manifest.json").read_text())["diagnostics"]
+    assert list(diag) == ["threads"]
+    assert diag["threads"]["workers"] == 1
+    assert list(diag["threads"]["blas"]) == list(cli.BLAS_THREAD_VARIABLES)
+
+
+def fresh_env(**variables):
+    """This process's environment without thread settings, plus `variables`."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli.BLAS_THREAD_VARIABLES + ("ESQPT_THREADS",)}
+    env.update(variables)
+    return env
+
+
+def run_python(code, *args, env):
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=env)
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_import_runs_blas_on_one_thread():
+    code = ("import os, esqpt.cli; "
+            "print(len(os.listdir('/proc/self/task')), "
+            "[os.environ[v] for v in esqpt.cli.BLAS_THREAD_VARIABLES])")
+    assert run_python(code, env=fresh_env()) == "1 ['1', '1', '1']"
+
+
+@pytest.mark.parametrize("variables, before", [
+    ({"OPENBLAS_NUM_THREADS": "2"}, ""),
+    ({}, "import numpy; "),  # BLAS has read its settings: leave them
+])
+def test_cli_import_keeps_the_callers_blas_threads(variables, before):
+    code = (before + "import os, esqpt.cli; "
+            "print([os.environ.get(v) for v in esqpt.cli.BLAS_THREAD_VARIABLES], "
+            "esqpt.cli.BLAS_THREADS_SET)")
+    values = [variables.get(v) for v in cli.BLAS_THREAD_VARIABLES]
+    assert run_python(code, env=fresh_env(**variables)) == f"{values} ()"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only by a job that runs more than one worker
+    code = ("import esqpt.cli, sys; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    assert run_python(code, env=fresh_env()) == "[]"
+
+
+def test_spectrum_bytes_do_not_depend_on_threads(tmp_path):
+    code = "import sys; from esqpt import cli; sys.exit(cli.main(sys.argv[1:]))"
+    args = ["spectrum", "--beta0p", "1.7", "--lambda-start", "0.2", "--lambda-stop", "1.8",
+            "--lambda-step", "0.4", "--n", "20"]
+    runs = {"serial": {}, "pooled": {"ESQPT_THREADS": "2"},
+            "openblas-1": {"OPENBLAS_NUM_THREADS": "1"}}
+    data, diag = {}, {}
+    for name, variables in runs.items():
+        out = tmp_path / f"{name}.csv"
+        run_python(code, *args, "-o", str(out), env=fresh_env(**variables))
+        data[name] = out.read_bytes()
+        doc = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+        diag[name] = doc["diagnostics"]["threads"]
+    assert len(read_lines(tmp_path / "serial.csv")) == 1 + 5 * quantum.basis_dimension(20)
+    assert data["serial"] == data["pooled"] == data["openblas-1"]
+    assert [d["workers"] for d in diag.values()] == [1, 2, 1]
+    pinned = {v: {"value": "1", "set_by_esqpt": True} for v in cli.BLAS_THREAD_VARIABLES}
+    assert diag["serial"]["blas"] == diag["pooled"]["blas"] == pinned
+    assert diag["openblas-1"]["blas"] == {
+        "OPENBLAS_NUM_THREADS": {"value": "1", "set_by_esqpt": False},
+        "OMP_NUM_THREADS": {"value": None, "set_by_esqpt": False},
+        "MKL_NUM_THREADS": {"value": None, "set_by_esqpt": False},
+    }
 
 
 def test_stationary_subcommand(tmp_path):
@@ -356,6 +428,8 @@ def test_exit_codes(tmp_path):
     (["flow", "--lambda", "0.5", "--n", "10", "--e-bins", "0"], "bins must be positive, got 0"),
     (["excited-surfaces", "--lambda", "1", "--n-beta", "0"],
      "n_beta must be a positive integer, got 0"),
+    (["oscillatory", "--lambda", "1", "--n", "0"], "N must be a positive integer, got 0"),
+    (["oscillatory", "--lambda", "1", "--n", "201"], "N = 201 exceeds the cap 200"),
 ])
 def test_exit_codes_for_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
