@@ -1,33 +1,20 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numerical kernels of the classical Hamiltonian, in numpy.
 
-Set the environment variable ESQPT_DISABLE_NUMBA=1 to force the numpy path
-(useful for debugging).
+Every kernel broadcasts over array coordinates; the derivatives come from
+the generated `_derivs` module.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _derivs
 
-USE_NUMBA = os.environ.get("ESQPT_DISABLE_NUMBA", "").lower() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # numba is an optional extra
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    def _jit(f):
-        return njit(cache=True)(f)
-else:
-    def _jit(f):
-        return f
+# the one backend; perfbench/job.py and perfbench/run.py read this name
+USE_NUMBA = False
 
 
-def _h_eval_impl(x, y, px, py, b0, ze, xi):
+def h_eval(x, y, px, py, b0, ze, xi):
     u = 0.5 * (x * x + y * y + px * px + py * py)
     pg = x * py - y * px
     a = (py * py - px * px) * x + 2.0 * px * py * y - x * x * x + 3.0 * x * y * y
@@ -40,33 +27,25 @@ def _h_eval_impl(x, y, px, py, b0, ze, xi):
     return h
 
 
-h_eval = _jit(_h_eval_impl)
-
-
 def potential(x, y, b0, ze, xi):
     """Potential surface V(x, y) = H(x, y, 0, 0)."""
     return h_eval(x, y, 0.0, 0.0, b0, ze, xi)
 
-
-grad_h1 = _jit(_derivs.grad_h1)
-hess_h1 = _jit(_derivs.hess_h1)
-grad_extra = _jit(_derivs.grad_extra)
-hess_extra = _jit(_derivs.hess_extra)
 
 _TRIU = np.array([0, 1, 2, 3, 1, 4, 5, 6, 2, 5, 7, 8, 3, 6, 8, 9])
 
 
 def h_grad(x, y, px, py, b0, ze, xi):
     """Gradient of the classical Hamiltonian; shape (4,) + broadcast shape."""
-    g = np.array(grad_h1(x, y, px, py, b0, ze), dtype=float)
+    g = np.array(_derivs.grad_h1(x, y, px, py, b0, ze), dtype=float)
     if xi != 0.0:
-        g = g + xi * np.array(grad_extra(x, y, px, py, b0), dtype=float)
+        g = g + xi * np.array(_derivs.grad_extra(x, y, px, py, b0), dtype=float)
     return g
 
 
 def h_hess(x, y, px, py, b0, ze, xi):
     """Hessian; shape broadcast + (4, 4)."""
-    t = np.array(hess_h1(x, y, px, py, b0, ze), dtype=float)
+    t = np.array(_derivs.hess_h1(x, y, px, py, b0, ze), dtype=float)
     if xi != 0.0:
-        t = t + xi * np.array(hess_extra(x, y, px, py, b0), dtype=float)
+        t = t + xi * np.array(_derivs.hess_extra(x, y, px, py, b0), dtype=float)
     return np.moveaxis(t[_TRIU], 0, -1).reshape(t.shape[1:] + (4, 4))

@@ -386,6 +386,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"esqpt: domain error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # sizes too large to allocate are bad parameter values too
+        print(f"esqpt: domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"esqpt: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -20,6 +20,11 @@ from .quantum import SpectrumResult, basis_dimension
 DEFAULT_BINS = 300
 DEFAULT_E_RANGE = (-0.05, 3.05)
 DEFAULT_REF_N = 50
+PRESMOOTH_BINS = 2.0  # width, in bins, of the Gaussian smoothing before d rho / dE
+# a feature of d rho / dE is this many standard errors of its curvature
+# statistic, taken over this many bins
+DETECT_N_SIGMA = 5.0
+DETECT_WINDOW = 6
 
 
 @dataclass
@@ -74,17 +79,17 @@ def mc_density(
     n_samples=1_000_000,
     seed=0,
     bins=DEFAULT_BINS,
-    e_range=DEFAULT_E_RANGE,
     ref_N=DEFAULT_REF_N,
 ) -> DensityGrid:
-    """Monte-Carlo smoothed level density on the classical energy scale."""
+    """Monte-Carlo smoothed level density on the classical energy scale, on
+    `bins` bins of the window DEFAULT_E_RANGE."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
     if ref_N < 1:
         raise ValueError(f"ref_N must be a positive integer, got {ref_N}")
-    edges = np.linspace(e_range[0], e_range[1], bins + 1)
+    edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     # the seed's first child stream, not its root stream, is the one that
     # density tables at each seed are drawn from
@@ -111,15 +116,12 @@ def mc_density(
     )
 
 
-def density_derivative(grid: DensityGrid, presmooth_bins=2.0):
-    """Central-difference d rho / dE with optional Gaussian pre-smoothing."""
-    rho = grid.rho
-    err = grid.mc_error
-    if presmooth_bins and presmooth_bins > 0:
-        kernel = _gauss_kernel(presmooth_bins)
-        rho = _smooth(rho, kernel)
-        # variance shrinks by the sum of squared kernel weights
-        err = _smooth(err, kernel) * math.sqrt(float(np.sum(kernel**2)))
+def density_derivative(grid: DensityGrid):
+    """Central-difference d rho / dE after Gaussian smoothing over PRESMOOTH_BINS."""
+    kernel = _gauss_kernel(PRESMOOTH_BINS)
+    rho = _smooth(grid.rho, kernel)
+    # variance shrinks by the sum of squared kernel weights
+    err = _smooth(grid.mc_error, kernel) * math.sqrt(float(np.sum(kernel**2)))
     w = grid.binwidth
     d = np.gradient(rho, w)
     derr = np.sqrt(np.roll(err, -1) ** 2 + np.roll(err, 1) ** 2) / (2 * w)
@@ -150,15 +152,16 @@ class DensityFeature:
     strength: float  # detection statistic in units of its standard error
 
 
-def detect_singularities(grid: DensityGrid, n_sigma=5.0, window=6):
+def detect_singularities(grid: DensityGrid):
     """Statistically significant non-analytic features of d rho / dE.
 
     A windowed curvature statistic C[i] = d[i+w] - 2 d[i] + d[i-w] cancels
     smooth linear trends while responding to both derivative jumps (step of
     height h gives |C| ~ h) and log-type spikes (|C| ~ twice the peak excess
-    over the flanks).  Bins where |C| exceeds n_sigma times its propagated
-    Monte-Carlo error are merged into features, localized at the steepest or
-    highest bin, and typed by comparing the core against flanking baselines.
+    over the flanks), with w = DETECT_WINDOW.  Bins where |C| exceeds
+    DETECT_N_SIGMA times its propagated Monte-Carlo error are merged into
+    features, localized at the steepest or highest bin, and typed by
+    comparing the core against flanking baselines.
     """
     if grid.drho_dE is None:
         density_derivative(grid)
@@ -166,7 +169,7 @@ def detect_singularities(grid: DensityGrid, n_sigma=5.0, window=6):
     err = grid.drho_error
     centers = grid.e_centers
     n = len(d)
-    w = int(window)
+    w = DETECT_WINDOW
     # only look inside the sampled support (slightly expanded); smoothing
     # leakage outside the support has artificially tiny errors
     inside = grid.rho > 0
@@ -183,7 +186,7 @@ def detect_singularities(grid: DensityGrid, n_sigma=5.0, window=6):
     stat = np.where(support, np.abs(curv) / cerr, 0.0)
     stat[:w] = 0.0
     stat[-w:] = 0.0
-    hot = stat > n_sigma
+    hot = stat > DETECT_N_SIGMA
     feats = []
     i = 0
     while i < n:
@@ -241,12 +244,12 @@ def gaussian_spectral_density(energies, centers, width, weights=None):
     return out
 
 
-def smoothed_flow(spectra, width=0.05, bins=DEFAULT_BINS, e_range=DEFAULT_E_RANGE):
+def smoothed_flow(spectra, width=0.05, bins=DEFAULT_BINS):
     """Smoothed level flow from one or more spectra at nearby lambda.
 
     The flow field is built from Hellmann-Feynman slopes of the central
     spectrum; the density from its level positions, both on the classical
-    energy scale.
+    energy scale, on `bins` bins of the window DEFAULT_E_RANGE.
     """
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -258,7 +261,7 @@ def smoothed_flow(spectra, width=0.05, bins=DEFAULT_BINS, e_range=DEFAULT_E_RANG
     if len(ns) != 1:
         raise ValueError("all spectra must share the same N")
     mid = spectra[len(spectra) // 2]
-    edges = np.linspace(e_range[0], e_range[1], bins + 1)
+    edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rho = gaussian_spectral_density(mid.epsilon, centers, width)
     jbar = gaussian_spectral_density(mid.epsilon, centers, width, weights=mid.epsilon_slopes)

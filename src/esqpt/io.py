@@ -19,6 +19,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import __version__
+
 
 def fmt(value):
     """Canonical text form: ints verbatim, floats at 12 significant digits."""
@@ -77,16 +79,12 @@ def manifest_path(data_path):
 
 def write_manifest(data_path, command, inputs, seed, wall_time, diagnostics=None):
     """JSON sidecar sufficient to re-run the job exactly, plus run diagnostics."""
-    try:
-        version = __import__("esqpt").__version__
-    except Exception:
-        version = "unknown"
     doc = {
         "command": command,
         "inputs": {k: _jsonable(v) for k, v in sorted(inputs.items())},
         "seed": None if seed is None else int(seed),
         "versions": {
-            "esqpt": version,
+            "esqpt": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },

@@ -20,7 +20,7 @@ N <= N_CAP_DEFAULT = 200 (basis dimension 3434).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +29,9 @@ from .models import LAMBDA_CRITICAL, ModelParams
 
 N_CAP_DEFAULT = 200
 DEGENERACY_TOL = 1e-9  # levels closer than this times max(1, |E|) form one cluster
+# oscillatory density: a level's Gaussian has width OSC_C / rho, at most OSC_SIGMA_MAX
+OSC_C = 0.5
+OSC_SIGMA_MAX = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +60,6 @@ def check_boson_number(N):
         raise ValueError(f"N = {N} exceeds the cap {N_CAP_DEFAULT}")
 
 
-@dataclass(frozen=True)
-class L0Basis:
-    N: int
-    states: tuple  # ordered (n_d, tau) labels
-
-    @property
-    def dimension(self):
-        return len(self.states)
-
-
 # ---------------------------------------------------------------------------
 # parameter-independent operators
 
@@ -79,7 +72,6 @@ class ChainBlocks:
     values); `q2` is the diagonal of sum_mu G_mu G_mu+.
     """
 
-    n_max: int
     nd: np.ndarray
     tau: np.ndarray
     q2: np.ndarray
@@ -122,7 +114,7 @@ def chain_blocks(n_max):
         np.concatenate([up_cols, down_cols]),
         np.sqrt(np.concatenate([up, down])),
     )
-    return ChainBlocks(n_max, nd, tau, q2, pdag, w)
+    return ChainBlocks(nd, tau, q2, pdag, w)
 
 
 def _operators(N, beta0p):
@@ -165,12 +157,7 @@ def _assemble(dim, terms):
 
 
 # ---------------------------------------------------------------------------
-# basis and Hamiltonian assembly
-
-
-def build_basis(N):
-    ch = chain_blocks(N)
-    return L0Basis(N, tuple(zip(ch.nd.tolist(), ch.tau.tolist())))
+# Hamiltonian assembly
 
 
 def build_hamiltonian(params: ModelParams, N, operators=None):
@@ -203,7 +190,6 @@ class SpectrumResult:
     energies: np.ndarray  # absolute eigenvalues of H, ascending
     slopes: np.ndarray  # dE_i/dlambda via first-order perturbation
     nd_expectation: np.ndarray
-    basis: L0Basis = field(repr=False)
 
     @property
     def epsilon(self):
@@ -239,20 +225,16 @@ def diagonalize(params: ModelParams, N, side="auto") -> SpectrumResult:
             slopes[lo:hi], u = np.linalg.eigh(v.T @ dh_v[:, lo:hi])
             evecs[:, lo:hi] = v @ u
     nd_exp = np.einsum("ij,i,ij->j", evecs, chain_blocks(N).nd, evecs)
-    return SpectrumResult(params, N, evals, slopes, nd_exp, build_basis(N))
+    return SpectrumResult(params, N, evals, slopes, nd_exp)
 
 
-def hf_slopes(params: ModelParams, N, side="auto"):
-    """Level slopes dE_i/dlambda (Hellmann-Feynman)."""
-    return diagonalize(params, N, side=side).slopes
-
-
-def oscillatory_density(params: ModelParams, N, grid, c=0.5, sigma_max=0.1):
+def oscillatory_density(params: ModelParams, N, grid):
     """Oscillatory part of the level density on a DensityGrid's bins.
 
     Subtracts the smooth Monte-Carlo density from a sum of narrow Gaussians
-    centered at the scaled eigenvalues; the per-level width is c / rho at the
-    level's energy (capped), keeping it below the local mean spacing.
+    centered at the scaled eigenvalues; the per-level width is OSC_C / rho at
+    the level's energy (at most OSC_SIGMA_MAX), keeping it below the local
+    mean spacing.
     """
     spec = diagonalize(params, N)
     centers = grid.e_centers
@@ -260,7 +242,9 @@ def oscillatory_density(params: ModelParams, N, grid, c=0.5, sigma_max=0.1):
     tilde = -rho.astype(float).copy()
     eps = spec.epsilon
     rho_at = np.interp(eps, centers, rho)
-    sigma = np.where(rho_at > c / sigma_max, c / np.maximum(rho_at, 1e-12), sigma_max)
+    sigma = np.where(
+        rho_at > OSC_C / OSC_SIGMA_MAX, OSC_C / np.maximum(rho_at, 1e-12), OSC_SIGMA_MAX
+    )
     for e_i, s_i in zip(eps, sigma):
         tilde += np.exp(-0.5 * ((centers - e_i) / s_i) ** 2) / (s_i * math.sqrt(2 * math.pi))
     return tilde

@@ -33,6 +33,10 @@ INTERIOR_R2 = R0_SQUARED - 1e-9
 # roots of the plane polynomials with a smaller relative imaginary part are real
 REAL_ROOT_TOL = 1e-6
 NEWTON_STEP_CAP = 0.25  # longest step of the batched Newton polish
+DEDUPE_TOL = 1e-6  # points closer than this are one point
+# a kinetic borderline counts when it spans at least this many grid lambdas
+MIN_BORDERLINE_LENGTH = 3
+DEGREES_OF_FREEDOM = 2  # f of the model
 
 SINGULARITY_CLASS = {0: "i", 1: "ii", 2: "iii", 3: "iv", 4: "v"}
 BOUNDARY_CLASS = "vi"
@@ -99,11 +103,11 @@ def _newton_polish(params, pts, max_iter):
     return out
 
 
-def _dedupe(points, tol=1e-6):
-    """Rows of the (n, d) array farther than tol from every earlier kept row.
+def _dedupe(points):
+    """Rows of the (n, d) array farther than DEDUPE_TOL from every earlier kept row.
 
     Greedy in row order: the first row left is kept, and one distance test
-    against it drops every later row within tol, so the first of each
+    against it drops every later row within DEDUPE_TOL, so the first of each
     near-duplicate group survives.  Returns a (k, d) array.
     """
     left = np.arange(len(points))
@@ -111,7 +115,7 @@ def _dedupe(points, tol=1e-6):
     while len(left):
         first, rest = left[0], left[1:]
         kept.append(first)
-        left = rest[np.linalg.norm(points[rest] - points[first], axis=1) > tol]
+        left = rest[np.linalg.norm(points[rest] - points[first], axis=1) > DEDUPE_TOL]
     return points[kept]
 
 
@@ -364,10 +368,10 @@ def boundary_minmax(params: ModelParams):
     return lo.energy, hi.energy
 
 
-def boundary_exponent(k_list, m_exponent, f=2):
+def boundary_exponent(k_list, m_exponent):
     """Level-density singularity exponent of a boundary stationary direction.
 
-    k_list holds the 2f-1 leading even powers of the transverse angular
+    k_list holds the 2f - 1 leading even powers of the transverse angular
     expansion (math.inf allowed); m_exponent is the leading radial power in
     {1/2, 1, 3/2, 2}.  Returns (I, verdict, derivative_order) where the
     density derivative of that order is discontinuous (integer I) or
@@ -378,8 +382,9 @@ def boundary_exponent(k_list, m_exponent, f=2):
     if m_exponent not in (0.5, 1.0, 1.5, 2.0):
         raise ValueError(f"unsupported radial exponent {m_exponent}")
     k_list = list(k_list)
-    if len(k_list) != 2 * f - 1:
-        raise ValueError(f"expected {2 * f - 1} transverse powers, got {len(k_list)}")
+    dirs = 2 * DEGREES_OF_FREEDOM - 1
+    if len(k_list) != dirs:
+        raise ValueError(f"expected {dirs} transverse powers, got {len(k_list)}")
     inv_sum = Fraction(0)
     for k in k_list:
         if k == math.inf:
@@ -387,8 +392,8 @@ def boundary_exponent(k_list, m_exponent, f=2):
         if k < 2:
             raise ValueError(f"transverse powers must be >= 2, got {k}")
         inv_sum += Fraction(1, int(k)) if float(k).is_integer() else Fraction(1) / Fraction(k)
-    mean_inv = inv_sum / (2 * f - 1)  # 1/K averaged over directions
-    i_val = (2 * f - 1) * mean_inv + Fraction(1) / Fraction(m_exponent) - 1
+    mean_inv = inv_sum / dirs  # 1/K averaged over directions
+    i_val = dirs * mean_inv + Fraction(1) / Fraction(m_exponent) - 1
     is_int = i_val.denominator == 1
     verdict = "discontinuous" if is_int else "divergent"
     order = int(math.ceil(i_val))
@@ -493,10 +498,10 @@ def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boun
     return out
 
 
-def kinetic_borderline_count(borderlines, min_length=3):
-    """Number of distinct kinetic-branch borderlines of non-trivial extent."""
+def kinetic_borderline_count(borderlines):
+    """Number of kinetic-branch borderlines over at least MIN_BORDERLINE_LENGTH lambdas."""
     return sum(
         1
         for c in borderlines
-        if c.branch == "kinetic" and len(c.lambdas) >= min_length
+        if c.branch == "kinetic" and len(c.lambdas) >= MIN_BORDERLINE_LENGTH
     )

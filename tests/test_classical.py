@@ -1,15 +1,11 @@
 """Classical phase-space Hamiltonian: values, derivatives, kernels."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from esqpt import _kernels, classical, stationary
+from esqpt import _derivs, _kernels, classical, stationary
 from esqpt.classical import PhasePoint, R0_SQUARED
 from esqpt.models import ModelParams
 
@@ -68,9 +64,9 @@ def test_gradient_and_hessian_match_finite_differences(params, rng):
 
 def stacked_hessian(x, y, px, py, b0, ze, xi):
     """Reference Hessian assembly: broadcast the 10 entries, then stack 16 of them."""
-    t = np.array(_kernels.hess_h1(x, y, px, py, b0, ze), dtype=float)
+    t = np.array(_derivs.hess_h1(x, y, px, py, b0, ze), dtype=float)
     if xi != 0.0:
-        t = t + xi * np.array(_kernels.hess_extra(x, y, px, py, b0), dtype=float)
+        t = t + xi * np.array(_derivs.hess_extra(x, y, px, py, b0), dtype=float)
     t = np.broadcast_arrays(*t)
     full = np.stack([t[i] for i in _kernels._TRIU], axis=-1)
     return full.reshape(full.shape[:-1] + (4, 4))
@@ -235,35 +231,3 @@ def test_momentum_branches_at_the_origin_are_one_ring():
     # at lambda = 2.2 G_rho has no root inside the ball
     sols = stationary.momentum_branches(ModelParams(1.7, 2.2), (0.0, 0.0))
     assert len(sols) == 1 and np.array_equal(sols[0], np.zeros(2))
-
-
-def test_numpy_fallback_matches_active_backend(rng, tmp_path):
-    pts = interior_points(rng, 64)
-    np.save(tmp_path / "pts.npy", pts)
-    script = (
-        "import numpy as np, json, sys\n"
-        "from esqpt import _kernels\n"
-        "pts = np.load(sys.argv[1])\n"
-        "x, y, px, py = pts.T\n"
-        "out = {'backend': 'numba' if _kernels.USE_NUMBA else 'numpy',\n"
-        "       'h': _kernels.h_eval(x, y, px, py, 1.7, 0.8, 0.0).tolist(),\n"
-        "       'g': _kernels.h_grad(x, y, px, py, 1.41421356, 1.0, 1.3).tolist(),\n"
-        "       'hess': _kernels.h_hess(x, y, px, py, 1.41421356, 1.0, 1.3).tolist()}\n"
-        "json.dump(out, sys.stdout)\n"
-    )
-    results = {}
-    for disable in ("1", "0"):
-        env = dict(os.environ, ESQPT_DISABLE_NUMBA=disable)
-        out = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "pts.npy")],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        doc = json.loads(out.stdout)
-        results[doc["backend"]] = doc
-    assert "numpy" in results
-    if "numba" not in results:
-        pytest.skip("numba unavailable; both subprocesses used the numpy path")
-    for key in ("h", "g", "hess"):
-        a = np.asarray(results["numpy"][key])
-        b = np.asarray(results["numba"][key])
-        assert np.abs(a - b).max() < 1e-12

@@ -314,10 +314,11 @@ def test_stationary_manifest_records_the_seed_used(tmp_path):
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    # each of these adds ~0.3-0.7 s to the start of every esqpt process
+    # each of these adds 0.3 s or more to the start of every esqpt process
     code = (
         "import esqpt.cli, sys; "
-        "print([m for m in ('scipy', 'scipy.ndimage', 'scipy.stats', 'sympy') if m in sys.modules])"
+        "print([m for m in ('scipy', 'scipy.ndimage', 'scipy.stats', 'sympy', 'numba') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
@@ -435,6 +436,21 @@ def test_exit_codes_for_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert cli.main(argv + ["--beta0p", "1.7", "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"esqpt: domain error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 23.8 GiB for an array with shape (3200000001,) and data type int64",
+    "",
+], ids=["numpy-message", "no-message"])
+def test_memory_error_is_a_domain_error(tmp_path, capsys, monkeypatch, message):
+    # a size too large to allocate, e.g. boundary --lambda-step 1e-9
+    def runner(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.COMMANDS, "boundary", (runner,) + cli.COMMANDS["boundary"][1:])
+    assert cli.main(["boundary", "--beta0p", "1.7", "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"esqpt: domain error: {message or 'out of memory'}\n"
     assert list(tmp_path.iterdir()) == []
 
 
