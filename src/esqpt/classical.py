@@ -85,11 +85,6 @@ def eval_H(params: ModelParams, pt) -> float:
     return float(_kernels.h_eval(v[0], v[1], v[2], v[3], params.beta0p, params.zeta, params.xi))
 
 
-def eval_H_array(params: ModelParams, x, y, px, py):
-    """Vectorized classical energy (no domain check)."""
-    return _kernels.h_eval(x, y, px, py, params.beta0p, params.zeta, params.xi)
-
-
 def grad_H(params: ModelParams, pt):
     v = _coords(pt)
     _check_inside(v, tol=-1e-12)

@@ -9,9 +9,10 @@ through the same parser as the flags.  Exit codes: 0 success, 2 domain error,
 3 numerical failure, 64 usage error, 74 I/O error.
 
 Threads: each process runs BLAS on one thread, and `ESQPT_THREADS` worker
-processes share the lambda values of a grid.  At these matrix sizes a
-threaded eigh costs CPU time without saving wall time, and its results
-depend on the number of threads.  Importing this module before numpy sets
+processes share the lambda values of a grid (for the densities, each worker
+scans a slice of the grid and draws the full sample stream).  At these
+matrix sizes a threaded eigh costs CPU time without saving wall time, and
+its results depend on the number of threads.  Importing this module before numpy sets
 the BLAS thread variables below to 1 unless one of them is already set.
 """
 
@@ -69,7 +70,8 @@ OPTIONS = {
     "lambda-step": dict(type=float, default=0.01, help="lambda grid step (default %(default)s)"),
     "n": dict(dest="N", type=int, default=50, help="boson number N (default %(default)s)"),
     "n-samples": dict(type=int, default=200_000,
-                      help="Monte-Carlo samples per lambda (default %(default)s)"),
+                      help="Monte-Carlo samples, drawn once from --seed; every lambda "
+                      "bins the same samples (default %(default)s)"),
     "e-bins": dict(type=int, default=density.DEFAULT_BINS,
                    help="energy bins (default %(default)s)"),
     "ref-n": dict(dest="ref_N", type=int, default=density.DEFAULT_REF_N,
@@ -136,26 +138,29 @@ def _single_lambda(cfg):
 
 
 def _density_job(task):
-    beta0p, lam, n_samples, seed, bins, ref_N = task
-    grid = density.mc_density(
-        ModelParams(beta0p, lam), n_samples=n_samples, seed=seed, bins=bins, ref_N=ref_N
+    beta0p, lambdas, n_samples, seed, bins, ref_N = task
+    grids = density.mc_density_scan(
+        beta0p, lambdas, n_samples=n_samples, seed=seed, bins=bins, ref_N=ref_N
     )
-    density.density_derivative(grid)
-    return grid
+    for grid in grids:
+        density.density_derivative(grid)
+    return grids
 
 
-def _map_lambdas(cfg, job, tasks):
-    """[job(t) for t in tasks], over up to ESQPT_THREADS worker processes.
-
-    Each task is one lambda value; the results keep the order of `tasks`.
-    """
+def _worker_count(cfg, n_lambdas):
+    """Worker processes for a grid of n_lambdas values: ESQPT_THREADS, at most
+    one per lambda value (the pool forks all of them at its first submit)."""
     threads = os.environ.get("ESQPT_THREADS", "1")
     try:
-        # the pool forks all max_workers processes at its first submit
-        workers = min(int(threads), len(tasks))
+        workers = min(int(threads), n_lambdas)
     except ValueError:
         raise ValueError(f"ESQPT_THREADS must be an integer, got {threads!r}") from None
     cfg.workers = max(workers, 1)
+    return cfg.workers
+
+
+def _pool_map(job, tasks, workers):
+    """[job(t) for t in tasks], over `workers` processes; results keep the order."""
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -165,11 +170,13 @@ def _map_lambdas(cfg, job, tasks):
 
 
 def _density_grids(cfg):
-    tasks = [
-        (cfg.beta0p, float(lam), cfg.n_samples, cfg.seed + i, cfg.e_bins, cfg.ref_N)
-        for i, lam in enumerate(cfg.lambdas)
-    ]
-    return _map_lambdas(cfg, _density_job, tasks)
+    """One density grid per lambda value. Each worker scans a contiguous slice
+    of the grid and draws the full sample stream of `cfg.seed`, so every
+    lambda bins the same samples whatever the number of workers."""
+    workers = _worker_count(cfg, len(cfg.lambdas))
+    tasks = [(cfg.beta0p, part, cfg.n_samples, cfg.seed, cfg.e_bins, cfg.ref_N)
+             for part in np.array_split(cfg.lambdas, workers)]
+    return [grid for grids in _pool_map(_density_job, tasks, workers) for grid in grids]
 
 
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
@@ -180,6 +187,8 @@ def _report_coverage(cfg, grids):
     coverage = [1.0 - g.n_outside / g.n_samples for g in grids]
     cfg.diagnostics.update(
         mc_samples=sum(g.n_samples for g in grids),
+        # every worker draws the full stream
+        mc_draws=cfg.n_samples * cfg.workers,
         coverage_min=min(coverage),
     )
     short = sum(g.n_outside > 0 for g in grids)
@@ -238,7 +247,8 @@ def _spectrum_job(task):
 
 
 def run_spectrum(cfg):
-    tables = _map_lambdas(cfg, _spectrum_job, [(cfg.beta0p, lam, cfg.N) for lam in cfg.lambdas])
+    tasks = [(cfg.beta0p, lam, cfg.N) for lam in cfg.lambdas]
+    tables = _pool_map(_spectrum_job, tasks, _worker_count(cfg, len(tasks)))
     rows = [row for table in tables for row in table]
     return ["lambda", "level_index", "energy", "slope", "nd_expect"], rows
 

@@ -4,6 +4,11 @@ The density of classical energy values under the uniform measure on the
 4-ball equals (up to normalization) the smoothed quantum level density; we
 normalize so that the integral over the support reproduces the L=0 state
 count at a configured reference boson number.
+
+The uniform measure does not depend on lambda, and the classical energy is
+H0 + zeta^2 H_zz + zeta H_z + xi H_xi, the four-part split of N H in
+`quantum` (`_kernels.h_parts`). A scan over lambda therefore draws one
+sample and evaluates the parts once per block; each lambda re-sums them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import R0_SQUARED, eval_H_array
+from . import _kernels
+from .classical import R0_SQUARED
 from .models import ModelParams
 from .quantum import SpectrumResult, basis_dimension
 
@@ -58,11 +64,10 @@ def _ball_points(normals, u):
     depend on how a batch is cut into blocks.
     """
     w = normals.T.copy()
-    sq = w * w
-    nrm = sq[0]
-    nrm += sq[1]
-    nrm += sq[2]
-    nrm += sq[3]
+    nrm = w[0] * w[0]
+    nrm += w[1] * w[1]
+    nrm += w[2] * w[2]
+    nrm += w[3] * w[3]
     w /= np.sqrt(nrm)
     w *= math.sqrt(R0_SQUARED) * u**0.25
     return w
@@ -74,23 +79,33 @@ _BATCH = 2_000_000
 _BLOCK = 16_384
 
 
-def mc_density(
-    params: ModelParams,
+def mc_density_scan(
+    beta0p,
+    lambdas,
     n_samples=1_000_000,
     seed=0,
     bins=DEFAULT_BINS,
     ref_N=DEFAULT_REF_N,
-) -> DensityGrid:
-    """Monte-Carlo smoothed level density on the classical energy scale, on
-    `bins` bins of the window DEFAULT_E_RANGE."""
+) -> list[DensityGrid]:
+    """Monte-Carlo smoothed level densities at each lambda, on the classical
+    energy scale, on `bins` bins of the window DEFAULT_E_RANGE.
+
+    Every lambda bins the same `n_samples` phase-space points, drawn once
+    from `seed`. H is linear in (zeta^2, zeta, xi), so each block of points
+    gets its lambda-independent parts once (`_kernels.h_parts`) and each
+    lambda costs one four-term sum and its histogram. Each grid is the one a
+    scan of that lambda alone gives; the grids of one scan are correlated.
+    """
+    params = [ModelParams(beta0p, float(lam)) for lam in lambdas]
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
     if ref_N < 1:
         raise ValueError(f"ref_N must be a positive integer, got {ref_N}")
+    with_xi = any(par.xi != 0.0 for par in params)
     edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
+    counts = np.zeros((len(params), bins), dtype=np.int64)
     # the seed's first child stream, not its root stream, is the one that
     # density tables at each seed are drawn from
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -101,8 +116,10 @@ def mc_density(
         u = rng.random(take)
         for a in range(0, take, _BLOCK):
             b = a + _BLOCK
-            x, y, px, py = _ball_points(normals[a:b], u[a:b])
-            counts += np.histogram(eval_H_array(params, x, y, px, py), bins=edges)[0]
+            # the points go once their parts are computed
+            parts = _kernels.h_parts(*_ball_points(normals[a:b], u[a:b]), beta0p, with_xi)
+            for row, par in zip(counts, params):
+                row += np.histogram(_kernels.h_combine(parts, par.zeta, par.xi), bins=edges)[0]
         del normals, u
         left -= take
     dim = basis_dimension(ref_N)
@@ -110,10 +127,22 @@ def mc_density(
     p = counts / n_samples
     rho = dim * p / width
     err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
-    return DensityGrid(
-        edges, rho, err, int(n_samples), int(seed), params, int(ref_N),
-        n_outside=int(n_samples - counts.sum()),
-    )
+    return [
+        DensityGrid(edges, r, e, int(n_samples), int(seed), par, int(ref_N),
+                    n_outside=int(n_samples - row.sum()))
+        for r, e, row, par in zip(rho, err, counts, params)
+    ]
+
+
+def mc_density(
+    params: ModelParams,
+    n_samples=1_000_000,
+    seed=0,
+    bins=DEFAULT_BINS,
+    ref_N=DEFAULT_REF_N,
+) -> DensityGrid:
+    """`mc_density_scan` at the one lambda of `params`."""
+    return mc_density_scan(params.beta0p, [params.lam], n_samples, seed, bins, ref_N)[0]
 
 
 def density_derivative(grid: DensityGrid):

@@ -84,6 +84,34 @@ def test_hessian_assembly_matches_stacked(lam, rng):
         assert np.array_equal(got, want)
 
 
+def ungrouped_h(x, y, px, py, b0, ze, xi):
+    """The energy as one expression, before it was split into parts."""
+    u = 0.5 * (x * x + y * y + px * px + py * py)
+    pg = x * py - y * px
+    a = (py * py - px * px) * x + 2.0 * px * py * y - x * x * x + 3.0 * x * y * y
+    s = np.sqrt(np.abs(1.0 - u) / 2.0)
+    h = u * u + b0 * b0 * (1.0 - u) * u + ze * ze * pg * pg + ze * b0 * s * a
+    if xi != 0.0:
+        bpb = x * px + y * py
+        w = 0.5 * (x * x + y * y - px * px - py * py) - b0 * b0 * (1.0 - u)
+        h = h + xi * 0.5 * (bpb * bpb + w * w)
+    return h
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 2.5])
+def test_h_eval_is_the_sum_of_its_parts(lam):
+    params = ModelParams(1.7, lam)
+    b0, ze, xi = params.beta0p, params.zeta, params.xi
+    rng = np.random.default_rng(15)
+    pts = interior_points(rng, 100_000, r_max=math.sqrt(R0_SQUARED)).T
+    got = _kernels.h_eval(*pts, b0, ze, xi)
+    for with_xi in {xi != 0.0, True}:
+        parts = _kernels.h_parts(*pts, b0, with_xi)
+        assert np.array_equal(_kernels.h_combine(parts, ze, xi), got)
+    want = ungrouped_h(*pts, b0, ze, xi)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 def test_decompose_sums_to_total(rng):
     params = ModelParams(1.7, 2.2)
     for pt in interior_points(rng, 20):

@@ -139,6 +139,28 @@ def test_phase_diagram_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     assert cli.main(args + ["-o", str(pooled)]) == 0
     assert len(read_lines(serial)) == 1 + 3 * 300
     assert serial.read_bytes() == pooled.read_bytes()
+    # 5 lambda values do not split evenly over 2 or 3 workers
+    args[args.index("--lambda-step") + 1] = "0.4"
+    outputs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("ESQPT_THREADS", threads)
+        outputs.append(tmp_path / f"uneven{threads}.csv")
+        assert cli.main(args + ["-o", str(outputs[-1])]) == 0
+    assert len(read_lines(outputs[0])) == 1 + 5 * 300
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+
+def test_phase_diagram_blocks_equal_density_cuts(tmp_path):
+    common = ["--beta0p", "1.7", "--n-samples", "30000", "--seed", "4"]
+    pd = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--lambda-start", "0.4", "--lambda-stop", "2.0",
+                     "--lambda-step", "0.4", *common, "-o", str(pd)]) == 0
+    header, *rows = read_lines(pd)
+    assert len(rows) == 5 * 300
+    for i, lam in enumerate(["0.4", "0.8", "1.2", "1.6", "2.0"]):
+        cut = tmp_path / f"cut{lam}.csv"
+        assert cli.main(["density-cut", "--lambda", lam, *common, "-o", str(cut)]) == 0
+        assert read_lines(cut) == [header] + rows[300 * i:300 * (i + 1)]
 
 
 class SerialPool:
@@ -206,7 +228,22 @@ def test_density_cut_inside_the_window_is_quiet(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     diag = json.loads((tmp_path / "cut.csv.manifest.json").read_text())["diagnostics"]
     assert diag.pop("threads")["workers"] == 1
-    assert diag == {"mc_samples": 20000, "coverage_min": 1.0}
+    assert diag == {"mc_samples": 20000, "mc_draws": 20000, "coverage_min": 1.0}
+
+
+@pytest.mark.parametrize("threads, workers", [("1", 1), ("3", 3)])
+def test_phase_diagram_records_samples_binned_and_drawn(tmp_path, monkeypatch, threads, workers):
+    # every lambda bins the same 20 000 samples; every worker draws them all
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("ESQPT_THREADS", threads)
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--beta0p", SQRT2_STR, "--lambda-start", "0.2",
+                     "--lambda-stop", "0.6", "--lambda-step", "0.2", "--n-samples", "20000",
+                     "-o", str(out)]) == 0
+    diag = json.loads((tmp_path / "pd.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["threads"]["workers"] == workers
+    assert diag["mc_samples"] == 60_000
+    assert diag["mc_draws"] == 20_000 * workers
 
 
 def test_manifest_without_mc_has_only_thread_diagnostics(tmp_path):

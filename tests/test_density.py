@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from esqpt import cli, density, quantum
-from esqpt.classical import eval_H_array
+from esqpt import _kernels, cli, density, quantum
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -60,7 +59,7 @@ def _oracle_mc_density(params, n_samples, seed, batch):
     while left > 0:
         take = min(left, batch)
         pts = _sample_ball(rng, take)
-        e = eval_H_array(params, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
+        e = _kernels.h_eval(*pts.T, params.beta0p, params.zeta, params.xi)
         counts += np.histogram(e, bins=edges)[0]
         left -= take
     dim = quantum.basis_dimension(density.DEFAULT_REF_N)
@@ -102,6 +101,31 @@ def test_blocked_sampler_matches_unblocked_over_batches(monkeypatch, lam):
     grid = density.mc_density(params, n_samples=120_001, seed=21)
     assert np.array_equal(grid.rho, rho)
     assert np.array_equal(grid.mc_error, err)
+
+
+def assert_same_grid(got, want):
+    assert np.array_equal(got.rho, want.rho)
+    assert np.array_equal(got.mc_error, want.mc_error)
+    assert got.n_outside == want.n_outside
+    assert got.params == want.params
+
+
+@pytest.mark.parametrize("lambdas", [[0.2, 0.7, 1.0], [1.0, 1.3, 2.5, 3.2], [0.5, 1.5]])
+@pytest.mark.parametrize("n", [1, 16_385])
+def test_scan_rows_equal_single_lambda_densities(lambdas, n):
+    grids = density.mc_density_scan(1.7, lambdas, n_samples=n, seed=13)
+    assert len(grids) == len(lambdas)
+    for lam, grid in zip(lambdas, grids):
+        assert_same_grid(grid, density.mc_density(ModelParams(1.7, lam), n_samples=n, seed=13))
+
+
+def test_scan_rows_equal_single_lambda_densities_over_batches(monkeypatch):
+    monkeypatch.setattr(density, "_BATCH", 50_000)
+    lambdas = [0.3, 0.9, 1.1, 2.5]
+    grids = density.mc_density_scan(1.7, lambdas, n_samples=120_001, seed=21)
+    for lam, grid in zip(lambdas, grids):
+        want = density.mc_density(ModelParams(1.7, lam), n_samples=120_001, seed=21)
+        assert_same_grid(grid, want)
 
 
 def test_n_outside_counts_samples_off_the_window():

@@ -51,6 +51,8 @@ def test_basis_states_sorted_unique():
     states = list(zip(ch.nd.tolist(), ch.tau.tolist()))
     assert len(states) == quantum.basis_dimension(12)
     assert len(set(states)) == len(states)
+    # by n_d, then by ascending tau
+    assert states == sorted(states)
     for n, tau in states:
         assert tau % 3 == 0 and (n - tau) % 2 == 0 and tau <= n
 
