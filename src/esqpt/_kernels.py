@@ -1,10 +1,13 @@
 """Hot numerical kernels of the classical Hamiltonian, in numpy.
 
-Every kernel broadcasts over array coordinates; the derivatives come from
-the generated `_derivs` module. The energy is linear in (zeta^2, zeta, xi),
-H = H0 + zeta^2 H_zz + zeta H_z + xi H_xi, mirroring N H = A + zeta^2 B +
-zeta C + xi D in `quantum`: `h_parts` gives the four lambda-independent
-parts, `h_combine` sums them, and `h_eval` is the two in turn.
+Every kernel broadcasts over array coordinates.  The energy is linear in
+(zeta^2, zeta, xi), H = H0 + zeta^2 H_zz + zeta H_z + xi H_xi, mirroring
+N H = A + zeta^2 B + zeta C + xi D in `quantum`; so are its gradient and
+Hessian.  `h_parts` gives the four lambda-independent parts by hand, the
+generated `_derivs.grad_parts` and `hess_parts` give their derivatives from
+the one sympy definition of the parts (tools/gen_derivs.py, which a test
+proves equal to `h_parts`), and `h_combine` re-sums any of them: `h_eval`,
+`h_grad` and `h_hess` are parts-then-combine.
 """
 
 from __future__ import annotations
@@ -64,17 +67,21 @@ def potential(x, y, b0, ze, xi):
 _TRIU = np.array([0, 1, 2, 3, 1, 4, 5, 6, 2, 5, 7, 8, 3, 6, 8, 9])
 
 
+def _derivative(emitted, ze, xi):
+    """h_combine of the emitted per-part derivative tuples, each as one array."""
+    return h_combine([None if p is None else np.array(p, dtype=float) for p in emitted], ze, xi)
+
+
 def h_grad(x, y, px, py, b0, ze, xi):
     """Gradient of the classical Hamiltonian; shape (4,) + broadcast shape."""
-    g = np.array(_derivs.grad_h1(x, y, px, py, b0, ze), dtype=float)
-    if xi != 0.0:
-        g = g + xi * np.array(_derivs.grad_extra(x, y, px, py, b0), dtype=float)
-    return g
+    return _derivative(_derivs.grad_parts(x, y, px, py, b0, xi != 0.0), ze, xi)
 
 
 def h_hess(x, y, px, py, b0, ze, xi):
     """Hessian; shape broadcast + (4, 4)."""
-    t = np.array(_derivs.hess_h1(x, y, px, py, b0, ze), dtype=float)
-    if xi != 0.0:
-        t = t + xi * np.array(_derivs.hess_extra(x, y, px, py, b0), dtype=float)
+    if len({np.shape(v) for v in (x, y, px, py)}) > 1:
+        # a part's Hessian entry can depend on only some coordinates, and the
+        # entries stack only when they share a shape
+        x, y, px, py = np.broadcast_arrays(x, y, px, py)
+    t = _derivative(_derivs.hess_parts(x, y, px, py, b0, xi != 0.0), ze, xi)
     return np.moveaxis(t[_TRIU], 0, -1).reshape(t.shape[1:] + (4, 4))

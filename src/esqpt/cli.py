@@ -35,7 +35,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
 import numpy as np
 
 from . import density, quantum, stationary, surfaces
-from .io import write_manifest, write_table
+from .io import fmt, write_manifest, write_table
 from .models import ModelParams
 
 
@@ -128,7 +128,12 @@ def _lambda_grid(args):
     if stop < start:
         raise ValueError("lambda range is empty")
     n = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(n)
+    # each value is the number the CSV prints, not start + step * i, which
+    # can miss it in the last bit (0.7000000000000001 for 0.7)
+    grid = np.array([float(fmt(v)) for v in start + step * np.arange(n)])
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"lambda step {step:g} is below the output's 12 significant digits")
+    return grid
 
 
 def _single_lambda(cfg):
@@ -150,12 +155,14 @@ def _density_job(task):
 def _worker_count(cfg, n_lambdas):
     """Worker processes for a grid of n_lambdas values: ESQPT_THREADS, at most
     one per lambda value (the pool forks all of them at its first submit)."""
-    threads = os.environ.get("ESQPT_THREADS", "1")
+    text = os.environ.get("ESQPT_THREADS", "1")
     try:
-        workers = min(int(threads), n_lambdas)
+        threads = int(text)
     except ValueError:
-        raise ValueError(f"ESQPT_THREADS must be an integer, got {threads!r}") from None
-    cfg.workers = max(workers, 1)
+        raise ValueError(f"ESQPT_THREADS must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise ValueError(f"ESQPT_THREADS must be at least 1, got {threads}")
+    cfg.workers = min(threads, n_lambdas)
     return cfg.workers
 
 

@@ -244,11 +244,13 @@ def momentum_branches(params: ModelParams, q):
     P0^2 D^2 - P1^2 = 0, of degree 8 in s, with P0 = 8 s (G_rho + tr K/2) -
     zeta beta0p c_a and P1 = 8 s D^2 - zeta beta0p rho N.  Each real root
     s > 0 inside the ball, polished by 3 Newton steps, gives one candidate p
-    per eigenvector of K(s); those with |dH/dp| <= GRAD_TOL are kept.  Where
-    K = 0 (zeta = 0 or q = 0) the polynomial vanishes, H depends on p only
-    through rho, and each root of P0 = 8 s G_rho is a ring, reported as one
-    pair p = (-+|p|, 0).  The first entry is p = (0, 0); the others appear
-    in sign-conjugated pairs, sorted by |p|.
+    per eigenvector of K(s); those whose own equation above holds to
+    GRAD_TOL are kept.  (|dH/dp| is |p|/(4 s) times its left side, so near
+    the boundary s -> 0 it would amplify the rounding of s past GRAD_TOL.)
+    Where K = 0 (zeta = 0 or q = 0) the polynomial vanishes, H depends on p
+    only through rho, and each root of P0 = 8 s G_rho is a ring, reported as
+    one pair p = (-+|p|, 0).  The first entry is p = (0, 0); the others
+    appear in sign-conjugated pairs, sorted by |p|.
     """
     x0, y0 = float(q[0]), float(q[1])
     if x0 * x0 + y0 * y0 >= R0_SQUARED:
@@ -264,7 +266,9 @@ def momentum_branches(params: ModelParams, q):
     k12 = (xi / 2.0 - ze * ze) * x0 * y0 + zb * y0 * s
     d = (k11 - k22) / 2.0
     d2 = d * d + k12 * k12
-    p0 = 8.0 * s * (g_rho + (k11 + k22) / 2.0) - zb * (3.0 * x0 * y0 * y0 - x0**3)
+    c_a = 3.0 * x0 * y0 * y0 - x0**3
+    m = np.array([[-x0, y0], [y0, x0]])
+    p0 = 8.0 * s * (g_rho + (k11 + k22) / 2.0) - zb * c_a
     poly = p0 * p0 * d2 - (8.0 * s * d2 - zb * rho * (y0 * k12 - x0 * d)) ** 2
     f = poly if poly.coeffs.any() else p0
     roots = _real_roots(f.coeffs)
@@ -272,15 +276,15 @@ def momentum_branches(params: ModelParams, q):
     roots = roots[roots > 0]
     for _ in range(3):
         roots = roots - f(roots) / f.deriv()(roots)
-    cands = [np.zeros((0, 2))]
+    p = [np.zeros(2)]
     for r in roots[(roots > 0) & (rho(roots) > 0) & (q2 + rho(roots) < INTERIOR_R2)]:
         k = np.array([[k11(r), k12(r)], [k12(r), k22(r)]])
-        vecs = np.linalg.eigh(k)[1].T if f is poly else np.array([[1.0, 0.0]])
-        cands.append(math.sqrt(rho(r)) * vecs)
-    p = np.vstack(cands)
-    g = _kernels.h_grad(x0, y0, p[:, 0], p[:, 1], b0, ze, xi)[2:]
-    p = p[np.abs(g).max(axis=0) <= GRAD_TOL]
-    sols = _dedupe(np.vstack([np.zeros((1, 2)), p, -p]))
+        mus, vecs = np.linalg.eigh(k) if f is poly else (np.zeros(1), np.eye(2)[:, :1])
+        for mu, v in zip(mus, vecs.T):
+            if abs(8.0 * r * (g_rho(r) + mu) - zb * (rho(r) * (v @ m @ v) + c_a)) <= GRAD_TOL:
+                p.append(math.sqrt(rho(r)) * v)
+    p = np.array(p)
+    sols = _dedupe(np.vstack([p, -p[1:]]))
     nontrivial = sorted(sols[1:], key=lambda s: (round(float(np.hypot(*s)), 9), s[0], s[1]))
     return [sols[0]] + nontrivial
 

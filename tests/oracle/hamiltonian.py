@@ -69,7 +69,7 @@ def d_pair_tensor(beta0p, zeta):
 
 @lru_cache(maxsize=None)
 def h1_scaled(beta0p, zeta):
-    """N * H1(beta0p, zeta) = 2(1 - zeta^2) n_d (n_d - 1) + D+.D~."""
+    """N * H of the first branch (xi = 0) = 2(1 - zeta^2) n_d (n_d - 1) + D+.D~."""
     nd = nd_op()
     dd = d_pair_tensor(beta0p, zeta)
     quad = scalar_product(dd, dd.tilde())

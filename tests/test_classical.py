@@ -63,10 +63,12 @@ def test_gradient_and_hessian_match_finite_differences(params, rng):
 
 
 def stacked_hessian(x, y, px, py, b0, ze, xi):
-    """Reference Hessian assembly: broadcast the 10 entries, then stack 16 of them."""
-    t = np.array(_derivs.hess_h1(x, y, px, py, b0, ze), dtype=float)
+    """Reference Hessian assembly: re-sum the parts entry by entry, broadcast the
+    10 entries, then stack 16 of them."""
+    h0, h_zz, h_z, h_xi = _derivs.hess_parts(x, y, px, py, b0, xi != 0.0)
+    t = [a + (ze * ze) * b + ze * c for a, b, c in zip(h0, h_zz, h_z)]
     if xi != 0.0:
-        t = t + xi * np.array(_derivs.hess_extra(x, y, px, py, b0), dtype=float)
+        t = [a + xi * d for a, d in zip(t, h_xi)]
     t = np.broadcast_arrays(*t)
     full = np.stack([t[i] for i in _kernels._TRIU], axis=-1)
     return full.reshape(full.shape[:-1] + (4, 4))
@@ -77,10 +79,12 @@ def test_hessian_assembly_matches_stacked(lam, rng):
     params = ModelParams(1.7, lam)
     b0, ze, xi = params.beta0p, params.zeta, params.xi
     pts = interior_points(rng, 500)
-    for args in (pts[0], pts.T, pts.T.reshape(4, 20, 25)):
+    # the last case has scalar coordinates and array momenta, halved to stay inside
+    mixed = (*pts[0, :2] / 2, *pts.T[2:] / 2)
+    for args in (pts[0], pts.T, pts.T.reshape(4, 20, 25), mixed):
         got = _kernels.h_hess(*args, b0, ze, xi)
         want = stacked_hessian(*args, b0, ze, xi)
-        assert got.shape == want.shape == np.shape(args[0]) + (4, 4)
+        assert got.shape == want.shape == np.broadcast_shapes(*map(np.shape, args)) + (4, 4)
         assert np.array_equal(got, want)
 
 
@@ -259,3 +263,18 @@ def test_momentum_branches_at_the_origin_are_one_ring():
     # at lambda = 2.2 G_rho has no root inside the ball
     sols = stationary.momentum_branches(ModelParams(1.7, 2.2), (0.0, 0.0))
     assert len(sols) == 1 and np.array_equal(sols[0], np.zeros(2))
+
+
+def test_momentum_branches_keep_a_pair_at_the_boundary():
+    # 2 - R^2 = 3.0e-8 at this pair, where the rounding of s alone makes
+    # |dH/dp| = 2.8e-8 > GRAD_TOL; a 50-digit Newton polish of dH/dp = 0
+    # moves the point by 3e-16, so it is genuine
+    params = ModelParams(0.75243565721866346, 0.78184053370696527)
+    q = np.array([0.8464299707272644, -0.483482010116298])
+    sols = stationary.momentum_branches(params, q)
+    assert len(sols) == 3
+    assert np.array_equal(sols[0], np.zeros(2))
+    want = np.array([0.5081150111059207, 0.8897306088532155])
+    assert np.abs(sols[2] - want).max() < 1e-12
+    assert np.array_equal(sols[1], -sols[2])
+    assert 0.0 < R0_SQUARED - q @ q - want @ want < 1e-7

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from esqpt import cli, quantum
+from esqpt import cli, density, quantum
 from esqpt.io import fmt, write_csv, write_manifest, write_table
 from esqpt.models import ModelParams
 
@@ -163,6 +163,41 @@ def test_phase_diagram_blocks_equal_density_cuts(tmp_path):
         assert read_lines(cut) == [header] + rows[300 * i:300 * (i + 1)]
 
 
+def test_lambda_grid_values_are_their_printed_numbers():
+    default = cli.make_config(["boundary", "--beta0p", "1.7"]).lambdas
+    assert default.tolist() == [i / 100 for i in range(321)]
+    grid = cli.make_config(["boundary", "--beta0p", "1.7", "--lambda-start", "0.4",
+                            "--lambda-stop", "2.0", "--lambda-step", "0.4"]).lambdas
+    assert grid.tolist() == [0.4, 0.8, 1.2, 1.6, 2.0]
+
+
+def test_phase_diagram_and_density_cut_compute_at_the_printed_lambda(tmp_path, monkeypatch):
+    monkeypatch.delenv("ESQPT_THREADS", raising=False)
+    computed = []
+    scan = density.mc_density_scan
+
+    def recording_scan(beta0p, lambdas, **kwargs):
+        computed.append([float(lam) for lam in lambdas])
+        return scan(beta0p, lambdas, **kwargs)
+
+    monkeypatch.setattr(density, "mc_density_scan", recording_scan)
+    common = ["--beta0p", "1.7", "--n-samples", "1000", "-o", str(tmp_path / "x.csv")]
+    assert cli.main(["phase-diagram", "--lambda-start", "0.4", "--lambda-stop", "2.0",
+                     "--lambda-step", "0.4", *common]) == 0
+    assert cli.main(["density-cut", "--lambda", "1.2", *common]) == 0
+    assert computed == [[0.4, 0.8, 1.2, 1.6, 2.0], [1.2]]
+
+
+def test_lambda_step_below_the_printed_digits_is_a_domain_error(tmp_path, capsys):
+    assert cli.main(["boundary", "--beta0p", "1.7", "--lambda-start", "1",
+                     "--lambda-stop", "1.000000000001", "--lambda-step", "1e-13",
+                     "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "esqpt: domain error: lambda step 1e-13 is below the output's 12 significant digits\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs in this process."""
 
@@ -200,13 +235,15 @@ def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, t
 
 def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("ESQPT_THREADS", "abc")
-    assert cli.main(["density-cut", "--beta0p", "1.7", "--lambda", "0.5",
-                     "--n-samples", "2000", "-o", str(tmp_path / "cut.csv")]) == 2
-    assert capsys.readouterr().err == (
-        "esqpt: domain error: ESQPT_THREADS must be an integer, got 'abc'\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    for threads, message in [("abc", "must be an integer, got 'abc'"),
+                             ("0", "must be at least 1, got 0"),
+                             ("-3", "must be at least 1, got -3")]:
+        monkeypatch.setenv("ESQPT_THREADS", threads)
+        for argv in (["density-cut", "--lambda", "0.5", "--n-samples", "2000"],
+                     ["spectrum", "--lambda", "0.5", "--n", "4"]):
+            assert cli.main([*argv, "--beta0p", "1.7", "-o", str(tmp_path / "out.csv")]) == 2
+            assert capsys.readouterr().err == f"esqpt: domain error: ESQPT_THREADS {message}\n"
+            assert list(tmp_path.iterdir()) == []
 
 
 def test_density_cut_warns_when_samples_leave_the_window(tmp_path, capsys):

@@ -1,16 +1,61 @@
-"""The committed derivative module matches its sympy generator."""
+"""The committed derivative module matches its sympy generator, and the hand
+kernel `_kernels.h_parts` matches the generator's definition of the parts."""
 
 import importlib.util
+import itertools
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from esqpt import _kernels
+
+from conftest import SQRT2, interior_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_derivs_module_is_regenerated_byte_identically():
+@pytest.fixture(scope="module")
+def gen():
     pytest.importorskip("sympy")
     spec = importlib.util.spec_from_file_location("gen_derivs", ROOT / "tools" / "gen_derivs.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_derivs_module_is_regenerated_byte_identically(gen):
     assert gen.derivs_source() == (ROOT / "src" / "esqpt" / "_derivs.py").read_text()
+
+
+def ball_and_boundary_points(n_ball=100_000):
+    """(4, n) points: uniform in the ball R^2 <= 2, and the 24 points
+    (+-1, +-1, 0, 0), where R^2 = 2 exactly, also in floating point.
+
+    Elsewhere on the boundary R^2 = 2 holds only to rounding, and there the
+    sqrt(1 - u) of H_z turns a 1e-16 difference in the rounding of 1 - u into
+    a 1e-8 difference between any two ways of writing it.
+    """
+    ball = interior_points(np.random.default_rng(16), n_ball, r_max=SQRT2)
+    lattice = np.zeros((24, 4))
+    pairs = itertools.product(itertools.combinations(range(4), 2), itertools.product((-1, 1), repeat=2))
+    for row, (where, signs) in zip(lattice, pairs):
+        row[list(where)] = signs
+    return np.vstack([ball, lattice]).T
+
+
+@pytest.mark.parametrize("b0", [0.7, SQRT2, 1.7, 4.0])
+def test_hand_parts_equal_the_generator_parts(gen, b0):
+    import sympy as sp
+
+    pts = ball_and_boundary_points()
+    x, y, px, py = pts
+    assert np.count_nonzero(x * x + y * y + px * px + py * py == 2.0) == 24
+    hand = _kernels.h_parts(*pts, b0, True)
+    for name, part, got in zip(("H0", "HZZ", "HZ", "HXI"), gen.PARTS, hand):
+        f = sp.lambdify((gen.x, gen.y, gen.px, gen.py, gen.b0), part, "numpy")
+        want = np.broadcast_to(f(*pts, b0), got.shape)
+        scale = np.abs(want).max()
+        assert math.isfinite(scale) and scale > 0, name
+        assert np.abs(got - want).max() <= 1e-13 * scale, name

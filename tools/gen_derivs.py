@@ -1,6 +1,15 @@
 """Generate closed-form gradient/Hessian code for the classical Hamiltonian,
 and the polynomials whose roots are its stationary points on the symmetry plane.
 
+H is defined once, as its four lambda-independent parts
+
+    H = H0 + ze^2 HZZ + ze HZ + xi HXI,
+
+the split of `_kernels.h_parts` and the classical image of N H = A + ze^2 B +
+ze C + xi D in `quantum`.  The emitted `grad_parts` and `hess_parts` give each
+part's gradient and Hessian, which `_kernels.h_combine` re-sums like the
+energy; the plane polynomials come from the sum of the parts.
+
 Writes src/esqpt/_derivs.py.  Run manually after changing the Hamiltonian
 definition; the output file is committed, and a test checks that
 ``derivs_source()`` still reproduces it.
@@ -18,12 +27,14 @@ V = [x, y, px, py]
 u = sp.Rational(1, 2) * (x**2 + y**2 + px**2 + py**2)
 pg = x * py - y * px
 A = (py**2 - px**2) * x + 2 * px * py * y - x**3 + 3 * x * y**2
-root = sp.sqrt((1 - u) / 2)
-H1 = u**2 + b0**2 * (1 - u) * u + ze**2 * pg**2 + ze * b0 * root * A
-
 bpb = x * px + y * py
 w = sp.Rational(1, 2) * (x**2 + y**2 - px**2 - py**2) - b0**2 * (1 - u)
-EX = sp.Rational(1, 2) * (bpb**2 + w**2)
+
+H0 = u**2 + b0**2 * (1 - u) * u
+HZZ = pg**2
+HZ = b0 * sp.sqrt((1 - u) / 2) * A
+HXI = sp.Rational(1, 2) * (bpb**2 + w**2)
+PARTS = (H0, HZZ, HZ, HXI)
 
 # On the plane Fix(sigma) = {(x, 0, 0, py)} of sigma: (y, px) -> (-y, -px),
 # with s = sqrt((1 - u)/2) and t = py^2 = 2 - 4 s^2 - x^2, H is a quartic
@@ -31,17 +42,32 @@ EX = sp.Rational(1, 2) * (bpb**2 + w**2)
 # py = 0 are stationary along the curve 4 s^2 + x^2 = 2, where
 # 4 s P_x - x P_s = 0.  Eliminating s leaves one polynomial in x for each.
 s, xi = sp.symbols('s xi', positive=True)
-P = sp.expand((H1 + xi * EX).subs({y: 0, px: 0, py: sp.sqrt(2 - 4 * s**2 - x**2)}))
+P = sp.expand((H0 + ze**2 * HZZ + ze * HZ + xi * HXI).subs(
+    {y: 0, px: 0, py: sp.sqrt(2 - 4 * s**2 - x**2)}))
 Px, Ps = sp.diff(P, x), sp.diff(P, s)
 
 
-def emit(name, exprs, args):
-    reps, reds = sp.cse(exprs, optimizations='basic')
-    lines = [f"def {name}({', '.join(args)}):"]
-    for lhs, rhs in reps:
-        lines.append(f"    {lhs} = {sp.pycode(rhs)}".replace("math.sqrt", "sqrt"))
-    body = ", ".join(sp.pycode(e).replace("math.sqrt", "sqrt") for e in reds)
-    lines.append(f"    return ({body})")
+def _code(expr):
+    return sp.pycode(expr).replace("math.sqrt", "sqrt")
+
+
+def _cse_lines(exprs, symbols):
+    """Common-subexpression assignments of exprs, and the reduced exprs."""
+    reps, reds = sp.cse(exprs, symbols=symbols, optimizations='basic')
+    return [f"    {lhs} = {_code(rhs)}" for lhs, rhs in reps], [_code(e) for e in reds]
+
+
+def emit_parts(name, derivs):
+    """A function of (x, y, px, py, b0, with_xi) returning one tuple of
+    derivatives per part of PARTS; the H_xi tuple is computed only with_xi
+    (else None), as in `_kernels.h_parts`."""
+    n = len(derivs[0])
+    lines, reds = _cse_lines([e for d in derivs[:3] for e in d], sp.numbered_symbols("x"))
+    lines = [f"def {name}(x, y, px, py, b0, with_xi):", *lines, "    parts = ("]
+    lines += [f"        ({', '.join(reds[i:i + n])})," for i in range(0, 3 * n, n)]
+    lines += ["    )", "    if not with_xi:", "        return parts + (None,)"]
+    xi_lines, xi_reds = _cse_lines(derivs[3], sp.numbered_symbols("z"))
+    lines += xi_lines + [f"    return parts + (({', '.join(xi_reds)}),)"]
     return "\n".join(lines)
 
 
@@ -60,17 +86,13 @@ def emit_coeffs(name, expr, var, args):
 
 def derivs_source():
     """The text of src/esqpt/_derivs.py."""
-    g1 = [sp.diff(H1, v) for v in V]
-    h1 = [sp.diff(H1, a, b) for i, a in enumerate(V) for b in V[i:]]
-    g2 = [sp.diff(EX, v) for v in V]
-    h2 = [sp.diff(EX, a, b) for i, a in enumerate(V) for b in V[i:]]
+    grads = [[sp.diff(h, v) for v in V] for h in PARTS]
+    hessians = [[sp.diff(h, a, b) for i, a in enumerate(V) for b in V[i:]] for h in PARTS]
     parts = [
         '"""Machine-generated derivative formulas (tools/gen_derivs.py); do not edit by hand."""',
         "from numpy import sqrt\n",
-        emit("grad_h1", g1, ["x", "y", "px", "py", "b0", "ze"]),
-        emit("hess_h1", h1, ["x", "y", "px", "py", "b0", "ze"]),
-        emit("grad_extra", g2, ["x", "y", "px", "py", "b0"]),
-        emit("hess_extra", h2, ["x", "y", "px", "py", "b0"]),
+        emit_parts("grad_parts", grads),
+        emit_parts("hess_parts", hessians),
         emit_coeffs("kinetic_resultant", sp.resultant(Px, Ps, s), x, ["b0", "ze", "xi"]),
         emit_coeffs(
             "trivial_resultant",
