@@ -5,12 +5,15 @@ seed, package versions, and wall time.  Each subcommand declares only the
 options it reads (the `COMMANDS` table).  Options may come from flags and/or a
 plain-text key=value config file, whose keys are the flag names without `--`
 (`_` and `-` are interchangeable); flags override the file, and the file goes
-through the same parser as the flags.  Exit codes: 0 success, 2 domain error,
+through the same parser as the flags.  A runner whose results are arrays
+computes them, then hands the writer rows made as they are written, so its
+table is never held as row tuples.  Exit codes: 0 success, 2 domain error,
 3 numerical failure, 64 usage error, 74 I/O error.
 
 Threads: each process runs BLAS on one thread, and `ESQPT_THREADS` worker
 processes share the lambda values of a grid (for the densities, each worker
-scans a slice of the grid and draws the full sample stream).  At these
+scans a slice of the grid and draws the full sample stream); every command
+rejects a bad value.  At these
 matrix sizes a threaded eigh costs CPU time without saving wall time, and
 its results depend on the number of threads.  Importing this module before numpy sets
 the BLAS thread variables below to 1 unless one of them is already set.
@@ -152,9 +155,8 @@ def _density_job(task):
     return grids
 
 
-def _worker_count(cfg, n_lambdas):
-    """Worker processes for a grid of n_lambdas values: ESQPT_THREADS, at most
-    one per lambda value (the pool forks all of them at its first submit)."""
+def _threads_from_env():
+    """ESQPT_THREADS as a positive integer (default 1); checked by every command."""
     text = os.environ.get("ESQPT_THREADS", "1")
     try:
         threads = int(text)
@@ -162,7 +164,13 @@ def _worker_count(cfg, n_lambdas):
         raise ValueError(f"ESQPT_THREADS must be an integer, got {text!r}") from None
     if threads < 1:
         raise ValueError(f"ESQPT_THREADS must be at least 1, got {threads}")
-    cfg.workers = min(threads, n_lambdas)
+    return threads
+
+
+def _worker_count(cfg, n_lambdas):
+    """Worker processes for a grid of n_lambdas values: ESQPT_THREADS, at most
+    one per lambda value (the pool forks all of them at its first submit)."""
+    cfg.workers = min(cfg.threads, n_lambdas)
     return cfg.workers
 
 
@@ -189,6 +197,21 @@ def _density_grids(cfg):
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
 
 
+class _Rows:
+    """A table's rows, made one at a time as the writer takes them: iterable
+    once, and sized like a list (`len` is the row count)."""
+
+    def __init__(self, count, rows):
+        self._count = count
+        self._rows = iter(rows)
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        return self._rows
+
+
 def _report_coverage(cfg, grids):
     """Record MC coverage for the manifest; warn when samples left the window."""
     coverage = [1.0 - g.n_outside / g.n_samples for g in grids]
@@ -212,11 +235,9 @@ def _report_coverage(cfg, grids):
 def run_phase_diagram(cfg):
     grids = _density_grids(cfg)
     _report_coverage(cfg, grids)
-    rows = []
-    for lam, grid in zip(cfg.lambdas, grids):
-        for e, r, d, err in zip(grid.e_centers, grid.rho, grid.drho_dE, grid.mc_error):
-            rows.append((lam, e, r, d, err))
-    return DENSITY_HEADER, rows
+    rows = ((lam, e, r, d, err) for lam, grid in zip(cfg.lambdas, grids)
+            for e, r, d, err in zip(grid.e_centers, grid.rho, grid.drho_dE, grid.mc_error))
+    return DENSITY_HEADER, _Rows(len(grids) * cfg.e_bins, rows)
 
 
 def run_density_cut(cfg):
@@ -249,26 +270,25 @@ def run_boundary(cfg):
 def _spectrum_job(task):
     beta0p, lam, N = task
     spec = quantum.diagonalize(ModelParams(beta0p, float(lam)), N)
-    return [(lam, i, e, s, nd) for i, (e, s, nd)
-            in enumerate(zip(spec.energies, spec.slopes, spec.nd_expectation))]
+    return spec.energies, spec.slopes, spec.nd_expectation
 
 
 def run_spectrum(cfg):
     tasks = [(cfg.beta0p, lam, cfg.N) for lam in cfg.lambdas]
-    tables = _pool_map(_spectrum_job, tasks, _worker_count(cfg, len(tasks)))
-    rows = [row for table in tables for row in table]
-    return ["lambda", "level_index", "energy", "slope", "nd_expect"], rows
+    spectra = _pool_map(_spectrum_job, tasks, _worker_count(cfg, len(tasks)))
+    rows = ((lam, i, e, s, nd) for lam, columns in zip(cfg.lambdas, spectra)
+            for i, (e, s, nd) in enumerate(zip(*columns)))
+    return (["lambda", "level_index", "energy", "slope", "nd_expect"],
+            _Rows(sum(len(energies) for energies, _, _ in spectra), rows))
 
 
 def run_flow(cfg):
     lam = _single_lambda(cfg)
     spec = quantum.diagonalize(ModelParams(cfg.beta0p, lam), cfg.N)
     grid = density.smoothed_flow([spec], width=cfg.width, bins=cfg.e_bins)
-    rows = [
-        (lam, e, r, j, p)
-        for e, r, j, p in zip(grid.e_centers, grid.rho, grid.jbar, grid.phibar)
-    ]
-    return ["lambda", "e_center", "rho", "jbar", "phibar"], rows
+    rows = ((lam, e, r, j, p)
+            for e, r, j, p in zip(grid.e_centers, grid.rho, grid.jbar, grid.phibar))
+    return ["lambda", "e_center", "rho", "jbar", "phibar"], _Rows(len(grid.rho), rows)
 
 
 def run_oscillatory(cfg):
@@ -279,8 +299,8 @@ def run_oscillatory(cfg):
         params, n_samples=cfg.n_samples, seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.N
     )
     tilde = quantum.oscillatory_density(params, cfg.N, grid)
-    rows = [(lam, e, t) for e, t in zip(grid.e_centers, tilde)]
-    return ["lambda", "e_center", "rho_osc"], rows
+    rows = ((lam, e, t) for e, t in zip(grid.e_centers, tilde))
+    return ["lambda", "e_center", "rho_osc"], _Rows(len(tilde), rows)
 
 
 def run_excited_surfaces(cfg):
@@ -370,6 +390,7 @@ def make_config(argv=None):
         inputs.update(lambda_start=float(args.lambdas[0]), lambda_stop=float(args.lambdas[-1]),
                       lambda_count=len(args.lambdas))
     args.inputs = inputs
+    args.threads = _threads_from_env()
     # what the run found, for the manifest; set by the runner
     args.diagnostics = {}
     args.workers = 1

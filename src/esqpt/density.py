@@ -9,6 +9,8 @@ The uniform measure does not depend on lambda, and the classical energy is
 H0 + zeta^2 H_zz + zeta H_z + xi H_xi, the four-part split of N H in
 `quantum` (`_kernels.h_parts`). A scan over lambda therefore draws one
 sample and evaluates the parts once per block; each lambda re-sums them.
+The sample streams through fixed-size blocks: memory does not grow with the
+number of samples.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def _ball_points(normals, u):
 
     Each standard-normal row of `normals` is scaled to unit length and then to
     radius sqrt(2) u**(1/4). The squared norm is summed x^2 + y^2 + px^2 + py^2
-    left to right, the order of np.linalg.norm(axis=1), so the points do not
-    depend on how a batch is cut into blocks.
+    left to right, the order of np.linalg.norm(axis=1), so a point depends on
+    its own row and radius only, not on the block it is evaluated in.
     """
     w = normals.T.copy()
     nrm = w[0] * w[0]
@@ -73,9 +75,7 @@ def _ball_points(normals, u):
     return w
 
 
-# Samples per RNG draw: with the seed, this fixes the sample stream.
-_BATCH = 2_000_000
-# Samples per energy evaluation: the temporaries of one block stay in cache.
+# Samples per block: the draws and temporaries of one block stay in cache.
 _BLOCK = 16_384
 
 
@@ -90,11 +90,15 @@ def mc_density_scan(
     """Monte-Carlo smoothed level densities at each lambda, on the classical
     energy scale, on `bins` bins of the window DEFAULT_E_RANGE.
 
-    Every lambda bins the same `n_samples` phase-space points, drawn once
-    from `seed`. H is linear in (zeta^2, zeta, xi), so each block of points
-    gets its lambda-independent parts once (`_kernels.h_parts`) and each
-    lambda costs one four-term sum and its histogram. Each grid is the one a
-    scan of that lambda alone gives; the grids of one scan are correlated.
+    Every lambda bins the same `n_samples` phase-space points. The i-th point
+    has the i-th direction (four standard normals) of the seed's first child
+    stream and the i-th radius variate of its second, so the sample does not
+    depend on how it is cut into blocks. Each block of `_BLOCK` points is
+    drawn into buffers allocated once; H is linear in (zeta^2, zeta, xi), so
+    the block gets its lambda-independent parts once (`_kernels.h_parts`) and
+    each lambda costs one four-term sum and its histogram. Each grid is the
+    one a scan of that lambda alone gives; the grids of one scan are
+    correlated.
     """
     params = [ModelParams(beta0p, float(lam)) for lam in lambdas]
     if n_samples < 1:
@@ -106,22 +110,16 @@ def mc_density_scan(
     with_xi = any(par.xi != 0.0 for par in params)
     edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
     counts = np.zeros((len(params), bins), dtype=np.int64)
-    # the seed's first child stream, not its root stream, is the one that
-    # density tables at each seed are drawn from
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    left = n_samples
-    while left > 0:
-        take = min(left, _BATCH)
-        normals = rng.standard_normal((take, 4))
-        u = rng.random(take)
-        for a in range(0, take, _BLOCK):
-            b = a + _BLOCK
-            # the points go once their parts are computed
-            parts = _kernels.h_parts(*_ball_points(normals[a:b], u[a:b]), beta0p, with_xi)
-            for row, par in zip(counts, params):
-                row += np.histogram(_kernels.h_combine(parts, par.zeta, par.xi), bins=edges)[0]
-        del normals, u
-        left -= take
+    directions, radii = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    normals = np.empty((min(n_samples, _BLOCK), 4))
+    u = np.empty(len(normals))
+    for a in range(0, n_samples, _BLOCK):
+        take = min(_BLOCK, n_samples - a)
+        directions.standard_normal(out=normals[:take])
+        radii.random(out=u[:take])
+        parts = _kernels.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
+        for row, par in zip(counts, params):
+            row += np.histogram(_kernels.h_combine(parts, par.zeta, par.xi), bins=edges)[0]
     dim = basis_dimension(ref_N)
     width = edges[1] - edges[0]
     p = counts / n_samples

@@ -240,7 +240,14 @@ def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys):
                              ("-3", "must be at least 1, got -3")]:
         monkeypatch.setenv("ESQPT_THREADS", threads)
         for argv in (["density-cut", "--lambda", "0.5", "--n-samples", "2000"],
-                     ["spectrum", "--lambda", "0.5", "--n", "4"]):
+                     ["spectrum", "--lambda", "0.5", "--n", "4"],
+                     ["phase-diagram", "--lambda", "0.5", "--n-samples", "2000"],
+                     ["oscillatory", "--lambda", "0.5", "--n", "4", "--n-samples", "2000"],
+                     ["stationary", "--lambda", "0.5"],
+                     ["boundary", "--lambda", "0.5"],
+                     ["spinodal"],
+                     ["flow", "--lambda", "0.5", "--n", "4"],
+                     ["excited-surfaces", "--lambda", "0.5", "--n", "4"]):
             assert cli.main([*argv, "--beta0p", "1.7", "-o", str(tmp_path / "out.csv")]) == 2
             assert capsys.readouterr().err == f"esqpt: domain error: ESQPT_THREADS {message}\n"
             assert list(tmp_path.iterdir()) == []

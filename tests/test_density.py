@@ -1,6 +1,7 @@
 """Monte-Carlo level density, derivative, singularity detection, flow."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,26 +43,23 @@ def test_density_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.rho, c.rho)
 
 
-def _sample_ball(rng, n):
-    """The unblocked sampler: whole-batch rows and np.linalg.norm."""
-    v = rng.standard_normal((n, 4))
+def _sample_ball(directions, radii, n):
+    """The unblocked sampler: n direction rows from `directions` and n radius
+    variates from `radii`, each in one draw; np.linalg.norm of whole rows."""
+    v = directions.standard_normal((n, 4))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    r = math.sqrt(2.0) * rng.random(n) ** 0.25
+    r = math.sqrt(2.0) * radii.random(n) ** 0.25
     return v * r[:, None]
 
 
-def _oracle_mc_density(params, n_samples, seed, batch):
-    """mc_density as one batch-wide evaluation per RNG draw."""
+def _oracle_mc_density(params, n_samples, seed):
+    """mc_density as one evaluation of the whole sample: all directions from
+    the seed's first child stream, all radii from its second."""
     edges = np.linspace(*density.DEFAULT_E_RANGE, density.DEFAULT_BINS + 1)
-    counts = np.zeros(density.DEFAULT_BINS, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    left = n_samples
-    while left > 0:
-        take = min(left, batch)
-        pts = _sample_ball(rng, take)
-        e = _kernels.h_eval(*pts.T, params.beta0p, params.zeta, params.xi)
-        counts += np.histogram(e, bins=edges)[0]
-        left -= take
+    directions, radii = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    pts = _sample_ball(directions, radii, n_samples)
+    e = _kernels.h_eval(*pts.T, params.beta0p, params.zeta, params.xi)
+    counts = np.histogram(e, bins=edges)[0]
     dim = quantum.basis_dimension(density.DEFAULT_REF_N)
     width = edges[1] - edges[0]
     p = counts / n_samples
@@ -73,7 +71,8 @@ def _oracle_mc_density(params, n_samples, seed, batch):
 def test_ball_points_equal_the_row_norm_points():
     # bit for bit, so no sample can change its energy bin
     n = 100_000
-    rows = _sample_ball(np.random.default_rng(5), n)
+    rng = np.random.default_rng(5)
+    rows = _sample_ball(rng, rng, n)
     rng = np.random.default_rng(5)
     normals = rng.standard_normal((n, 4))
     u = rng.random(n)
@@ -86,7 +85,7 @@ def test_ball_points_equal_the_row_norm_points():
 @pytest.mark.parametrize("n", [1, 777, 16_384, 16_385, 200_000])
 def test_blocked_sampler_matches_unblocked(lam, n):
     params = ModelParams(1.7, lam)
-    rho, err, outside = _oracle_mc_density(params, n, 13, density._BATCH)
+    rho, err, outside = _oracle_mc_density(params, n, 13)
     grid = density.mc_density(params, n_samples=n, seed=13)
     assert np.array_equal(grid.rho, rho)
     assert np.array_equal(grid.mc_error, err)
@@ -95,12 +94,29 @@ def test_blocked_sampler_matches_unblocked(lam, n):
 
 @pytest.mark.parametrize("lam", [0.7, 2.5])
 def test_blocked_sampler_matches_unblocked_over_batches(monkeypatch, lam):
-    monkeypatch.setattr(density, "_BATCH", 50_000)
+    # the i-th sample is the same whatever the block size
     params = ModelParams(1.7, lam)
-    rho, err, _ = _oracle_mc_density(params, 120_001, 21, 50_000)
-    grid = density.mc_density(params, n_samples=120_001, seed=21)
-    assert np.array_equal(grid.rho, rho)
-    assert np.array_equal(grid.mc_error, err)
+    rho, err, outside = _oracle_mc_density(params, 120_001, 21)
+    for block in (1000, 16_384):
+        monkeypatch.setattr(density, "_BLOCK", block)
+        grid = density.mc_density(params, n_samples=120_001, seed=21)
+        assert np.array_equal(grid.rho, rho)
+        assert np.array_equal(grid.mc_error, err)
+        assert grid.n_outside == outside
+
+
+def test_mc_density_memory_does_not_grow_with_the_sample():
+    # the sample streams through fixed-size blocks; a whole-sample draw of
+    # 2e6 points alone holds 80 MB
+    params = ModelParams(1.7, 0.7)
+    density.mc_density(params, n_samples=1000)
+    tracemalloc.start()
+    try:
+        density.mc_density(params, n_samples=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def assert_same_grid(got, want):
@@ -120,7 +136,7 @@ def test_scan_rows_equal_single_lambda_densities(lambdas, n):
 
 
 def test_scan_rows_equal_single_lambda_densities_over_batches(monkeypatch):
-    monkeypatch.setattr(density, "_BATCH", 50_000)
+    monkeypatch.setattr(density, "_BLOCK", 1000)
     lambdas = [0.3, 0.9, 1.1, 2.5]
     grids = density.mc_density_scan(1.7, lambdas, n_samples=120_001, seed=21)
     for lam, grid in zip(lambdas, grids):
