@@ -285,7 +285,7 @@ def run_spectrum(cfg):
 def run_flow(cfg):
     lam = _single_lambda(cfg)
     spec = quantum.diagonalize(ModelParams(cfg.beta0p, lam), cfg.N)
-    grid = density.smoothed_flow([spec], width=cfg.width, bins=cfg.e_bins)
+    grid = density.smoothed_flow(spec, width=cfg.width, bins=cfg.e_bins)
     rows = ((lam, e, r, j, p)
             for e, r, j, p in zip(grid.e_centers, grid.rho, grid.jbar, grid.phibar))
     return ["lambda", "e_center", "rho", "jbar", "phibar"], _Rows(len(grid.rho), rows)
@@ -316,12 +316,8 @@ def run_excited_surfaces(cfg):
             for sp in surfaces.surface_stationary_points(params, cfg.N, ng):
                 spt_rows.append((lam, ng, sp.beta, sp.energy, sp.kind))
     stem, ext = os.path.splitext(cfg.output)
-    write_table(
-        stem + "_stationary" + ext,
-        ["lambda", "n_gamma", "beta_star", "e_star", "kind"],
-        spt_rows,
-        cfg.format,
-    )
+    cfg.side_tables.append((stem + "_stationary" + ext,
+                            ["lambda", "n_gamma", "beta_star", "e_star", "kind"], spt_rows))
     return ["lambda", "n_gamma", "beta", "energy"], rows
 
 
@@ -391,8 +387,10 @@ def make_config(argv=None):
                       lambda_count=len(args.lambdas))
     args.inputs = inputs
     args.threads = _threads_from_env()
-    # what the run found, for the manifest; set by the runner
+    # what the run found, for the manifest, and the (path, header, rows) of
+    # tables written after the main one; set by the runner
     args.diagnostics = {}
+    args.side_tables = []
     args.workers = 1
     return args
 
@@ -407,14 +405,26 @@ def _thread_diagnostics(workers):
 
 
 def run(cfg):
-    """Execute one job: data table(s) plus a manifest next to the output."""
+    """Execute one job: data table(s) plus a manifest next to the output.
+
+    The main table is written first; if a later write fails, the tables
+    already written are removed, so a failed job leaves no data file.
+    """
     t0 = time.perf_counter()
     header, rows = COMMANDS[cfg.command][0](cfg)
-    write_table(cfg.output, header, rows, cfg.format)
-    write_manifest(
-        cfg.output, cfg.command, cfg.inputs, cfg.seed, time.perf_counter() - t0,
-        {"threads": _thread_diagnostics(cfg.workers), **cfg.diagnostics},
-    )
+    written = []
+    try:
+        for path, head, body in [(cfg.output, header, rows)] + cfg.side_tables:
+            write_table(path, head, body, cfg.format)
+            written.append(path)
+        write_manifest(
+            cfg.output, cfg.command, cfg.inputs, cfg.seed, time.perf_counter() - t0,
+            {"threads": _thread_diagnostics(cfg.workers), **cfg.diagnostics},
+        )
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
     return 0
 
 

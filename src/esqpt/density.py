@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .classical import R0_SQUARED
 from .models import ModelParams
-from .quantum import SpectrumResult, basis_dimension
+from .quantum import basis_dimension
 
 DEFAULT_BINS = 300
 DEFAULT_E_RANGE = (-0.05, 3.05)
@@ -271,26 +271,21 @@ def gaussian_spectral_density(energies, centers, width, weights=None):
     return out
 
 
-def smoothed_flow(spectra, width=0.05, bins=DEFAULT_BINS):
-    """Smoothed level flow from one or more spectra at nearby lambda.
+def smoothed_flow(spectrum, width=0.05, bins=DEFAULT_BINS):
+    """Smoothed level flow of one spectrum (a quantum.SpectrumResult).
 
-    The flow field is built from Hellmann-Feynman slopes of the central
-    spectrum; the density from its level positions, both on the classical
-    energy scale, on `bins` bins of the window DEFAULT_E_RANGE.
+    The flow field is built from the Hellmann-Feynman slopes of the levels;
+    the density from their positions, both on the classical energy scale, on
+    `bins` bins of the window DEFAULT_E_RANGE.
     """
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
     if bins < 1:
         raise ValueError(f"bins must be positive, got {bins}")
-    if isinstance(spectra, SpectrumResult):
-        spectra = [spectra]
-    ns = {s.N for s in spectra}
-    if len(ns) != 1:
-        raise ValueError("all spectra must share the same N")
-    mid = spectra[len(spectra) // 2]
     edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    rho = gaussian_spectral_density(mid.epsilon, centers, width)
-    jbar = gaussian_spectral_density(mid.epsilon, centers, width, weights=mid.epsilon_slopes)
+    rho = gaussian_spectral_density(spectrum.epsilon, centers, width)
+    jbar = gaussian_spectral_density(spectrum.epsilon, centers, width,
+                                     weights=spectrum.epsilon_slopes)
     phibar = np.where(rho > 1e-10, jbar / np.maximum(rho, 1e-300), 0.0)
     return FlowGrid(centers, rho, jbar, phibar)

@@ -419,10 +419,6 @@ class CriticalBorderline:
     def singularity_class(self):
         return _singularity_class(self.index_r, self.branch)
 
-    @property
-    def kinetic(self):
-        return self.branch == "kinetic"
-
 
 def _signature(sp: StationaryPoint):
     """Continuation signature invariant under the discrete symmetries."""
@@ -430,20 +426,36 @@ def _signature(sp: StationaryPoint):
     return np.array([sp.energy, math.hypot(x, y), math.hypot(px, py)])
 
 
-# signature matching: energy tolerance per unit lambda
-MATCH_RATE = 6.0
+def _mutual_nearest(prev, recs):
+    """{j: i} for the mutually nearest pairs of census points prev[i], recs[j].
+
+    Only points of equal branch and Hessian index pair up; the distance is
+    the largest difference of their signatures.  recs[j] is the nearest of
+    its class to prev[i], and prev[i] the nearest of its class to recs[j].
+    """
+    if not prev or not recs:
+        return {}
+    a = np.array([_signature(sp) for sp in prev])
+    b = np.array([_signature(sp) for sp in recs])
+    same = np.array([[(p.branch, p.index_r) == (r.branch, r.index_r) for r in recs]
+                     for p in prev])
+    d = np.where(same, np.abs(a[:, None] - b[None]).max(axis=2), np.inf)
+    near_b, near_a = d.argmin(axis=1), d.argmin(axis=0)
+    return {int(j): i for i, j in enumerate(near_b) if same[i, j] and near_a[j] == i}
 
 
 def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boundary=True):
     """Critical borderlines E_c(lambda) from the plane census.
 
     Each point of _plane_census stands for one orbit.  A curve continues from
-    one grid lambda to the next only: it takes the point of equal branch and
-    Hessian index whose energy moved less than MATCH_RATE times the lambda
-    step and whose signature (energy, beta, |p|) is closest; a curve that
-    finds none ends.  Degenerate points carry no index and are skipped (they
-    occur on continuous stationary manifolds and at bifurcations).  Boundary
-    min/max curves are appended when include_boundary is set.
+    one grid lambda to the next only, to the point of equal branch and
+    Hessian index whose signature (energy, beta, |p|) is nearest to its own,
+    and only if its own point is in turn the nearest of that class at the
+    previous lambda; otherwise it ends.  The rule is symmetric in the two
+    lambda values, so a reversed grid gives the same curves, reversed.
+    Degenerate points carry no index and are skipped (they occur on
+    continuous stationary manifolds and at bifurcations).  Boundary min/max
+    curves are appended when include_boundary is set.
 
     The census is exact and takes no seeds: n_seeds and seed are accepted
     and ignored, because the benchmark job perfbench/job.py still passes
@@ -452,45 +464,19 @@ def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boun
     if n_seeds < 1:
         raise ValueError("n_seeds must be a positive integer")
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    curves, live = [], []  # dict: lambdas, energies, sig, r, branch
-    for i, lam in enumerate(lambda_grid):
+    out, live, prev = [], [], []  # live[i]: the curve of census point prev[i]
+    for lam in lambda_grid:
         recs = [
             sp for sp in _plane_census(ModelParams(beta0p, lam)) if sp.index_r != "degenerate"
         ]
-        tol = MATCH_RATE * (lam - lambda_grid[i - 1]) if i else 0.0
-        used, grown = set(), []
-        for c in live:
-            best, best_d = None, np.inf
-            for j, sp in enumerate(recs):
-                if j in used or sp.branch != c["branch"] or sp.index_r != c["r"]:
-                    continue
-                sig = _signature(sp)
-                # gate on energy only: beta and |p| move with square-root
-                # speed near curve births and deaths
-                if abs(sig[0] - c["sig"][0]) >= tol:
-                    continue
-                d = np.abs(sig - c["sig"]).max()
-                if d < best_d:
-                    best, best_d = j, d
-            if best is not None:
-                sp = recs[best]
-                used.add(best)
-                c["lambdas"].append(lam)
-                c["energies"].append(sp.energy)
-                c["sig"] = _signature(sp)
-                grown.append(c)
-        for j, sp in enumerate(recs):
-            if j in used:
-                continue
-            c = dict(lambdas=[lam], energies=[sp.energy], sig=_signature(sp),
-                     r=sp.index_r, branch=sp.branch)
-            curves.append(c)
-            grown.append(c)
-        live = grown
-    out = [
-        CriticalBorderline(c["lambdas"], c["energies"], c["r"], c["branch"])
-        for c in curves
-    ]
+        match = _mutual_nearest(prev, recs)
+        live = [live[match[j]] if j in match else CriticalBorderline([], [], sp.index_r, sp.branch)
+                for j, sp in enumerate(recs)]
+        out += [c for j, c in enumerate(live) if j not in match]
+        for c, sp in zip(live, recs):
+            c.lambdas.append(lam)
+            c.energies.append(sp.energy)
+        prev = recs
     if include_boundary:
         mins, maxs = [], []
         for lam in lambda_grid:

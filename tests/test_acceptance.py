@@ -215,7 +215,7 @@ def test_acceptance_08_continuity_equation(announce):
         lo = quantum.diagonalize(ModelParams(SQRT2, lam - delta), N)
         hi = quantum.diagonalize(ModelParams(SQRT2, lam + delta), N)
         mid = quantum.diagonalize(ModelParams(SQRT2, lam), N)
-        flow = density.smoothed_flow([mid], width=width)
+        flow = density.smoothed_flow(mid, width=width)
         centers = flow.e_centers
         rho_lo = density.gaussian_spectral_density(lo.epsilon, centers, width)
         rho_hi = density.gaussian_spectral_density(hi.epsilon, centers, width)

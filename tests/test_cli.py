@@ -453,6 +453,16 @@ def test_excited_surfaces_subcommand(tmp_path):
     assert read_lines(side)[0] == "lambda,n_gamma,beta_star,e_star,kind"
 
 
+@pytest.mark.parametrize("blocked", ["surf.csv", "surf_stationary.csv"])
+def test_failed_excited_surfaces_leaves_no_data_file(tmp_path, blocked):
+    # a directory in the way of either table fails the job with nothing written
+    (tmp_path / blocked).mkdir()
+    assert cli.main(["excited-surfaces", "--beta0p", SQRT2_STR, "--lambda", "1.0",
+                     "--n", "10", "--n-gamma", "0", "--n-beta", "5",
+                     "-o", str(tmp_path / "surf.csv")]) == 74
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "bd.json"
     assert cli.main(["boundary", "--beta0p", "1.7", "--lambda", "0.0",

@@ -208,7 +208,7 @@ def test_gaussian_spectral_density_normalization():
 
 def test_smoothed_flow_basic():
     spec = quantum.diagonalize(ModelParams(SQRT2, 0.5), 30)
-    flow = density.smoothed_flow([spec], width=0.05)
+    flow = density.smoothed_flow(spec, width=0.05)
     assert flow.rho.shape == flow.jbar.shape == flow.phibar.shape
     # velocity field finite wherever the density is appreciable
     sel = flow.rho > 1e-6
@@ -216,10 +216,3 @@ def test_smoothed_flow_basic():
     # the ground state sits at E = 0 with zero slope: no flow at the bottom
     idx = np.argmin(np.abs(flow.e_centers))
     assert abs(flow.jbar[idx]) < 1e-3 * np.abs(flow.jbar).max() + 1e-9
-
-
-def test_smoothed_flow_rejects_mixed_n():
-    s1 = quantum.diagonalize(ModelParams(SQRT2, 0.5), 20)
-    s2 = quantum.diagonalize(ModelParams(SQRT2, 0.5), 22)
-    with pytest.raises(ValueError):
-        density.smoothed_flow([s1, s2])

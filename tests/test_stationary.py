@@ -1,5 +1,6 @@
 """Stationary-point census, spinodals, boundary analysis, borderlines."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -234,16 +235,60 @@ def test_census_is_the_orbits_of_the_plane_census(beta0p):
         assert {(sp.energy, sp.index_r, sp.branch) for sp in pts} == classes
 
 
+ACCEPTANCE_07_GRID = np.arange(0.0, 3.2001, 0.02)
+
+
+@functools.lru_cache(maxsize=None)
+def acceptance_07_curves(beta0p, order):
+    """The borderlines on acceptance 07's grid, traced forward (order 1) or reversed (-1)."""
+    return stationary.trace_borderlines(
+        beta0p, ACCEPTANCE_07_GRID[::order], include_boundary=False
+    )
+
+
 @pytest.mark.parametrize("beta0p", [SQRT2, 1.7])
 def test_borderlines_continue_step_to_step(beta0p):
     # acceptance 07's grid: no curve skips a grid value or jumps in energy
-    grid = np.arange(0.0, 3.2001, 0.02)
-    curves = stationary.trace_borderlines(beta0p, grid, include_boundary=False)
+    grid = ACCEPTANCE_07_GRID
+    curves = acceptance_07_curves(beta0p, 1)
     for c in curves:
         first = int(np.argmin(np.abs(grid - c.lambdas[0])))
         assert np.array_equal(c.lambdas, grid[first:first + len(c.lambdas)])
         steps = np.abs(np.diff(c.energies))
-        assert np.all(steps <= stationary.MATCH_RATE * np.diff(c.lambdas))
+        assert np.all(steps <= 6.0 * np.diff(c.lambdas))
+
+
+def test_borderline_follows_a_fast_origin():
+    # at beta0' = 2 the origin's energy xi beta0'^4 / 2 moves faster than
+    # 6 per unit lambda; its r = 4 curve is still one curve
+    grid = 1.8 + 0.02 * np.arange(71)
+    curves = stationary.trace_borderlines(2.0, grid, include_boundary=False)
+    assert len(curves) == 5
+    (r4,) = [c for c in curves if c.branch == "trivial_momentum" and c.index_r == 4]
+    assert len(r4.lambdas) == 71
+
+
+def test_borderlines_on_a_coarse_grid():
+    # the benchmark's grid: the r = 2 curve born at 1.3 ends where the one
+    # born at 1.4 goes on, as on acceptance 07's finer grid
+    grid = 0.1 + 0.1 * np.arange(32)
+    curves = stationary.trace_borderlines(1.7, grid, include_boundary=False)
+    spans = sorted(
+        (round(c.lambdas[0], 9), round(c.lambdas[-1], 9))
+        for c in curves if c.branch == "trivial_momentum" and c.index_r == 2
+    )
+    assert spans == [(1.3, 1.5), (1.4, 3.2)]
+
+
+@pytest.mark.parametrize("beta0p", [SQRT2, 1.7, 2.0])
+def test_reversed_grid_gives_the_curves_reversed(beta0p):
+    def curves(order):
+        return sorted(
+            (c.branch, str(c.index_r), c.lambdas[::order], c.energies[::order])
+            for c in acceptance_07_curves(beta0p, order)
+        )
+
+    assert curves(-1) == curves(1)
 
 
 @pytest.mark.parametrize("n_seeds", [0, -3])
@@ -397,7 +442,7 @@ def test_boundary_exponent_validation():
 def test_trace_borderlines_short_grid():
     grid = np.arange(0.1, 0.45, 0.05)
     curves = stationary.trace_borderlines(SQRT2, grid, include_boundary=False)
-    kinetic = [c for c in curves if c.kinetic and len(c.lambdas) >= 3]
+    kinetic = [c for c in curves if c.branch == "kinetic" and len(c.lambdas) >= 3]
     assert len(kinetic) == 1
     assert stationary.kinetic_borderline_count(curves) == 1
     curve = kinetic[0]
