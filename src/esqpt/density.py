@@ -41,7 +41,6 @@ class DensityGrid:
     rho: np.ndarray
     mc_error: np.ndarray
     n_samples: int
-    seed: int
     params: ModelParams
     ref_N: int
     n_outside: int = 0  # samples whose energy falls outside the window
@@ -126,7 +125,7 @@ def mc_density_scan(
     rho = dim * p / width
     err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
     return [
-        DensityGrid(edges, r, e, int(n_samples), int(seed), par, int(ref_N),
+        DensityGrid(edges, r, e, int(n_samples), par, int(ref_N),
                     n_outside=int(n_samples - row.sum()))
         for r, e, row, par in zip(rho, err, counts, params)
     ]
@@ -261,13 +260,15 @@ class FlowGrid:
 
 
 def gaussian_spectral_density(energies, centers, width, weights=None):
-    """Sum of unit-area Gaussians at `energies`, optionally weighted."""
+    """Sum of unit-area Gaussians at `energies`, optionally weighted; `width`
+    is one width for all levels or an array of one width per level."""
     if weights is None:
         weights = np.ones_like(energies)
+    widths = np.broadcast_to(width, np.shape(energies))
     out = np.zeros_like(centers, dtype=float)
-    norm = 1.0 / (width * math.sqrt(2 * math.pi))
-    for e, w in zip(energies, weights):
-        out += w * norm * np.exp(-0.5 * ((centers - e) / width) ** 2)
+    for e, s, w in zip(energies, widths, weights):
+        norm = 1.0 / (s * math.sqrt(2 * math.pi))
+        out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
     return out
 
 

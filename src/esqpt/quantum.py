@@ -236,15 +236,11 @@ def oscillatory_density(params: ModelParams, N, grid):
     the level's energy (at most OSC_SIGMA_MAX), keeping it below the local
     mean spacing.
     """
-    spec = diagonalize(params, N)
-    centers = grid.e_centers
-    rho = grid.rho
-    tilde = -rho.astype(float).copy()
-    eps = spec.epsilon
-    rho_at = np.interp(eps, centers, rho)
+    from .density import gaussian_spectral_density  # density imports quantum
+
+    eps = diagonalize(params, N).epsilon
+    rho_at = np.interp(eps, grid.e_centers, grid.rho)
     sigma = np.where(
         rho_at > OSC_C / OSC_SIGMA_MAX, OSC_C / np.maximum(rho_at, 1e-12), OSC_SIGMA_MAX
     )
-    for e_i, s_i in zip(eps, sigma):
-        tilde += np.exp(-0.5 * ((centers - e_i) / s_i) ** 2) / (s_i * math.sqrt(2 * math.pi))
-    return tilde
+    return gaussian_spectral_density(eps, grid.e_centers, sigma) - grid.rho

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _derivs, _kernels
+from . import _derivs, _kernels, _split
 from .classical import R0_SQUARED, eval_H
 from .models import ModelParams
 
@@ -227,62 +227,69 @@ def find_stationary_points(params: ModelParams):
     return pts
 
 
+def _branch_polish(p0, p1, d2, sign, s):
+    """s after 3 Newton steps on P0 + sign P1 / D = 0, the equation of the
+    momentum branch of eigenvalue tr K/2 + sign D (P0 = 0 for sign 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 gives nan: no point
+        for _ in range(3):
+            h, dh = p0(s), p0.deriv()(s)
+            if sign:
+                d = np.sqrt(d2(s))
+                h = h + sign * p1(s) / d
+                dh = dh + sign * (p1.deriv()(s) - p1(s) * d2.deriv()(s) / (2.0 * d2(s))) / d
+            s = s - h / dh
+    return s
+
+
 def momentum_branches(params: ModelParams, q):
     """All momentum stationary points of H at fixed coordinates q = (x, y).
 
     With s = sqrt((1 - u)/2) and rho = |p|^2 = 2 - |q|^2 - 4 s^2, H splits as
-    G(rho) + p^T K(s) p + zeta beta0p s c_a, where K = A + zeta beta0p s M,
-    A = zeta^2 n n^T + (xi/2) q q^T, n = (-y, x), M = [[-x, y], [y, x]] and
-    c_a = 3 x y^2 - x^3.  So a stationary p != 0 is sqrt(rho) times a unit
-    eigenvector v of K(s), of eigenvalue mu = tr K/2 +- D, with
+    G(rho) + p^T K(s) p + zeta beta0p s c_a (tools/gen_derivs.py derives the
+    split from the parts of H).  So a stationary p != 0 is sqrt(rho) times a
+    unit eigenvector v of K(s), of eigenvalue mu = tr K/2 + sign D, with
 
-        8 s (G_rho + mu) - zeta beta0p (rho v^T M v + c_a) = 0,
+        P0 + 8 s (mu - tr K/2) - rho v^T K' v = P0 + sign P1 / D = 0,
 
-    G_rho = u + beta0p^2 (1 - 2u)/2 + xi (beta0p^2 - 1) w/2, u = (|q|^2 + rho)/2,
-    w = (|q|^2 - rho)/2 - beta0p^2 (1 - u), D^2 = ((K11 - K22)/2)^2 + K12^2 and
-    v^T M v = +-N/D, N = y K12 - x (K11 - K22)/2.  Clearing D gives
-    P0^2 D^2 - P1^2 = 0, of degree 8 in s, with P0 = 8 s (G_rho + tr K/2) -
-    zeta beta0p c_a and P1 = 8 s D^2 - zeta beta0p rho N.  Each real root
-    s > 0 inside the ball, polished by 3 Newton steps, gives one candidate p
-    per eigenvector of K(s); those whose own equation above holds to
-    GRAD_TOL are kept.  (|dH/dp| is |p|/(4 s) times its left side, so near
-    the boundary s -> 0 it would amplify the rounding of s past GRAD_TOL.)
-    Where K = 0 (zeta = 0 or q = 0) the polynomial vanishes, H depends on p
-    only through rho, and each root of P0 = 8 s G_rho is a ring, reported as
-    one pair p = (-+|p|, 0).  The first entry is p = (0, 0); the others
-    appear in sign-conjugated pairs, sorted by |p|.
+    K' = dK/ds, where P0, P1 (cubics) and D^2 (a quadratic) in s are
+    generated (`_split.momentum_p0`, `momentum_p1`, `momentum_d2`).  Each
+    real root s > 0 of P0^2 D^2 - P1^2, of degree 8, lies on the branch
+    sign = -sgn(P0 P1).  Polished by 3 Newton steps on that branch's own
+    equation, which keeps a simple root where the two branches nearly cross,
+    and kept inside the ball, it gives one candidate p from that branch's
+    eigenvector, kept if its equation holds to GRAD_TOL.  (|dH/dp| is
+    |p|/(4 s) times its left side, so near the boundary s -> 0 it would
+    amplify the rounding of s past GRAD_TOL.)  Where K = 0 (zeta = 0 or
+    q = 0) the polynomial vanishes, H depends on p only through rho, and
+    each root of P0 = 8 s G_rho is a ring, reported as one pair
+    p = (-+|p|, 0).  The first entry is p = (0, 0); the others appear in
+    sign-conjugated pairs, sorted by |p|.
     """
     x0, y0 = float(q[0]), float(q[1])
-    if x0 * x0 + y0 * y0 >= R0_SQUARED:
+    q2 = x0 * x0 + y0 * y0
+    if q2 >= R0_SQUARED:
         raise ValueError("coordinates outside the configuration disc")
-    b0, ze, xi = float(params.beta0p), float(params.zeta), float(params.xi)
-    q2, zb = x0 * x0 + y0 * y0, ze * b0
-    s = np.poly1d([1.0, 0.0])
-    rho, u = 2.0 - q2 - 4.0 * s * s, 1.0 - 2.0 * s * s
-    w = (q2 - rho) / 2.0 - b0 * b0 * (1.0 - u)
-    g_rho = u + b0 * b0 * (1.0 - 2.0 * u) / 2.0 + xi * (b0 * b0 - 1.0) * w / 2.0
-    k11 = ze * ze * y0 * y0 + xi * x0 * x0 / 2.0 - zb * x0 * s
-    k22 = ze * ze * x0 * x0 + xi * y0 * y0 / 2.0 + zb * x0 * s
-    k12 = (xi / 2.0 - ze * ze) * x0 * y0 + zb * y0 * s
-    d = (k11 - k22) / 2.0
-    d2 = d * d + k12 * k12
-    c_a = 3.0 * x0 * y0 * y0 - x0**3
-    m = np.array([[-x0, y0], [y0, x0]])
-    p0 = 8.0 * s * (g_rho + (k11 + k22) / 2.0) - zb * c_a
-    poly = p0 * p0 * d2 - (8.0 * s * d2 - zb * rho * (y0 * k12 - x0 * d)) ** 2
-    f = poly if poly.coeffs.any() else p0
-    roots = _real_roots(f.coeffs)
-    # s = 0, on the boundary, can be a double root where f' = 0 too
-    roots = roots[roots > 0]
-    for _ in range(3):
-        roots = roots - f(roots) / f.deriv()(roots)
+    coup = (float(params.beta0p), float(params.zeta), float(params.xi))
+    p0, p1, d2 = (
+        np.poly1d(c(x0, y0, *coup))
+        for c in (_split.momentum_p0, _split.momentum_p1, _split.momentum_d2)
+    )
+    dk = np.array(_split.kinetic_slope(x0, y0, *coup))
+    rho = np.poly1d([-4.0, 0.0, 2.0 - q2])
+    poly = p0 * p0 * d2 - p1 * p1
+    ring = not poly.coeffs.any()
+    roots = _real_roots((p0 if ring else poly).coeffs)
     p = [np.zeros(2)]
-    for r in roots[(roots > 0) & (rho(roots) > 0) & (q2 + rho(roots) < INTERIOR_R2)]:
-        k = np.array([[k11(r), k12(r)], [k12(r), k22(r)]])
-        mus, vecs = np.linalg.eigh(k) if f is poly else (np.zeros(1), np.eye(2)[:, :1])
-        for mu, v in zip(mus, vecs.T):
-            if abs(8.0 * r * (g_rho(r) + mu) - zb * (rho(r) * (v @ m @ v) + c_a)) <= GRAD_TOL:
-                p.append(math.sqrt(rho(r)) * v)
+    for r in roots[roots > 0]:  # s >= 0 by definition
+        sign = 0.0 if ring else (-1.0 if p0(r) * p1(r) > 0 else 1.0)
+        s = _branch_polish(p0, p1, d2, sign, r)
+        if not (s > 0 and rho(s) > 0 and q2 + rho(s) < INTERIOR_R2):
+            continue
+        k = np.array(_split.kinetic_matrix(x0, y0, s, *coup))
+        mus, vecs = (np.zeros(2), np.eye(2)) if ring else np.linalg.eigh(k)
+        mu, v = mus[int(sign > 0)], vecs[:, int(sign > 0)]
+        if abs(p0(s) + 8.0 * s * (mu - np.trace(k) / 2.0) - rho(s) * (v @ dk @ v)) <= GRAD_TOL:
+            p.append(math.sqrt(rho(s)) * v)
     p = np.array(p)
     sols = _dedupe(np.vstack([p, -p[1:]]))
     nontrivial = sorted(sols[1:], key=lambda s: (round(float(np.hypot(*s)), 9), s[0], s[1]))

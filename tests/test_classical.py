@@ -278,3 +278,29 @@ def test_momentum_branches_keep_a_pair_at_the_boundary():
     assert np.abs(sols[2] - want).max() < 1e-12
     assert np.array_equal(sols[1], -sols[2])
     assert 0.0 < R0_SQUARED - q @ q - want @ want < 1e-7
+
+
+def test_momentum_branches_sweep():
+    # random couplings and coordinates: every returned p is in the ball and
+    # sign-paired, and stationary to GRAD_TOL wherever 2 - R^2 > 1e-3, where
+    # the rounding of s is not amplified (see momentum_branches)
+    rng = np.random.default_rng(19)
+    cases = checked = 0
+    while cases < 200:
+        beta0p, lam = rng.uniform(0.5, 3.0), rng.uniform(0.0, 3.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        q = SQRT2 * math.sqrt(rng.random()) * np.array([math.cos(angle), math.sin(angle)])
+        if R0_SQUARED - q @ q <= 1e-3:
+            continue
+        cases += 1
+        params = ModelParams(beta0p, lam)
+        sols = stationary.momentum_branches(params, q)
+        assert np.array_equal(sols[0], np.zeros(2))
+        for p in sols:
+            margin = R0_SQUARED - q @ q - p @ p
+            assert margin > 0.0
+            assert min(np.abs(p + r).max() for r in sols) < 1e-9
+            if margin > 1e-3:
+                checked += 1
+                assert np.abs(momentum_gradient(params, q, p)).max() <= stationary.GRAD_TOL
+    assert checked > 400

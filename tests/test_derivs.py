@@ -1,5 +1,6 @@
-"""The committed derivative module matches its sympy generator, and the hand
-kernel `_kernels.h_parts` matches the generator's definition of the parts."""
+"""The committed generated modules match their sympy generator, the generator's
+kinetic split and axial quartic are the parts of H, and the hand kernel
+`_kernels.h_parts` matches the generator's definition of the parts."""
 
 import importlib.util
 import itertools
@@ -27,6 +28,10 @@ def gen():
 
 def test_derivs_module_is_regenerated_byte_identically(gen):
     assert gen.derivs_source() == (ROOT / "src" / "esqpt" / "_derivs.py").read_text()
+
+
+def test_split_module_is_regenerated_byte_identically(gen):
+    assert gen.split_source() == (ROOT / "src" / "esqpt" / "_split.py").read_text()
 
 
 def ball_and_boundary_points(n_ball=100_000):
@@ -59,3 +64,31 @@ def test_hand_parts_equal_the_generator_parts(gen, b0):
         scale = np.abs(want).max()
         assert math.isfinite(scale) and scale > 0, name
         assert np.abs(got - want).max() <= 1e-13 * scale, name
+
+
+def parts_sum(gen):
+    h0, hzz, hz, hxi = gen.PARTS
+    return h0 + gen.ze**2 * hzz + gen.ze * hz + gen.xi * hxi
+
+
+def test_kinetic_split_sums_to_the_parts(gen):
+    # G(rho) + p^T K(s) p + zeta beta0p s c_a at rho = |p|^2, s = sqrt((1 - u)/2)
+    import sympy as sp
+
+    x, y, px, py = gen.x, gen.y, gen.px, gen.py
+    p = sp.Matrix([px, py])
+    split = gen.G + (p.T * gen.K * p)[0] + gen.ze * gen.b0 * gen.s * gen.C_A
+    at = {gen.rho: px**2 + py**2, gen.s: sp.sqrt((2 - x**2 - y**2 - px**2 - py**2) / 4)}
+    assert sp.expand(split.subs(at) - parts_sum(gen)) == 0
+    assert gen.C_A == gen.A.subs({px: 0, py: 0})
+
+
+def test_axial_quartic_is_the_parts_on_the_axis(gen):
+    # V(s, d) at s = sqrt(1 - x^2/2), d = x/sqrt(2) is H at y = px = py = 0
+    import sympy as sp
+
+    x, s, d = gen.x, gen.s, gen.d
+    v = sum(gen.AXIAL.coeff(s, 4 - j).coeff(d, j) * s ** (4 - j) * d**j for j in range(5))
+    assert sp.expand(v - gen.AXIAL) == 0
+    on_axis = v.subs({s: sp.sqrt(1 - x**2 / 2), d: x / sp.sqrt(2)})
+    assert sp.simplify(on_axis - parts_sum(gen).subs({gen.y: 0, gen.px: 0, gen.py: 0})) == 0

@@ -1,18 +1,28 @@
 """Generate closed-form gradient/Hessian code for the classical Hamiltonian,
-and the polynomials whose roots are its stationary points on the symmetry plane.
+and the polynomials whose roots are its stationary points.
 
 H is defined once, as its four lambda-independent parts
 
     H = H0 + ze^2 HZZ + ze HZ + xi HXI,
 
 the split of `_kernels.h_parts` and the classical image of N H = A + ze^2 B +
-ze C + xi D in `quantum`.  The emitted `grad_parts` and `hess_parts` give each
-part's gradient and Hessian, which `_kernels.h_combine` re-sums like the
-energy; the plane polynomials come from the sum of the parts.
+ze C + xi D in `quantum`.  Everything emitted comes from these parts:
 
-Writes src/esqpt/_derivs.py.  Run manually after changing the Hamiltonian
-definition; the output file is committed, and a test checks that
-``derivs_source()`` still reproduces it.
+- `grad_parts` and `hess_parts` give each part's gradient and Hessian, which
+  `_kernels.h_combine` re-sums like the energy;
+- the plane polynomials (`kinetic_resultant`, `trivial_resultant`,
+  `ps_cubic`) give the stationary points on the symmetry plane;
+- the kinetic split H = G(rho) + p^T K(s) p + ze b0 s c_a gives the momentum
+  polynomials P0, P1, D^2 in s and the matrices K(s), dK/ds that
+  `stationary.momentum_branches` solves;
+- `axial_quartic` gives the gamma = 0 potential as a quartic form in the
+  condensate amplitudes (s, d), for `surfaces`.
+
+Writes src/esqpt/_derivs.py (derivatives and plane polynomials) and
+src/esqpt/_split.py (the kinetic split and the axial quartic).  Run manually
+after changing the Hamiltonian definition; the output files are committed,
+and tests check that ``derivs_source()`` and ``split_source()`` still
+reproduce them.
 """
 from pathlib import Path
 
@@ -20,31 +30,91 @@ import sympy as sp
 from sympy.polys.polyfuncs import horner
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "esqpt" / "_derivs.py"
+SPLIT_TARGET = TARGET.with_name("_split.py")
 
 x, y, px, py, b0, ze = sp.symbols('x y px py b0 ze', real=True)
+s, xi = sp.symbols('s xi', positive=True)
+rho, d = sp.symbols('rho d', nonnegative=True)
 V = [x, y, px, py]
 
-u = sp.Rational(1, 2) * (x**2 + y**2 + px**2 + py**2)
 pg = x * py - y * px
 A = (py**2 - px**2) * x + 2 * px * py * y - x**3 + 3 * x * y**2
 bpb = x * px + y * py
-w = sp.Rational(1, 2) * (x**2 + y**2 - px**2 - py**2) - b0**2 * (1 - u)
 
-H0 = u**2 + b0**2 * (1 - u) * u
-HZZ = pg**2
-HZ = b0 * sp.sqrt((1 - u) / 2) * A
-HXI = sp.Rational(1, 2) * (bpb**2 + w**2)
-PARTS = (H0, HZZ, HZ, HXI)
+
+def parts(rho=px**2 + py**2, root=None):
+    """The four parts of H, with |p|^2 written as rho and sqrt((1 - u)/2) as
+    root; by default both are their definitions in the phase-space variables."""
+    u = (x**2 + y**2 + rho) / 2
+    w = (x**2 + y**2 - rho) / 2 - b0**2 * (1 - u)
+    if root is None:
+        root = sp.sqrt((1 - u) / 2)
+    return (u**2 + b0**2 * (1 - u) * u, pg**2, b0 * root * A, (bpb**2 + w**2) / 2)
+
+
+def hamiltonian(h0, hzz, hz, hxi):
+    return h0 + ze**2 * hzz + ze * hz + xi * hxi
+
+
+PARTS = parts()
+H = hamiltonian(*PARTS)
 
 # On the plane Fix(sigma) = {(x, 0, 0, py)} of sigma: (y, px) -> (-y, -px),
 # with s = sqrt((1 - u)/2) and t = py^2 = 2 - 4 s^2 - x^2, H is a quartic
 # polynomial P(x, s).  Kinetic points (t > 0) solve P_x = P_s = 0; points with
 # py = 0 are stationary along the curve 4 s^2 + x^2 = 2, where
 # 4 s P_x - x P_s = 0.  Eliminating s leaves one polynomial in x for each.
-s, xi = sp.symbols('s xi', positive=True)
-P = sp.expand((H0 + ze**2 * HZZ + ze * HZ + xi * HXI).subs(
-    {y: 0, px: 0, py: sp.sqrt(2 - 4 * s**2 - x**2)}))
+P = sp.expand(H.subs({y: 0, px: 0, py: sp.sqrt(2 - 4 * s**2 - x**2)}))
 Px, Ps = sp.diff(P, x), sp.diff(P, s)
+
+# The kinetic split.  At fixed q = (x, y), write |p|^2 as rho and
+# sqrt((1 - u)/2) as s: H is then G(rho) + p^T K(s) p + ze b0 s c_a, with
+# K(s) linear in s and c_a = A at p = 0.  Since rho = 2 - |q|^2 - 4 s^2,
+# ds/drho = -1/(8 s), and dH/dp = 0 at p = sqrt(rho) v != 0 says that v is a
+# unit eigenvector of K(s), of eigenvalue mu = tr K/2 +- D, with
+#
+#     8 s (G_rho + mu) - rho v^T K' v - ze b0 c_a = 0,    K' = dK/ds.
+#
+# K' is traceless, so v^T K' v = +-N/D with N = tr(K' (K - tr K/2))/2 and
+# D^2 = -det(K - tr K/2).  Clearing D leaves P0^2 D^2 - P1^2 = 0, where
+#
+#     P0 = 8 s (G_rho + tr K/2) - ze b0 c_a,    P1 = 8 s D^2 - rho N,
+#
+# are cubics and D^2 a quadratic in s.
+HS = hamiltonian(*parts(rho, s))
+PV = sp.Matrix([px, py])
+K = sp.hessian(HS, (px, py)) / 2
+G = HS.subs({px: 0, py: 0, s: 0})
+C_A = A.subs({px: 0, py: 0})
+assert sp.expand(G + (PV.T * K * PV)[0] + ze * b0 * s * C_A - HS) == 0
+DK = sp.diff(K, s)
+assert sp.expand(DK.trace()) == 0 and s not in DK.free_symbols  # K is linear in s
+KD = K - K.trace() / 2 * sp.eye(2)
+D2 = KD[0, 0] ** 2 + KD[0, 1] ** 2
+N = (DK * KD).trace() / 2
+P0 = 8 * s * (sp.diff(G, rho) + K.trace() / 2) - ze * b0 * C_A
+P1 = 8 * s * D2 - rho * N
+RHO_OF_S = {rho: 2 - x**2 - y**2 - 4 * s**2}
+
+# The axial quartic.  On gamma = 0 (y = px = py = 0), x = sqrt(2) d with
+# s^2 + d^2 = 1, so u = d^2 and sqrt((1 - u)/2) = s/sqrt(2); with 1 = s^2 + d^2
+# every term becomes a quartic form V(s, d) = sum_j f_j s^(4-j) d^j.
+AXIS = {x: sp.sqrt(2) * d, y: 0, px: 0, py: 0}
+V_AXIS = sp.expand(hamiltonian(*parts(0, s / sp.sqrt(2))).subs(AXIS))
+
+
+def homogenize(expr, degree):
+    """expr, a polynomial in (s, d) of even-parity terms, as a form of the given
+    degree on s^2 + d^2 = 1."""
+    out = 0
+    for (i, j), c in sp.Poly(expr, s, d).terms():
+        k, odd = divmod(degree - i - j, 2)
+        assert k >= 0 and not odd
+        out += c * s**i * d**j * (s**2 + d**2) ** k
+    return sp.expand(out)
+
+
+AXIAL = homogenize(V_AXIS, 4)
 
 
 def _code(expr):
@@ -71,40 +141,76 @@ def emit_parts(name, derivs):
     return "\n".join(lines)
 
 
-def emit_coeffs(name, expr, var, args):
-    """A function returning the coefficients of expr in var, highest power first,
-    divided by their common content and in Horner form (np.roots order)."""
-    coeffs = sp.Poly(expr, var).all_coeffs()
-    content = sp.gcd_list(coeffs)
-    gens = [{'x': x, 'b0': b0, 'ze': ze, 'xi': xi}[a] for a in args]
-    body = [sp.pycode(horner(sp.expand(c / content), *gens)) for c in coeffs]
+def _horner(expr, args):
+    gens = [{'x': x, 'y': y, 's': s, 'b0': b0, 'ze': ze, 'xi': xi}[a] for a in args]
+    return sp.pycode(horner(sp.expand(expr), *gens))
+
+
+def emit_values(name, values, args):
+    """A function of args returning the tuple of values, in Horner form; a row
+    of values that is itself a sequence is returned as a tuple."""
+    def code(v):
+        if isinstance(v, (list, tuple)):
+            return f"({', '.join(_horner(e, args) for e in v)})"
+        return _horner(v, args)
+
     lines = [f"def {name}({', '.join(args)}):", "    return ("]
-    lines += [f"        {b}," for b in body]
+    lines += [f"        {code(v)}," for v in values]
     lines.append("    )")
     return "\n".join(lines)
+
+
+def emit_coeffs(name, expr, var, args, reduce=True):
+    """A function returning the coefficients of expr in var, highest power first
+    (np.roots order), in Horner form; with reduce, divided by their common
+    content, which keeps the roots."""
+    coeffs = sp.Poly(expr, var).all_coeffs()
+    content = sp.gcd_list(coeffs) if reduce else 1
+    return emit_values(name, [c / content for c in coeffs], args)
 
 
 def derivs_source():
     """The text of src/esqpt/_derivs.py."""
     grads = [[sp.diff(h, v) for v in V] for h in PARTS]
     hessians = [[sp.diff(h, a, b) for i, a in enumerate(V) for b in V[i:]] for h in PARTS]
+    plane = ["b0", "ze", "xi"]
     parts = [
         '"""Machine-generated derivative formulas (tools/gen_derivs.py); do not edit by hand."""',
         "from numpy import sqrt\n",
         emit_parts("grad_parts", grads),
         emit_parts("hess_parts", hessians),
-        emit_coeffs("kinetic_resultant", sp.resultant(Px, Ps, s), x, ["b0", "ze", "xi"]),
+        emit_coeffs("kinetic_resultant", sp.resultant(Px, Ps, s), x, plane),
         emit_coeffs(
             "trivial_resultant",
             sp.resultant(sp.expand(4 * s * Px - x * Ps), 4 * s**2 + x**2 - 2, s),
             x,
-            ["b0", "ze", "xi"],
+            plane,
         ),
-        emit_coeffs("ps_cubic", Ps, s, ["x", "b0", "ze", "xi"]),
+        emit_coeffs("ps_cubic", Ps, s, ["x", *plane]),
+    ]
+    return "\n\n".join(parts) + "\n"
+
+
+def split_source():
+    """The text of src/esqpt/_split.py.  It is a module of its own because the
+    package is often imported from source without cached bytecode, and the
+    compiler's peak memory grows with the size of the module it compiles."""
+    plane = ["b0", "ze", "xi"]
+    at_q = ["x", "y", *plane]
+    parts = [
+        '"""Machine-generated polynomials of the kinetic split of H and of H on the gamma = 0\n'
+        'axis (tools/gen_derivs.py); do not edit by hand."""',
+        emit_coeffs("momentum_p0", P0.subs(RHO_OF_S), s, at_q, reduce=False),
+        emit_coeffs("momentum_p1", P1.subs(RHO_OF_S), s, at_q, reduce=False),
+        emit_coeffs("momentum_d2", D2, s, at_q, reduce=False),
+        emit_values("kinetic_matrix", K.tolist(), ["x", "y", "s", *plane]),
+        emit_values("kinetic_slope", DK.tolist(), at_q),
+        emit_values("axial_quartic", [AXIAL.coeff(s, 4 - j).coeff(d, j) for j in range(5)], plane),
     ]
     return "\n\n".join(parts) + "\n"
 
 
 if __name__ == "__main__":
-    TARGET.write_text(derivs_source())
-    print(f"wrote {TARGET}")
+    for target, source in ((TARGET, derivs_source), (SPLIT_TARGET, split_source)):
+        target.write_text(source())
+        print(f"wrote {target}")
