@@ -249,6 +249,8 @@ def run_stationary(cfg):
     if cfg.n_seeds < 1:
         raise ValueError("n_seeds must be a positive integer")
     rows = []
+    # rows per singularity class (i)-(v) and degenerate rows, over all lambdas
+    census = dict.fromkeys([*stationary.SINGULARITY_CLASS.values(), "degenerate"], 0)
     for lam in cfg.lambdas:
         pts = stationary.find_stationary_points(ModelParams(cfg.beta0p, float(lam)))
         for sp in pts:
@@ -256,6 +258,8 @@ def run_stationary(cfg):
             rows.append(
                 (lam, x, y, px, py, sp.energy, sp.index_r, sp.branch, sp.singularity_class)
             )
+            census[sp.singularity_class] += 1
+    cfg.diagnostics["census"] = census
     return ["lambda", "x", "y", "px", "py", "energy", "r", "branch", "class"], rows
 
 

@@ -266,9 +266,10 @@ def gaussian_spectral_density(energies, centers, width, weights=None):
         weights = np.ones_like(energies)
     widths = np.broadcast_to(width, np.shape(energies))
     out = np.zeros_like(centers, dtype=float)
-    for e, s, w in zip(energies, widths, weights):
-        norm = 1.0 / (s * math.sqrt(2 * math.pi))
-        out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
+    with np.errstate(over="ignore"):  # a tiny width: exp(-inf) = 0 is exact
+        for e, s, w in zip(energies, widths, weights):
+            norm = 1.0 / (s * math.sqrt(2 * math.pi))
+            out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
     return out
 
 
@@ -279,6 +280,8 @@ def smoothed_flow(spectrum, width=0.05, bins=DEFAULT_BINS):
     the density from their positions, both on the classical energy scale, on
     `bins` bins of the window DEFAULT_E_RANGE.
     """
+    if not math.isfinite(width):
+        raise ValueError(f"width must be finite, got {width}")
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
     if bins < 1:

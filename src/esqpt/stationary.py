@@ -3,10 +3,13 @@ and borderlines.
 
 Interior stationary points of the classical Hamiltonian are exact roots on
 the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two resultants, generated by
-tools/gen_derivs.py, give them as polynomial roots in x, and a few Newton
-steps polish them.  The plane census keeps one point (x, 0, 0, py >= 0) per
-Z3 x (p -> -p) orbit and classifies it once by its Hessian index r (number
-of negative eigenvalues); the full census carries each point over the phase
+tools/gen_derivs.py, give them as polynomial roots in x.  Each root is
+polished by 3 Newton steps on its own polynomial, each plane point by 3
+Newton steps on its own gradient, and a candidate is kept where the
+gradient of H vanishes; no search from seeds, no convergence loop.  The
+plane census keeps one point (x, 0, 0, py >= 0) per Z3 x (p -> -p) orbit
+and classifies it once by its Hessian index r (number of negative
+eigenvalues); the full census carries each point over the phase
 space with the orbit's images, which share its energy and index.  The
 spinodals and the energy restricted to the boundary 3-sphere have closed
 forms, and critical borderlines E_c(lambda) follow the plane census from one
@@ -32,7 +35,6 @@ KINETIC_P_TOL = 1e-6
 INTERIOR_R2 = R0_SQUARED - 1e-9
 # roots of the plane polynomials with a smaller relative imaginary part are real
 REAL_ROOT_TOL = 1e-6
-NEWTON_STEP_CAP = 0.25  # longest step of the batched Newton polish
 DEDUPE_TOL = 1e-6  # points closer than this are one point
 # a kinetic borderline counts when it spans at least this many grid lambdas
 MIN_BORDERLINE_LENGTH = 3
@@ -61,46 +63,6 @@ def _singularity_class(index_r, branch):
     if index_r == "degenerate":
         return "degenerate"
     return SINGULARITY_CLASS[index_r]
-
-
-def _newton_polish(params, pts, max_iter):
-    """Batched Newton iteration on grad H = 0; returns converged points."""
-    b0, ze, xi = params.beta0p, params.zeta, params.xi
-    x = np.asarray(pts, dtype=float).copy()
-    alive = np.ones(len(x), dtype=bool)
-    done = np.zeros(len(x), dtype=bool)
-    for _ in range(max_iter):
-        idx = alive & ~done
-        if not idx.any():
-            break
-        p = x[idx]
-        g = np.stack(_kernels.h_grad(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi), axis=-1)
-        h = _kernels.h_hess(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi)
-        try:
-            step = np.linalg.solve(h, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular member stops the batched solve; every point
-            # takes the least-squares step of its own Hessian instead
-            step = (np.linalg.pinv(h) @ g[..., None])[..., 0]
-        norms = np.linalg.norm(step, axis=1)
-        big = norms > NEWTON_STEP_CAP
-        step[big] *= (NEWTON_STEP_CAP / norms[big])[:, None]
-        newp = p - step
-        r2 = np.einsum("ij,ij->i", newp, newp)
-        escaped = r2 > INTERIOR_R2
-        gnorm = np.abs(g).max(axis=1)
-        conv = (np.linalg.norm(step, axis=1) < 1e-12) & (gnorm < GRAD_TOL)
-        x[idx] = np.where(escaped[:, None], p, newp)
-        ai = np.where(idx)[0]
-        alive[ai[escaped]] = False
-        done[ai[conv & ~escaped]] = True
-    out = x[done]
-    if len(out):
-        g = np.stack(
-            _kernels.h_grad(out[:, 0], out[:, 1], out[:, 2], out[:, 3], b0, ze, xi), axis=-1
-        )
-        out = out[np.abs(g).max(axis=1) <= GRAD_TOL]
-    return out
 
 
 def _dedupe(points):
@@ -132,22 +94,31 @@ def _classify(params, loc):
 
 
 def _real_roots(coeffs):
-    """Real parts of the polynomial's roots whose imaginary part is small."""
+    """Real parts of the polynomial's roots whose imaginary part is small,
+    each polished by 3 Newton steps on the same coefficients."""
     r = np.roots(coeffs)
-    return r.real[np.abs(r.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(r))]
+    r = r.real[np.abs(r.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(r))]
+    slope = np.polyder(np.asarray(coeffs, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            step = np.polyval(coeffs, r) / np.polyval(slope, r)
+            # a root where the slope vanishes stays where np.roots put it
+            r = np.where(np.isfinite(step), r - step, r)
+    return r
 
 
 def _plane_candidates(params):
-    """Approximate stationary points (x, 0, 0, py >= 0) on the plane Fix(sigma).
+    """Candidate stationary points (x, 0, 0, py >= 0) on the plane Fix(sigma).
 
     There, with s = sqrt((1 - u)/2) and t = py^2 = 2 - 4 s^2 - x^2, H is a
     quartic polynomial P(x, s).  Points with py = 0 are the roots x of the
     degree-8 resultant of 4 s P_x - x P_s and 4 s^2 + x^2 - 2; kinetic points
     are the roots x of the degree-9 resultant of P_x and P_s, each with the
-    roots s > 0 of the cubic P_s(x, s) that leave t > 0.  The resultants also
-    have the roots x of the mirror points s < 0, and the cubic has roots that
-    P_x does not share; Newton polishing drops such candidates or moves them
-    onto a stationary point of the plane.
+    roots s > 0 of the cubic P_s(x, s) that leave t > 0, and py = sqrt(t).
+    Each root is polished on its own polynomial (_real_roots).  The
+    resultants also have the roots x of the mirror points s < 0, and the
+    cubic has roots that P_x does not share; such candidates are not
+    stationary, and _plane_census drops them by their gradient.
     """
     b0, ze, xi = params.beta0p, params.zeta, params.xi
     cands = [np.zeros(4)]
@@ -160,6 +131,36 @@ def _plane_candidates(params):
             if s > 0 and t > 0 and x * x + t < INTERIOR_R2:
                 cands.append([x, 0.0, 0.0, math.sqrt(t)])
     return np.array(cands)
+
+
+def _plane_polish(params, locs):
+    """The (n, 4) plane points after 3 Newton steps on (H_x, H_py) = 0, and a
+    mask of the stationary ones.
+
+    A resultant root carries the rounding of the resultant's own evaluation,
+    which near R^2 = 2, where the Hessian grows like 1/s, or at a close pair
+    of roots, leaves |grad H| above GRAD_TOL; steps on the gradient itself
+    remove it.  A point takes a step only where it lowers |grad H| and keeps
+    py >= 0, so a (nearly) singular Hessian, as at a degenerate point,
+    cannot move it.  A point is stationary where |grad H| <= GRAD_TOL and the
+    last step moved it by at most DEDUPE_TOL; one that still moves farther
+    is a root of no gradient equation on its way to another point (a mirror
+    root near the origin, where the Hessian is small, comes within GRAD_TOL).
+    """
+    coup = (params.beta0p, params.zeta, params.xi)
+    g = np.asarray(_kernels.h_grad(*locs.T, *coup))
+    for _ in range(3):
+        h = _kernels.h_hess(*locs.T, *coup)
+        (a, b), (c, d) = h[:, 0, [0, 3]].T, h[:, 3, [0, 3]].T
+        det, new = a * d - b * c, locs.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):  # nan: not a step
+            new[:, 0] -= (d * g[0] - b * g[3]) / det
+            new[:, 3] -= (a * g[3] - c * g[0]) / det
+            new_g = np.asarray(_kernels.h_grad(*new.T, *coup))
+        better = (np.abs(new_g).max(axis=0) < np.abs(g).max(axis=0)) & (new[:, 3] >= 0.0)
+        moved = np.where(better, np.abs(new - locs).max(axis=1), 0.0)
+        locs, g = np.where(better[:, None], new, locs), np.where(better, new_g, g)
+    return locs, (np.abs(g).max(axis=0) <= GRAD_TOL) & (moved <= DEDUPE_TOL)
 
 
 _C3, _S3 = -0.5, math.sqrt(3.0) / 2.0
@@ -191,12 +192,13 @@ def _plane_census(params: ModelParams):
     """One classified point (x, 0, 0, py >= 0) per Z3 x (p -> -p) orbit.
 
     The roots on the plane Fix(sigma) (see _plane_candidates) are polished
-    by at most 20 Newton steps; p -> -p folds py onto py >= 0.  At zeta = 0
-    the census is the origin and, for beta0p^2 > 2, the sphere u = u* of
-    _flat_sphere, reported once as the degenerate point (sqrt(2 u*), 0, 0, 0).
-    Where the kinetic resultant vanishes identically otherwise (beta0p =
-    sqrt2, lambda = 2), the stationary points form continuous manifolds,
-    reported by the degenerate points the Newton polish reaches on the plane.
+    on the gradient (_plane_polish), kept where they are stationary,
+    deduplicated and classified.  At zeta = 0 the census is the origin and,
+    for beta0p^2 > 2, the sphere u = u* of _flat_sphere, reported once as the
+    degenerate point (sqrt(2 u*), 0, 0, 0).  Where the kinetic resultant
+    vanishes identically otherwise (beta0p = sqrt2, lambda = 2), the
+    stationary points form continuous manifolds, reported by the degenerate
+    points where they cross the axis y = p = 0.
     """
     if params.zeta == 0.0:
         r2 = _flat_sphere(params.beta0p)
@@ -204,9 +206,8 @@ def _plane_census(params: ModelParams):
         if r2 is not None:
             locs.append(np.array([math.sqrt(r2), 0.0, 0.0, 0.0]))
     else:
-        locs = _newton_polish(params, _plane_candidates(params), max_iter=20)
-        locs[:, 3] = np.abs(locs[:, 3])
-        locs = _dedupe(locs)
+        locs, keep = _plane_polish(params, _plane_candidates(params))
+        locs = _dedupe(locs[keep])
     return [_classify(params, loc) for loc in locs]
 
 
@@ -229,14 +230,12 @@ def find_stationary_points(params: ModelParams):
 
 def _branch_polish(p0, p1, d2, sign, s):
     """s after 3 Newton steps on P0 + sign P1 / D = 0, the equation of the
-    momentum branch of eigenvalue tr K/2 + sign D (P0 = 0 for sign 0)."""
+    momentum branch of eigenvalue tr K/2 + sign D."""
     with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 gives nan: no point
         for _ in range(3):
-            h, dh = p0(s), p0.deriv()(s)
-            if sign:
-                d = np.sqrt(d2(s))
-                h = h + sign * p1(s) / d
-                dh = dh + sign * (p1.deriv()(s) - p1(s) * d2.deriv()(s) / (2.0 * d2(s))) / d
+            d = np.sqrt(d2(s))
+            h = p0(s) + sign * p1(s) / d
+            dh = p0.deriv()(s) + sign * (p1.deriv()(s) - p1(s) * d2.deriv()(s) / (2.0 * d2(s))) / d
             s = s - h / dh
     return s
 
@@ -261,9 +260,9 @@ def momentum_branches(params: ModelParams, q):
     |p|/(4 s) times its left side, so near the boundary s -> 0 it would
     amplify the rounding of s past GRAD_TOL.)  Where K = 0 (zeta = 0 or
     q = 0) the polynomial vanishes, H depends on p only through rho, and
-    each root of P0 = 8 s G_rho is a ring, reported as one pair
-    p = (-+|p|, 0).  The first entry is p = (0, 0); the others appear in
-    sign-conjugated pairs, sorted by |p|.
+    each root of P0 = 8 s G_rho, polished on P0 by _real_roots, is a ring,
+    reported as one pair p = (-+|p|, 0).  The first entry is p = (0, 0); the
+    others appear in sign-conjugated pairs, sorted by |p|.
     """
     x0, y0 = float(q[0]), float(q[1])
     q2 = x0 * x0 + y0 * y0
@@ -282,7 +281,7 @@ def momentum_branches(params: ModelParams, q):
     p = [np.zeros(2)]
     for r in roots[roots > 0]:  # s >= 0 by definition
         sign = 0.0 if ring else (-1.0 if p0(r) * p1(r) > 0 else 1.0)
-        s = _branch_polish(p0, p1, d2, sign, r)
+        s = r if ring else _branch_polish(p0, p1, d2, sign, r)  # _real_roots polished P0's
         if not (s > 0 and rho(s) > 0 and q2 + rho(s) < INTERIOR_R2):
             continue
         k = np.array(_split.kinetic_matrix(x0, y0, s, *coup))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,19 @@ def test_stationary_subcommand(tmp_path):
     assert origin[0][8] == "v"
 
 
+def test_stationary_manifest_counts_the_census_by_class(tmp_path):
+    # at beta0' = 2, lambda = 2.9 and 3: the three minima (i) and the maximum
+    # (v) of the trivial momentum and one kinetic orbit of saddles (ii); at
+    # lambda = 3 also the degenerate orbit of three born there
+    out = tmp_path / "st.csv"
+    assert cli.main(["stationary", "--beta0p", "2", "--lambda-start", "2.9",
+                     "--lambda-stop", "3", "--lambda-step", "0.1", "-o", str(out)]) == 0
+    census = json.loads((tmp_path / "st.csv.manifest.json").read_text())["diagnostics"]["census"]
+    assert census == {"i": 6, "ii": 12, "iii": 0, "iv": 0, "v": 2, "degenerate": 3}
+    classes = [line.rsplit(",", 1)[1] for line in read_lines(out)[1:]]
+    assert census == {c: classes.count(c) for c in census}
+
+
 def test_stationary_manifest_records_the_seed_used(tmp_path):
     # the census is exact: the seed reaches the manifest but not the points
     base = ["stationary", "--beta0p", "1.7", "--lambda", "0", "--n-seeds", "300"]
@@ -522,12 +536,26 @@ def test_exit_codes(tmp_path):
      "n_beta must be a positive integer, got 0"),
     (["oscillatory", "--lambda", "1", "--n", "0"], "N must be a positive integer, got 0"),
     (["oscillatory", "--lambda", "1", "--n", "201"], "N = 201 exceeds the cap 200"),
+    # an infinite width flattens every Gaussian to 0
+    (["flow", "--lambda", "0.5", "--n", "10", "--width", "inf"], "width must be finite, got inf"),
+    (["flow", "--lambda", "0.5", "--n", "10", "--width", "nan"], "width must be finite, got nan"),
 ])
 def test_exit_codes_for_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert cli.main(argv + ["--beta0p", "1.7", "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"esqpt: domain error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flow_tiny_width_warns_nothing(tmp_path, capsys):
+    # the Gaussians of a 1e-300 width overflow in their exponent; exp(-inf) = 0
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["flow", "--beta0p", "1.7", "--lambda", "0.5", "--n", "10",
+                         "--width", "1e-300", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_lines(out)) == 1 + density.DEFAULT_BINS
 
 
 @pytest.mark.parametrize("message", [

@@ -1,24 +1,30 @@
 """The benchmark's job entry points still run against the package: every
-name that `perfbench/job.py` and its span recorder look up must exist."""
+name that `perfbench/job.py` and its span recorder look up must exist, and
+the census jobs pass the benchmark's own output checks."""
 
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_job(*args):
+def run_python(*args, cwd=ROOT):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "job.py"), *map(str, args)],
-                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    proc = subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def run_job(*args):
+    return run_python(ROOT / "perfbench" / "job.py", *args)
 
 
 def test_benchmark_jobs_run_against_the_package(tmp_path):
@@ -34,3 +40,26 @@ def test_benchmark_jobs_run_against_the_package(tmp_path):
     assert "kinetic_borderlines" in json.loads((tmp_path / "b.json").read_text())
 
     assert json.loads(run_job("-", "setup"))["use_numba"] is False
+
+
+# the runner's own job command line, environment and seed, and each job's check
+CHECK_JOBS = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    import run, workloads
+    outdir, problems = Path(sys.argv[1]), {}
+    for job in workloads.WORKLOADS["classical-scan"]:
+        if job.name in sys.argv[2:]:
+            argv = run.job_argv(job, run.DEFAULT_SEED, outdir, "-")
+            proc = run.run_process(argv, run.child_env(outdir), outdir, outdir / job.name)
+            problems[job.name] = ([f"exit {proc.returncode}: {proc.stderr[-500:]}"]
+                                  if proc.returncode else job.check(job, outdir))
+    print(json.dumps(problems))
+""")
+
+
+def test_classical_scan_census_jobs_pass_the_benchmark_checks(tmp_path):
+    # a census whose outputs the benchmark would refuse fails here first
+    jobs = ["stationary", "stationary-l0", "trace-borderlines"]
+    out = run_python("-c", CHECK_JOBS, tmp_path, *jobs, cwd=ROOT / "perfbench")
+    assert json.loads(out) == {job: [] for job in jobs}

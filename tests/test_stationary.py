@@ -13,7 +13,7 @@ from esqpt import _kernels, classical, stationary
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
-from oracle.multistart import ball_seeds, multistart_census
+from oracle.multistart import _newton_polish, ball_seeds, multistart_census
 
 
 def by_location(points, loc, tol=1e-6):
@@ -99,7 +99,7 @@ def test_dedupe_matches_loop_on_continuous_manifold_census():
     # lambda = 0 has continuous stationary manifolds: most points are distinct
     params = ModelParams(1.7, 0.0)
     seeds = np.vstack([np.zeros((1, 4)), ball_seeds(1000)])
-    pts = np.vstack([stationary._newton_polish(params, seeds, max_iter=200), np.zeros((1, 4))])
+    pts = np.vstack([_newton_polish(params, seeds, max_iter=200), np.zeros((1, 4))])
     got = stationary._dedupe(pts)
     assert 900 < len(got) < len(pts)
     assert np.array_equal(got, dedupe_loop(pts))
@@ -168,6 +168,36 @@ def test_census_finds_the_kinetic_orbits_the_multistart_missed(beta0p, lam, ener
     for sp in kinetic:
         assert sp.energy == pytest.approx(energy, abs=1e-6)
         assert sp.index_r == index_r
+
+
+def test_census_keeps_the_degenerate_orbit_born_at_2_3():
+    # an r = 2 / r = 3 pair is born on the axis at x = -sqrt(1.8), E = 2.5;
+    # the Hessian there is singular, which a Newton search that waits for
+    # convergence does not get past
+    pts = stationary.find_stationary_points(ModelParams(2.0, 3.0))
+    assert len(pts) == 13
+    born = [sp for sp in pts if sp.energy == pytest.approx(2.5, abs=1e-12)]
+    assert len(born) == 3
+    assert all((sp.index_r, sp.branch) == ("degenerate", "trivial_momentum") for sp in born)
+    by_location(born, [-math.sqrt(1.8), 0.0, 0.0, 0.0], tol=1e-12)
+
+
+@pytest.mark.parametrize("beta0p, lam, count", [
+    # the resultant root lies 1e-15 off a point where the Hessian is 8e5
+    (3.496294534071453, 0.010365735284565148, 22),
+    # a close pair of resultant roots leaves the kinetic root 4e-6 off
+    (1.3926831864706346, 2.057342351666416, 16),
+    # the mirror root x = +2.9e-4 of the axis saddle lies in the origin's
+    # Newton basin, where the Hessian is small: it must not become a point
+    (0.4743833670732533, 1.817349099390706, 10),
+])
+def test_census_polish_keeps_every_point_and_adds_none(beta0p, lam, count):
+    params = ModelParams(beta0p, lam)
+    pts = stationary.find_stationary_points(params)
+    assert len(pts) == count
+    for sp in pts:
+        grad = _kernels.h_grad(*sp.location, beta0p, params.zeta, params.xi)
+        assert np.abs(grad).max() <= 1e-8
 
 
 @pytest.mark.parametrize("beta0p", [1.0, SQRT2, 1.7, 4.0])
@@ -315,9 +345,9 @@ def test_newton_singular_member_takes_its_own_step():
     h0 = _kernels.h_hess(*origin, params.beta0p, params.zeta, params.xi)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(h0, np.ones(4))
-    (alone,) = stationary._newton_polish(params, regular[None], max_iter=200)
+    (alone,) = _newton_polish(params, regular[None], max_iter=200)
     for batch in ([origin, regular], [regular, origin]):
-        out = stationary._newton_polish(params, np.array(batch), max_iter=200)
+        out = _newton_polish(params, np.array(batch), max_iter=200)
         assert len(out) == 2
         assert any(np.array_equal(p, origin) for p in out)
         assert min(np.abs(p - alone).max() for p in out) < 1e-9
