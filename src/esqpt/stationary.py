@@ -1,5 +1,4 @@
-"""Stationary-point census, momentum branches, spinodals, boundary analysis,
-and borderlines.
+"""Stationary-point census, spinodals, boundary analysis and borderlines.
 
 Interior stationary points of the classical Hamiltonian are exact roots on
 the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two resultants, generated by
@@ -23,14 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _derivs, _kernels, _split
+from . import _derivs, _kernels
 from .classical import R0_SQUARED, eval_H
 from .models import ModelParams
 
 # gradient tolerance of a stationary point; a Hessian eigenvalue smaller in
 # magnitude makes the point degenerate
 GRAD_TOL = 1e-9
-KINETIC_P_TOL = 1e-6
 # points with R^2 above this count as on the boundary sphere R^2 = 2
 INTERIOR_R2 = R0_SQUARED - 1e-9
 # roots of the plane polynomials with a smaller relative imaginary part are real
@@ -87,7 +85,8 @@ def _classify(params, loc):
     # an absolute test: near the ball boundary one eigenvalue diverges like
     # 1/s, which would swamp a ratio to the largest one
     r = "degenerate" if np.abs(evals).min() < GRAD_TOL else int(np.sum(evals < 0))
-    branch = "kinetic" if math.hypot(loc[2], loc[3]) > KINETIC_P_TOL else "trivial_momentum"
+    # plane points: py = 0 exactly on the trivial resultant, sqrt(t) > 0 on the kinetic one
+    branch = "kinetic" if loc[3] > 0 else "trivial_momentum"
     return StationaryPoint(
         np.asarray(loc, float), float(eval_H(params, loc)), r, branch, evals
     )
@@ -216,83 +215,17 @@ def find_stationary_points(params: ModelParams):
 
     Each point of _plane_census stands for its Z3 x (p -> -p) orbit of 1, 3
     or 6 images, which share its energy, index and Hessian eigenvalues.  At
-    zeta = 0 the points are not expanded: the sphere is reported once.
-    Sorted by (energy, |location|, location).
+    zeta = 0 the points are not expanded: the sphere is reported once.  The
+    plane points are sorted by (energy, x, py), and each is followed by the
+    rest of its orbit in _orbits order, so an orbit's rows are contiguous and
+    start with its plane point.
     """
-    pts = _plane_census(params)
+    pts = sorted(_plane_census(params), key=lambda s: (s.energy, s.location[0], s.location[3]))
     if params.zeta != 0.0:
         pts = [
             replace(sp, location=loc) for sp in pts for loc in _dedupe(_orbits(sp.location[None]))
         ]
-    pts.sort(key=lambda s: (s.energy, np.linalg.norm(s.location), tuple(s.location)))
     return pts
-
-
-def _branch_polish(p0, p1, d2, sign, s):
-    """s after 3 Newton steps on P0 + sign P1 / D = 0, the equation of the
-    momentum branch of eigenvalue tr K/2 + sign D."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 gives nan: no point
-        for _ in range(3):
-            d = np.sqrt(d2(s))
-            h = p0(s) + sign * p1(s) / d
-            dh = p0.deriv()(s) + sign * (p1.deriv()(s) - p1(s) * d2.deriv()(s) / (2.0 * d2(s))) / d
-            s = s - h / dh
-    return s
-
-
-def momentum_branches(params: ModelParams, q):
-    """All momentum stationary points of H at fixed coordinates q = (x, y).
-
-    With s = sqrt((1 - u)/2) and rho = |p|^2 = 2 - |q|^2 - 4 s^2, H splits as
-    G(rho) + p^T K(s) p + zeta beta0p s c_a (tools/gen_derivs.py derives the
-    split from the parts of H).  So a stationary p != 0 is sqrt(rho) times a
-    unit eigenvector v of K(s), of eigenvalue mu = tr K/2 + sign D, with
-
-        P0 + 8 s (mu - tr K/2) - rho v^T K' v = P0 + sign P1 / D = 0,
-
-    K' = dK/ds, where P0, P1 (cubics) and D^2 (a quadratic) in s are
-    generated (`_split.momentum_p0`, `momentum_p1`, `momentum_d2`).  Each
-    real root s > 0 of P0^2 D^2 - P1^2, of degree 8, lies on the branch
-    sign = -sgn(P0 P1).  Polished by 3 Newton steps on that branch's own
-    equation, which keeps a simple root where the two branches nearly cross,
-    and kept inside the ball, it gives one candidate p from that branch's
-    eigenvector, kept if its equation holds to GRAD_TOL.  (|dH/dp| is
-    |p|/(4 s) times its left side, so near the boundary s -> 0 it would
-    amplify the rounding of s past GRAD_TOL.)  Where K = 0 (zeta = 0 or
-    q = 0) the polynomial vanishes, H depends on p only through rho, and
-    each root of P0 = 8 s G_rho, polished on P0 by _real_roots, is a ring,
-    reported as one pair p = (-+|p|, 0).  The first entry is p = (0, 0); the
-    others appear in sign-conjugated pairs, sorted by |p|.
-    """
-    x0, y0 = float(q[0]), float(q[1])
-    q2 = x0 * x0 + y0 * y0
-    if q2 >= R0_SQUARED:
-        raise ValueError("coordinates outside the configuration disc")
-    coup = (float(params.beta0p), float(params.zeta), float(params.xi))
-    p0, p1, d2 = (
-        np.poly1d(c(x0, y0, *coup))
-        for c in (_split.momentum_p0, _split.momentum_p1, _split.momentum_d2)
-    )
-    dk = np.array(_split.kinetic_slope(x0, y0, *coup))
-    rho = np.poly1d([-4.0, 0.0, 2.0 - q2])
-    poly = p0 * p0 * d2 - p1 * p1
-    ring = not poly.coeffs.any()
-    roots = _real_roots((p0 if ring else poly).coeffs)
-    p = [np.zeros(2)]
-    for r in roots[roots > 0]:  # s >= 0 by definition
-        sign = 0.0 if ring else (-1.0 if p0(r) * p1(r) > 0 else 1.0)
-        s = r if ring else _branch_polish(p0, p1, d2, sign, r)  # _real_roots polished P0's
-        if not (s > 0 and rho(s) > 0 and q2 + rho(s) < INTERIOR_R2):
-            continue
-        k = np.array(_split.kinetic_matrix(x0, y0, s, *coup))
-        mus, vecs = (np.zeros(2), np.eye(2)) if ring else np.linalg.eigh(k)
-        mu, v = mus[int(sign > 0)], vecs[:, int(sign > 0)]
-        if abs(p0(s) + 8.0 * s * (mu - np.trace(k) / 2.0) - rho(s) * (v @ dk @ v)) <= GRAD_TOL:
-            p.append(math.sqrt(rho(s)) * v)
-    p = np.array(p)
-    sols = _dedupe(np.vstack([p, -p[1:]]))
-    nontrivial = sorted(sols[1:], key=lambda s: (round(float(np.hypot(*s)), 9), s[0], s[1]))
-    return [sols[0]] + nontrivial
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +274,6 @@ class BoundaryExtremum:
     direction: np.ndarray  # unit 4-vector; location is sqrt(2) * direction
     energy: float
     kind: str  # min | max
-
-
-def boundary_energy(params: ModelParams, angular):
-    """Energy restricted to the boundary sphere at a unit 4-direction."""
-    v = np.asarray(angular, dtype=float)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError("angular direction must be a unit vector")
-    r = math.sqrt(R0_SQUARED)
-    return float(
-        _kernels.h_eval(
-            r * v[0], r * v[1], r * v[2], r * v[3], params.beta0p, params.zeta, params.xi
-        )
-    )
 
 
 def boundary_extrema(params: ModelParams):

@@ -15,7 +15,7 @@ with m = N_gamma/2, b = beta0', and V the gamma = 0 classical potential
 
     V = xi b^4 s^4 / 2 + b^2 (1 - xi) s^2 d^2 - 2 zeta b s d^3 + (1 + xi/2) d^4,
 
-whose coefficients `_split.axial_quartic` gives from the parts of H
+whose coefficients `_derivs.axial_quartic` gives from the parts of H
 (tools/gen_derivs.py, at y = px = py = 0, x = sqrt(2) d, on s^2 + d^2 = 1).
 
 Since s^2 + d^2 = 1, s = cos(theta) and d = sin(theta) with theta in
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _split
+from . import _derivs, _kernels
 from .models import ModelParams
 
 BETA_MAX = math.sqrt(2.0)
@@ -58,7 +58,7 @@ def _quartic(params: ModelParams, N, N_gamma):
         raise ValueError("need 0 <= N_gamma <= N")
     b, ze, xi = params.beta0p, params.zeta, params.xi
     n, m = N - N_gamma, N_gamma // 2
-    v = np.array(_split.axial_quartic(b, ze, xi), dtype=float)
+    v = np.array(_derivs.axial_quartic(b, ze, xi), dtype=float)
     a, c = 4.0 * b * b, 8.0 * (1.0 + ze * ze)
     mixed = np.array([a, 16.0 * ze * b, a + c, 16.0 * ze * b, c])
     pairs = 4.0 * (1.0 - ze * ze) * m * (m - 1) + 4.0 * (1.0 + ze * ze + xi) * m * m
@@ -120,8 +120,3 @@ def surface_stationary_points(params: ModelParams, N, N_gamma):
     out += [SurfaceStationaryPoint(beta, e, "max") for beta, e, kind in pts if kind == "max"]
     out.sort(key=lambda q: q.beta)
     return out
-
-
-def phonon_ratio(lam):
-    """Ratio of beta- to gamma-phonon energies near the deformed minimum."""
-    return (2.0 * lam - 1.0) / 3.0

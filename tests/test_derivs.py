@@ -1,5 +1,5 @@
-"""The committed generated modules match their sympy generator, the generator's
-kinetic split and axial quartic are the parts of H, and the hand kernel
+"""The committed generated module matches its sympy generator, the generator's
+axial quartic is the parts of H on the gamma = 0 axis, and the hand kernel
 `_kernels.h_parts` matches the generator's definition of the parts."""
 
 import importlib.util
@@ -28,10 +28,6 @@ def gen():
 
 def test_derivs_module_is_regenerated_byte_identically(gen):
     assert gen.derivs_source() == (ROOT / "src" / "esqpt" / "_derivs.py").read_text()
-
-
-def test_split_module_is_regenerated_byte_identically(gen):
-    assert gen.split_source() == (ROOT / "src" / "esqpt" / "_split.py").read_text()
 
 
 def ball_and_boundary_points(n_ball=100_000):
@@ -69,18 +65,6 @@ def test_hand_parts_equal_the_generator_parts(gen, b0):
 def parts_sum(gen):
     h0, hzz, hz, hxi = gen.PARTS
     return h0 + gen.ze**2 * hzz + gen.ze * hz + gen.xi * hxi
-
-
-def test_kinetic_split_sums_to_the_parts(gen):
-    # G(rho) + p^T K(s) p + zeta beta0p s c_a at rho = |p|^2, s = sqrt((1 - u)/2)
-    import sympy as sp
-
-    x, y, px, py = gen.x, gen.y, gen.px, gen.py
-    p = sp.Matrix([px, py])
-    split = gen.G + (p.T * gen.K * p)[0] + gen.ze * gen.b0 * gen.s * gen.C_A
-    at = {gen.rho: px**2 + py**2, gen.s: sp.sqrt((2 - x**2 - y**2 - px**2 - py**2) / 4)}
-    assert sp.expand(split.subs(at) - parts_sum(gen)) == 0
-    assert gen.C_A == gen.A.subs({px: 0, py: 0})
 
 
 def test_axial_quartic_is_the_parts_on_the_axis(gen):

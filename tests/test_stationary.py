@@ -265,6 +265,40 @@ def test_census_is_the_orbits_of_the_plane_census(beta0p):
         assert {(sp.energy, sp.index_r, sp.branch) for sp in pts} == classes
 
 
+# the benchmark's stationary grid at beta0p = 1.7; the images of an orbit share
+# its plane point's energy exactly but not always its |location| to the last
+# bit (at lambda = 0.5 the r = 3 images are one ulp shorter)
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9, 1.3, 1.7, 2.1, 2.5, 2.9])
+def test_census_rows_are_orbits_led_by_their_plane_point(lam):
+    params = ModelParams(1.7, lam)
+    pts = stationary.find_stationary_points(params)
+    start = leads = 0
+    while start < len(pts):
+        lead = pts[start]
+        assert lead.location[1] == lead.location[2] == 0.0 <= lead.location[3]
+        n = orbit_size(lead.location)
+        orbit = pts[start:start + n]
+        images = stationary._orbits(lead.location[None])
+        for sp in orbit:
+            assert (sp.energy, sp.index_r, sp.branch) == (lead.energy, lead.index_r, lead.branch)
+            assert np.abs(images - sp.location).max(axis=1).min() == 0.0
+        assert len({tuple(sp.location) for sp in orbit}) == n
+        start, leads = start + n, leads + 1
+    assert start == len(pts)
+    assert leads == len(stationary._plane_census(params))
+
+
+@pytest.mark.parametrize("beta0p", CENSUS_GRID_BETA0P)
+def test_plane_hessian_does_not_couple_the_sigma_blocks(beta0p):
+    # on Fix(sigma) the Hessian is block-diagonal in the sigma-even (x, py)
+    # and sigma-odd (y, px) coordinates, exactly
+    for lam in CENSUS_GRID_LAMBDA:
+        params = ModelParams(beta0p, lam)
+        for sp in stationary._plane_census(params):
+            h = _kernels.h_hess(*sp.location, beta0p, params.zeta, params.xi)
+            assert np.all(h[np.ix_([0, 3], [1, 2])] == 0.0)
+
+
 ACCEPTANCE_07_GRID = np.arange(0.0, 3.2001, 0.02)
 
 
@@ -376,7 +410,8 @@ def test_spinodal_closed_form():
 def has_axial_minimum(beta0p, lam):
     """A local minimum of the gamma = 0 kernel potential on 0 < beta < sqrt(1.5)."""
     beta = np.linspace(1e-4, math.sqrt(1.5), 40_001)
-    v = classical.potential(ModelParams(beta0p, lam), beta, 0.0)
+    params = ModelParams(beta0p, lam)
+    v = _kernels.potential(beta, 0.0, params.beta0p, params.zeta, params.xi)
     dv = np.diff(v)
     return bool(np.any((dv[:-1] < 0) & (dv[1:] > 0)))
 
@@ -396,7 +431,9 @@ def test_antispinodal_origin_hessian_sign_change(beta0p):
     _, lam_ss = stationary.spinodal_points(beta0p)
 
     def min_eig(lam):
-        return np.linalg.eigvalsh(classical.hess_H(ModelParams(beta0p, lam), np.zeros(4))).min()
+        params = ModelParams(beta0p, lam)
+        hess = _kernels.h_hess(0.0, 0.0, 0.0, 0.0, beta0p, params.zeta, params.xi)
+        return np.linalg.eigvalsh(hess).min()
 
     assert min_eig(lam_ss - 1e-6) > 0
     assert min_eig(lam_ss + 1e-6) < 0
@@ -437,16 +474,9 @@ def test_boundary_extrema_bound_the_kernel(beta0p):
         assert e.max() <= hi + 1e-6
         for x in ext:
             assert np.linalg.norm(x.direction) == pytest.approx(1.0, abs=1e-15)
-            assert stationary.boundary_energy(params, x.direction) == pytest.approx(
-                x.energy, abs=1e-6
-            )
+            assert classical.eval_H(params, r * x.direction) == pytest.approx(x.energy, abs=1e-6)
     lo, hi = stationary.boundary_minmax(ModelParams(beta0p, 3.0))
     assert lo == hi == 2.0
-
-
-def test_boundary_energy_unit_check():
-    with pytest.raises(ValueError):
-        stationary.boundary_energy(ModelParams(1.0, 0.5), [1.0, 1.0, 0.0, 0.0])
 
 
 def test_boundary_exponent_reference_cases():

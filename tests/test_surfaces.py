@@ -184,8 +184,3 @@ def test_origin_slope_closed_form(beta0p, lam, N, n_gamma):
     assert (-3 * e0 + 4 * e1 - e2) / (2 * h) == pytest.approx(want, abs=1e-8)
     origin = surfaces.surface_stationary_points(params, N, n_gamma)[0]
     assert origin.beta == 0.0 and origin.kind.endswith("min")
-
-
-def test_phonon_ratio():
-    assert surfaces.phonon_ratio(0.5) == pytest.approx(0.0)
-    assert surfaces.phonon_ratio(2.0) == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 """Generate closed-form gradient/Hessian code for the classical Hamiltonian,
-and the polynomials whose roots are its stationary points.
+the polynomials whose roots are its stationary points, and its gamma = 0
+quartic.
 
 H is defined once, as its four lambda-independent parts
 
@@ -12,17 +13,12 @@ ze C + xi D in `quantum`.  Everything emitted comes from these parts:
   `_kernels.h_combine` re-sums like the energy;
 - the plane polynomials (`kinetic_resultant`, `trivial_resultant`,
   `ps_cubic`) give the stationary points on the symmetry plane;
-- the kinetic split H = G(rho) + p^T K(s) p + ze b0 s c_a gives the momentum
-  polynomials P0, P1, D^2 in s and the matrices K(s), dK/ds that
-  `stationary.momentum_branches` solves;
 - `axial_quartic` gives the gamma = 0 potential as a quartic form in the
   condensate amplitudes (s, d), for `surfaces`.
 
-Writes src/esqpt/_derivs.py (derivatives and plane polynomials) and
-src/esqpt/_split.py (the kinetic split and the axial quartic).  Run manually
-after changing the Hamiltonian definition; the output files are committed,
-and tests check that ``derivs_source()`` and ``split_source()`` still
-reproduce them.
+Writes src/esqpt/_derivs.py.  Run manually after changing the Hamiltonian
+definition; the output file is committed, and a test checks that
+``derivs_source()`` still reproduces it.
 """
 from pathlib import Path
 
@@ -30,11 +26,10 @@ import sympy as sp
 from sympy.polys.polyfuncs import horner
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "esqpt" / "_derivs.py"
-SPLIT_TARGET = TARGET.with_name("_split.py")
 
 x, y, px, py, b0, ze = sp.symbols('x y px py b0 ze', real=True)
 s, xi = sp.symbols('s xi', positive=True)
-rho, d = sp.symbols('rho d', nonnegative=True)
+d = sp.symbols('d', nonnegative=True)
 V = [x, y, px, py]
 
 pg = x * py - y * px
@@ -66,35 +61,6 @@ H = hamiltonian(*PARTS)
 # 4 s P_x - x P_s = 0.  Eliminating s leaves one polynomial in x for each.
 P = sp.expand(H.subs({y: 0, px: 0, py: sp.sqrt(2 - 4 * s**2 - x**2)}))
 Px, Ps = sp.diff(P, x), sp.diff(P, s)
-
-# The kinetic split.  At fixed q = (x, y), write |p|^2 as rho and
-# sqrt((1 - u)/2) as s: H is then G(rho) + p^T K(s) p + ze b0 s c_a, with
-# K(s) linear in s and c_a = A at p = 0.  Since rho = 2 - |q|^2 - 4 s^2,
-# ds/drho = -1/(8 s), and dH/dp = 0 at p = sqrt(rho) v != 0 says that v is a
-# unit eigenvector of K(s), of eigenvalue mu = tr K/2 +- D, with
-#
-#     8 s (G_rho + mu) - rho v^T K' v - ze b0 c_a = 0,    K' = dK/ds.
-#
-# K' is traceless, so v^T K' v = +-N/D with N = tr(K' (K - tr K/2))/2 and
-# D^2 = -det(K - tr K/2).  Clearing D leaves P0^2 D^2 - P1^2 = 0, where
-#
-#     P0 = 8 s (G_rho + tr K/2) - ze b0 c_a,    P1 = 8 s D^2 - rho N,
-#
-# are cubics and D^2 a quadratic in s.
-HS = hamiltonian(*parts(rho, s))
-PV = sp.Matrix([px, py])
-K = sp.hessian(HS, (px, py)) / 2
-G = HS.subs({px: 0, py: 0, s: 0})
-C_A = A.subs({px: 0, py: 0})
-assert sp.expand(G + (PV.T * K * PV)[0] + ze * b0 * s * C_A - HS) == 0
-DK = sp.diff(K, s)
-assert sp.expand(DK.trace()) == 0 and s not in DK.free_symbols  # K is linear in s
-KD = K - K.trace() / 2 * sp.eye(2)
-D2 = KD[0, 0] ** 2 + KD[0, 1] ** 2
-N = (DK * KD).trace() / 2
-P0 = 8 * s * (sp.diff(G, rho) + K.trace() / 2) - ze * b0 * C_A
-P1 = 8 * s * D2 - rho * N
-RHO_OF_S = {rho: 2 - x**2 - y**2 - 4 * s**2}
 
 # The axial quartic.  On gamma = 0 (y = px = py = 0), x = sqrt(2) d with
 # s^2 + d^2 = 1, so u = d^2 and sqrt((1 - u)/2) = s/sqrt(2); with 1 = s^2 + d^2
@@ -142,30 +108,24 @@ def emit_parts(name, derivs):
 
 
 def _horner(expr, args):
-    gens = [{'x': x, 'y': y, 's': s, 'b0': b0, 'ze': ze, 'xi': xi}[a] for a in args]
+    gens = [{'x': x, 'b0': b0, 'ze': ze, 'xi': xi}[a] for a in args]
     return sp.pycode(horner(sp.expand(expr), *gens))
 
 
 def emit_values(name, values, args):
-    """A function of args returning the tuple of values, in Horner form; a row
-    of values that is itself a sequence is returned as a tuple."""
-    def code(v):
-        if isinstance(v, (list, tuple)):
-            return f"({', '.join(_horner(e, args) for e in v)})"
-        return _horner(v, args)
-
+    """A function of args returning the tuple of values, in Horner form."""
     lines = [f"def {name}({', '.join(args)}):", "    return ("]
-    lines += [f"        {code(v)}," for v in values]
+    lines += [f"        {_horner(v, args)}," for v in values]
     lines.append("    )")
     return "\n".join(lines)
 
 
-def emit_coeffs(name, expr, var, args, reduce=True):
+def emit_coeffs(name, expr, var, args):
     """A function returning the coefficients of expr in var, highest power first
-    (np.roots order), in Horner form; with reduce, divided by their common
-    content, which keeps the roots."""
+    (np.roots order), in Horner form, divided by their common content, which
+    keeps the roots."""
     coeffs = sp.Poly(expr, var).all_coeffs()
-    content = sp.gcd_list(coeffs) if reduce else 1
+    content = sp.gcd_list(coeffs)
     return emit_values(name, [c / content for c in coeffs], args)
 
 
@@ -187,30 +147,11 @@ def derivs_source():
             plane,
         ),
         emit_coeffs("ps_cubic", Ps, s, ["x", *plane]),
-    ]
-    return "\n\n".join(parts) + "\n"
-
-
-def split_source():
-    """The text of src/esqpt/_split.py.  It is a module of its own because the
-    package is often imported from source without cached bytecode, and the
-    compiler's peak memory grows with the size of the module it compiles."""
-    plane = ["b0", "ze", "xi"]
-    at_q = ["x", "y", *plane]
-    parts = [
-        '"""Machine-generated polynomials of the kinetic split of H and of H on the gamma = 0\n'
-        'axis (tools/gen_derivs.py); do not edit by hand."""',
-        emit_coeffs("momentum_p0", P0.subs(RHO_OF_S), s, at_q, reduce=False),
-        emit_coeffs("momentum_p1", P1.subs(RHO_OF_S), s, at_q, reduce=False),
-        emit_coeffs("momentum_d2", D2, s, at_q, reduce=False),
-        emit_values("kinetic_matrix", K.tolist(), ["x", "y", "s", *plane]),
-        emit_values("kinetic_slope", DK.tolist(), at_q),
         emit_values("axial_quartic", [AXIAL.coeff(s, 4 - j).coeff(d, j) for j in range(5)], plane),
     ]
     return "\n\n".join(parts) + "\n"
 
 
 if __name__ == "__main__":
-    for target, source in ((TARGET, derivs_source), (SPLIT_TARGET, split_source)):
-        target.write_text(source())
-        print(f"wrote {target}")
+    TARGET.write_text(derivs_source())
+    print(f"wrote {TARGET}")
