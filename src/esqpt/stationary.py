@@ -4,11 +4,11 @@ Interior stationary points of the classical Hamiltonian are exact roots on
 the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two resultants, generated by
 tools/gen_derivs.py, give them as polynomial roots in x.  Each root is
 polished by 3 Newton steps on its own polynomial, each plane point by 3
-Newton steps on its own gradient, and a candidate is kept where the
-gradient of H vanishes; no search from seeds, no convergence loop.  The
-plane census keeps one point (x, 0, 0, py >= 0) per Z3 x (p -> -p) orbit
-and classifies it once by its Hessian index r (number of negative
-eigenvalues); the full census carries each point over the phase
+Newton steps on its own gradient, and a candidate is kept where the (x, s)
+equations it came from hold to GRAD_TOL; no search from seeds, no
+convergence loop.  The plane census keeps one point (x, 0, 0, py >= 0) per
+Z3 x (p -> -p) orbit and classifies it once by its Hessian index r (number
+of negative eigenvalues); the full census carries each point over the phase
 space with the orbit's images, which share its energy and index.  The
 spinodals and the energy restricted to the boundary 3-sphere have closed
 forms, and critical borderlines E_c(lambda) follow the plane census from one
@@ -23,11 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _derivs, _kernels
-from .classical import R0_SQUARED, eval_H
+from .classical import R0_SQUARED
 from .models import ModelParams
 
-# gradient tolerance of a stationary point; a Hessian eigenvalue smaller in
-# magnitude makes the point degenerate
+# tolerance of a plane point's residual in the (x, s) equations of the plane
+# resultants; a Hessian eigenvalue smaller in magnitude makes the point degenerate
 GRAD_TOL = 1e-9
 # points with R^2 above this count as on the boundary sphere R^2 = 2
 INTERIOR_R2 = R0_SQUARED - 1e-9
@@ -48,7 +48,6 @@ class StationaryPoint:
     energy: float
     index_r: object  # int 0..4 or "degenerate"
     branch: str  # trivial_momentum | kinetic | boundary
-    hessian_eigenvalues: np.ndarray | None = None
 
     @property
     def singularity_class(self):
@@ -79,17 +78,17 @@ def _dedupe(points):
     return points[kept]
 
 
-def _classify(params, loc):
-    h = _kernels.h_hess(loc[0], loc[1], loc[2], loc[3], params.beta0p, params.zeta, params.xi)
-    evals = np.linalg.eigvalsh(h)
+def _classify(params, locs):
+    """One StationaryPoint per row of the (n, 4) array of plane points."""
+    coup = (params.beta0p, params.zeta, params.xi)
+    evals = np.linalg.eigvalsh(_kernels.h_hess(*locs.T, *coup))
     # an absolute test: near the ball boundary one eigenvalue diverges like
     # 1/s, which would swamp a ratio to the largest one
-    r = "degenerate" if np.abs(evals).min() < GRAD_TOL else int(np.sum(evals < 0))
-    # plane points: py = 0 exactly on the trivial resultant, sqrt(t) > 0 on the kinetic one
-    branch = "kinetic" if loc[3] > 0 else "trivial_momentum"
-    return StationaryPoint(
-        np.asarray(loc, float), float(eval_H(params, loc)), r, branch, evals
-    )
+    degenerate = np.abs(evals).min(axis=1) < GRAD_TOL
+    # py = 0 exactly on the trivial resultant, sqrt(t) > 0 on the kinetic one
+    return [StationaryPoint(loc, float(e), "degenerate" if d else int(np.sum(ev < 0)),
+                            "kinetic" if loc[3] > 0 else "trivial_momentum")
+            for loc, e, d, ev in zip(locs, _kernels.h_eval(*locs.T, *coup), degenerate, evals)]
 
 
 def _real_roots(coeffs):
@@ -114,16 +113,17 @@ def _plane_candidates(params):
     degree-8 resultant of 4 s P_x - x P_s and 4 s^2 + x^2 - 2; kinetic points
     are the roots x of the degree-9 resultant of P_x and P_s, each with the
     roots s > 0 of the cubic P_s(x, s) that leave t > 0, and py = sqrt(t).
-    Each root is polished on its own polynomial (_real_roots).  The
-    resultants also have the roots x of the mirror points s < 0, and the
-    cubic has roots that P_x does not share; such candidates are not
-    stationary, and _plane_census drops them by their gradient.
+    Each root is polished on its own polynomial (_real_roots).  The cubic has
+    roots that P_x does not share; their residual drops them (_plane_polish).
+    The degree-8 resultant has the roots x of mirror points s < 0 too, which
+    are stationary at -zeta (s -> -s is zeta -> -zeta): a root is kept where
+    |H_x(x, 0, 0, 0)| is no larger at zeta than at -zeta.
     """
     b0, ze, xi = params.beta0p, params.zeta, params.xi
-    cands = [np.zeros(4)]
-    for x in _real_roots(_derivs.trivial_resultant(b0, ze, xi)):
-        if x * x < INTERIOR_R2:
-            cands.append([x, 0.0, 0.0, 0.0])
+    x = _real_roots(_derivs.trivial_resultant(b0, ze, xi))
+    axis = np.outer(x[x * x < INTERIOR_R2], [1.0, 0.0, 0.0, 0.0])
+    hx, mirror_hx = (np.abs(_kernels.h_grad(*axis.T, b0, z, xi)[0]) for z in (ze, -ze))
+    cands = [np.zeros(4), *axis[hx <= mirror_hx]]
     for x in _real_roots(_derivs.kinetic_resultant(b0, ze, xi)):
         for s in _real_roots(_derivs.ps_cubic(x, b0, ze, xi)):
             t = 2.0 - 4.0 * s * s - x * x
@@ -133,18 +133,16 @@ def _plane_candidates(params):
 
 
 def _plane_polish(params, locs):
-    """The (n, 4) plane points after 3 Newton steps on (H_x, H_py) = 0, and a
-    mask of the stationary ones.
+    """The (n, 4) plane points after 3 Newton steps on (H_x, H_py) = 0, and
+    each one's residual in the (x, s) equations it came from.
 
-    A resultant root carries the rounding of the resultant's own evaluation,
-    which near R^2 = 2, where the Hessian grows like 1/s, or at a close pair
-    of roots, leaves |grad H| above GRAD_TOL; steps on the gradient itself
-    remove it.  A point takes a step only where it lowers |grad H| and keeps
-    py >= 0, so a (nearly) singular Hessian, as at a degenerate point,
-    cannot move it.  A point is stationary where |grad H| <= GRAD_TOL and the
-    last step moved it by at most DEDUPE_TOL; one that still moves farther
-    is a root of no gradient equation on its way to another point (a mirror
-    root near the origin, where the Hessian is small, comes within GRAD_TOL).
+    The steps remove the rounding that a resultant root carries, which near
+    R^2 = 2 (where the Hessian grows like 1/s) or at a close root pair leaves
+    |grad H| large; a step is taken only where it lowers |grad H| and keeps
+    py >= 0, so a (nearly) singular Hessian cannot move a point.  The
+    residual does not grow like 1/s: with 4 s = 2 sqrt(2 - x^2 - py^2), it is
+    max(|P_x|, |P_s|) = max(|H_x - H_py x / py|, |H_py| 4 s / py) for py > 0,
+    and |4 s P_x - x P_s| = 4 s |H_x| for py = 0.
     """
     coup = (params.beta0p, params.zeta, params.xi)
     g = np.asarray(_kernels.h_grad(*locs.T, *coup))
@@ -157,9 +155,12 @@ def _plane_polish(params, locs):
             new[:, 3] -= (a * g[3] - c * g[0]) / det
             new_g = np.asarray(_kernels.h_grad(*new.T, *coup))
         better = (np.abs(new_g).max(axis=0) < np.abs(g).max(axis=0)) & (new[:, 3] >= 0.0)
-        moved = np.where(better, np.abs(new - locs).max(axis=1), 0.0)
         locs, g = np.where(better[:, None], new, locs), np.where(better, new_g, g)
-    return locs, (np.abs(g).max(axis=0) <= GRAD_TOL) & (moved <= DEDUPE_TOL)
+    x, py = locs[:, 0], locs[:, 3]
+    four_s = 2.0 * np.sqrt(2.0 - x * x - py * py)
+    with np.errstate(divide="ignore", invalid="ignore"):  # py = 0 takes the other branch
+        kinetic = np.maximum(np.abs(g[0] - g[3] * x / py), np.abs(g[3]) * four_s / py)
+    return locs, np.where(py > 0.0, kinetic, four_s * np.abs(g[0]))
 
 
 _C3, _S3 = -0.5, math.sqrt(3.0) / 2.0
@@ -190,41 +191,40 @@ def _flat_sphere(beta0p):
 def _plane_census(params: ModelParams):
     """One classified point (x, 0, 0, py >= 0) per Z3 x (p -> -p) orbit.
 
-    The roots on the plane Fix(sigma) (see _plane_candidates) are polished
-    on the gradient (_plane_polish), kept where they are stationary,
-    deduplicated and classified.  At zeta = 0 the census is the origin and,
-    for beta0p^2 > 2, the sphere u = u* of _flat_sphere, reported once as the
-    degenerate point (sqrt(2 u*), 0, 0, 0).  Where the kinetic resultant
-    vanishes identically otherwise (beta0p = sqrt2, lambda = 2), the
-    stationary points form continuous manifolds, reported by the degenerate
-    points where they cross the axis y = p = 0.
+    The plane roots (_plane_candidates) are polished (_plane_polish), kept
+    where their residual is at most GRAD_TOL, deduplicated best first (by
+    ascending residual) and classified.  At zeta = 0 the census is the origin
+    and, for beta0p^2 > 2, the sphere u = u* of _flat_sphere, reported once
+    as the degenerate point (sqrt(2 u*), 0, 0, 0).  Where the kinetic
+    resultant vanishes identically otherwise (beta0p = sqrt2, lambda = 2),
+    the stationary points form continuous manifolds, reported by the
+    degenerate points where they cross the axis y = p = 0.
     """
     if params.zeta == 0.0:
         r2 = _flat_sphere(params.beta0p)
-        locs = [np.zeros(4)]
-        if r2 is not None:
-            locs.append(np.array([math.sqrt(r2), 0.0, 0.0, 0.0]))
+        locs = np.zeros((1, 4)) if r2 is None else np.array([[0.0] * 4, [math.sqrt(r2), 0, 0, 0]])
     else:
-        locs, keep = _plane_polish(params, _plane_candidates(params))
-        locs = _dedupe(locs[keep])
-    return [_classify(params, loc) for loc in locs]
+        locs, res = _plane_polish(params, _plane_candidates(params))
+        order = np.argsort(res, kind="stable")
+        locs = _dedupe(locs[order[res[order] <= GRAD_TOL]])
+    return _classify(params, locs)
 
 
 def find_stationary_points(params: ModelParams):
     """All interior stationary points, deduplicated and Hessian-classified.
 
-    Each point of _plane_census stands for its Z3 x (p -> -p) orbit of 1, 3
-    or 6 images, which share its energy, index and Hessian eigenvalues.  At
-    zeta = 0 the points are not expanded: the sphere is reported once.  The
-    plane points are sorted by (energy, x, py), and each is followed by the
-    rest of its orbit in _orbits order, so an orbit's rows are contiguous and
-    start with its plane point.
+    Each point of _plane_census stands for its Z3 x (p -> -p) orbit, the
+    first 1 (origin), 3 (py = 0) or 6 (py > 0) images of _orbits, which share
+    its energy and index.  At zeta = 0 the points are not expanded: the
+    sphere is reported once.  The plane points are sorted by (energy, x, py),
+    and each is followed by the rest of its orbit, so an orbit's rows are
+    contiguous and start with its plane point.
     """
     pts = sorted(_plane_census(params), key=lambda s: (s.energy, s.location[0], s.location[3]))
     if params.zeta != 0.0:
-        pts = [
-            replace(sp, location=loc) for sp in pts for loc in _dedupe(_orbits(sp.location[None]))
-        ]
+        size = [6 if sp.location[3] > 0 else 3 if sp.location.any() else 1 for sp in pts]
+        pts = [replace(sp, location=loc)
+               for sp, m in zip(pts, size) for loc in _orbits(sp.location[None])[:m]]
     return pts
 
 

@@ -2,28 +2,15 @@
 axial quartic is the parts of H on the gamma = 0 axis, and the hand kernel
 `_kernels.h_parts` matches the generator's definition of the parts."""
 
-import importlib.util
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from esqpt import _kernels
 
-from conftest import SQRT2, interior_points
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="module")
-def gen():
-    pytest.importorskip("sympy")
-    spec = importlib.util.spec_from_file_location("gen_derivs", ROOT / "tools" / "gen_derivs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import ROOT, SQRT2, interior_points
 
 
 def test_derivs_module_is_regenerated_byte_identically(gen):

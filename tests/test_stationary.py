@@ -143,12 +143,15 @@ def test_exact_census_contains_the_multistart():
                 grad = _kernels.h_grad(*loc, params.beta0p, params.zeta, params.xi)
                 if np.abs(grad).max() > stationary.GRAD_TOL:
                     not_stationary.append((beta0p, lam, loc))
+            coup = (params.beta0p, params.zeta, params.xi)
             for loc in multistart_census(params, 3000):
                 if np.linalg.norm(locs - loc, axis=1).min() <= 1e-6:
                     continue
-                sp = stationary._classify(params, loc)
-                if sp.index_r != "degenerate" or not any(
-                    abs(sp.energy - e) <= 1e-9 for e in flat
+                # the census's own degeneracy rule, at an off-plane point
+                evals = np.linalg.eigvalsh(_kernels.h_hess(*loc, *coup))
+                energy = _kernels.h_eval(*loc, *coup)
+                if np.abs(evals).min() >= stationary.GRAD_TOL or not any(
+                    abs(energy - e) <= 1e-9 for e in flat
                 ):
                     misses.append((beta0p, lam, loc))
     assert not misses
@@ -190,6 +193,16 @@ def test_census_keeps_the_degenerate_orbit_born_at_2_3():
     # the mirror root x = +2.9e-4 of the axis saddle lies in the origin's
     # Newton basin, where the Hessian is small: it must not become a point
     (0.4743833670732533, 1.817349099390706, 10),
+    # a genuine r = 3 orbit whose last Newton step is 1.35e-9 at |grad H| =
+    # 1e-11: a gate on the Newton step at GRAD_TOL would drop it
+    (1.0514669884796246, 2.620155559516155, 16),
+    # non-stationary candidates, with |grad H| up to 3.8e-3, whose Newton
+    # step is below DEDUPE_TOL: a gate on the step at DEDUPE_TOL keeps them
+    (1.999292519886922, 1.642228818029831, 4),
+    (1.516742439788233, 0.3876833605188452, 10),
+    # the cubic P_s loses its leading term and the resultants gain roots at
+    # s = infinity, which must not become points
+    (1.0, 2.5, 10),
 ])
 def test_census_polish_keeps_every_point_and_adds_none(beta0p, lam, count):
     params = ModelParams(beta0p, lam)
@@ -198,6 +211,54 @@ def test_census_polish_keeps_every_point_and_adds_none(beta0p, lam, count):
     for sp in pts:
         grad = _kernels.h_grad(*sp.location, beta0p, params.zeta, params.xi)
         assert np.abs(grad).max() <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def xs_equations(gen):
+    """{kinetic: (F, J)}: mpmath functions of (x, s, b0, ze, xi) giving the
+    (x, s) equations of the plane points and their Jacobian, from the
+    generator's P: P_x = P_s = 0 where py > 0 (kinetic), and
+    4 s P_x - x P_s = 4 s^2 + x^2 - 2 = 0 where py = 0."""
+    import sympy as sp
+
+    x, s, args = gen.x, gen.s, (gen.x, gen.s, gen.b0, gen.ze, gen.xi)
+    systems = {True: [gen.Px, gen.Ps], False: [4 * s * gen.Px - x * gen.Ps, 4 * s**2 + x**2 - 2]}
+    return {
+        kinetic: (sp.lambdify(args, eqs, "mpmath"),
+                  sp.lambdify(args, sp.Matrix(eqs).jacobian([x, s]).tolist(), "mpmath"))
+        for kinetic, eqs in systems.items()
+    }
+
+
+@pytest.mark.parametrize("beta0p, lam, count", [
+    (3.373080969144025, 0.0006092934611782397, 22),
+    (3.08521616714032, 0.00035086136884920904, 22),
+    (3.430045584038964, 0.0008668359356228451, 22),
+    (1.1389355454248538, 0.0005771240812716627, 10),
+    (3.3996301773606574, 0.001609498704709722, 22),
+    (0.8629611798671146, 0.0002851337502711715, 4),
+    (0.380289, 2.962655, 16),
+    (1.4564034092103928, 0.7685209321078155, 16),
+])
+def test_census_keeps_the_points_at_the_rounding_floor(xs_equations, beta0p, lam, count):
+    # each case has an orbit at 2 - R^2 < 2e-6, where one Hessian eigenvalue
+    # grows like 1/s and rounding alone puts |grad H| near GRAD_TOL; a census
+    # that judges points by |grad H| drops it.  Every orbit must lie within
+    # 1e-10 of a 50-digit root of the (x, s) equations it came from.
+    import mpmath
+
+    params = ModelParams(beta0p, lam)
+    assert len(stationary.find_stationary_points(params)) == count
+    with mpmath.workdps(50):
+        coup = [mpmath.mpf(v) for v in (beta0p, params.zeta, params.xi)]
+        for sp in stationary._plane_census(params):
+            x, _, _, py = map(mpmath.mpf, sp.location)
+            f, jac = xs_equations[sp.branch == "kinetic"]
+            start = (x, mpmath.sqrt(2 - x**2 - py**2) / 2)
+            xr, sr = mpmath.findroot(lambda a, b: f(a, b, *coup), start,
+                                     J=lambda a, b: jac(a, b, *coup))
+            pyr = mpmath.sqrt(2 - 4 * sr**2 - xr**2) if sp.branch == "kinetic" else 0
+            assert max(abs(xr - x), abs(pyr - py)) <= 1e-10, sp
 
 
 @pytest.mark.parametrize("beta0p", [1.0, SQRT2, 1.7, 4.0])
