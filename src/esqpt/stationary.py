@@ -92,17 +92,18 @@ def _classify(params, locs):
 
 
 def _real_roots(coeffs):
-    """Real parts of the polynomial's roots whose imaginary part is small,
-    each polished by 3 Newton steps on the same coefficients."""
+    """Real parts of the polynomial's roots whose imaginary part is small; each
+    real one takes 3 Newton steps on the same coefficients where the step is finite.
+    A complex pair's real part, a near-double root where the slope vanishes, is not."""
     r = np.roots(coeffs)
-    r = r.real[np.abs(r.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(r))]
+    r = r[np.abs(r.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(r))]
+    real, x = r.imag == 0.0, r.real
     slope = np.polyder(np.asarray(coeffs, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
-            step = np.polyval(coeffs, r) / np.polyval(slope, r)
-            # a root where the slope vanishes stays where np.roots put it
-            r = np.where(np.isfinite(step), r - step, r)
-    return r
+            step = np.polyval(coeffs, x) / np.polyval(slope, x)
+            x = np.where(real & np.isfinite(step), x - step, x)
+    return x
 
 
 def _plane_candidates(params):
@@ -112,18 +113,21 @@ def _plane_candidates(params):
     quartic polynomial P(x, s).  Points with py = 0 are the roots x of the
     degree-8 resultant of 4 s P_x - x P_s and 4 s^2 + x^2 - 2; kinetic points
     are the roots x of the degree-9 resultant of P_x and P_s, each with the
-    roots s > 0 of the cubic P_s(x, s) that leave t > 0, and py = sqrt(t).
-    Each root is polished on its own polynomial (_real_roots).  The cubic has
-    roots that P_x does not share; their residual drops them (_plane_polish).
-    The degree-8 resultant has the roots x of mirror points s < 0 too, which
-    are stationary at -zeta (s -> -s is zeta -> -zeta): a root is kept where
-    |H_x(x, 0, 0, 0)| is no larger at zeta than at -zeta.
+    roots s > 0 of the cubic P_s(x, s) that leave t > 0, and py = sqrt(t)
+    (roots of the cubic that P_x does not share fail their residual).  The
+    degree-8 resultant has the roots of mirror points s < 0 too, stationary at
+    -zeta (s -> -s is zeta -> -zeta): a root is dropped where its Newton step
+    on H_x(x, 0, 0, 0) = 0 at zeta exceeds twice that at -zeta by more than
+    DEDUPE_TOL.  The step is the distance to a simple root and half that to a
+    double one, so a point stationary at both signs stays.
     """
     b0, ze, xi = params.beta0p, params.zeta, params.xi
     x = _real_roots(_derivs.trivial_resultant(b0, ze, xi))
     axis = np.outer(x[x * x < INTERIOR_R2], [1.0, 0.0, 0.0, 0.0])
-    hx, mirror_hx = (np.abs(_kernels.h_grad(*axis.T, b0, z, xi)[0]) for z in (ze, -ze))
-    cands = [np.zeros(4), *axis[hx <= mirror_hx]]
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan: kept, the residual decides
+        step, mirror = (np.abs(_kernels.h_grad(*axis.T, b0, z, xi)[0]
+                               / _kernels.h_hess(*axis.T, b0, z, xi)[:, 0, 0]) for z in (ze, -ze))
+        cands = [np.zeros(4), *axis[~(step > 2.0 * mirror + DEDUPE_TOL)]]
     for x in _real_roots(_derivs.kinetic_resultant(b0, ze, xi)):
         for s in _real_roots(_derivs.ps_cubic(x, b0, ze, xi)):
             t = 2.0 - 4.0 * s * s - x * x
@@ -168,10 +172,11 @@ _C3, _S3 = -0.5, math.sqrt(3.0) / 2.0
 _ROT3 = np.array([[_C3, -_S3, 0, 0], [_S3, _C3, 0, 0], [0, 0, _C3, -_S3], [0, 0, _S3, _C3]])
 
 
-def _orbits(pts):
-    """The (n, 4) points and their images under Z3 and p -> -p, without -0.0."""
-    pts = np.vstack([pts, pts @ _ROT3.T, pts @ (_ROT3 @ _ROT3).T])
-    return np.vstack([pts, pts * [1.0, 1.0, -1.0, -1.0]]) + 0.0
+def _orbit(loc):
+    """The Z3 x (p -> -p) orbit of the plane point (x, 0, 0, py >= 0), led by
+    it and without -0.0: 1 point at the origin, 3 where py = 0, 6 where py > 0."""
+    pts = np.vstack([loc, _ROT3 @ loc, _ROT3 @ _ROT3 @ loc])[:3 if loc.any() else 1]
+    return (np.vstack([pts, pts * [1.0, 1.0, -1.0, -1.0]]) if loc[3] > 0 else pts) + 0.0
 
 
 def _flat_sphere(beta0p):
@@ -213,18 +218,13 @@ def _plane_census(params: ModelParams):
 def find_stationary_points(params: ModelParams):
     """All interior stationary points, deduplicated and Hessian-classified.
 
-    Each point of _plane_census stands for its Z3 x (p -> -p) orbit, the
-    first 1 (origin), 3 (py = 0) or 6 (py > 0) images of _orbits, which share
-    its energy and index.  At zeta = 0 the points are not expanded: the
-    sphere is reported once.  The plane points are sorted by (energy, x, py),
-    and each is followed by the rest of its orbit, so an orbit's rows are
-    contiguous and start with its plane point.
+    Each point of _plane_census stands for its Z3 x (p -> -p) orbit (_orbit), which
+    shares its energy and index (at zeta = 0 the sphere is reported once).  Orbits
+    follow their plane points' (energy, x, py) order, each a contiguous block led by it.
     """
     pts = sorted(_plane_census(params), key=lambda s: (s.energy, s.location[0], s.location[3]))
     if params.zeta != 0.0:
-        size = [6 if sp.location[3] > 0 else 3 if sp.location.any() else 1 for sp in pts]
-        pts = [replace(sp, location=loc)
-               for sp, m in zip(pts, size) for loc in _orbits(sp.location[None])[:m]]
+        pts = [replace(sp, location=loc) for sp in pts for loc in _orbit(sp.location)]
     return pts
 
 

@@ -261,6 +261,31 @@ def test_census_keeps_the_points_at_the_rounding_floor(xs_equations, beta0p, lam
             assert max(abs(xr - x), abs(pyr - py)) <= 1e-10, sp
 
 
+@pytest.mark.parametrize("lam, count", [(0.1, 22), (0.5, 22), (1.0, 22), (2.0, 7), (2.5, 10)])
+def test_census_keeps_the_axis_points_stationary_at_both_signs_of_zeta(lam, count):
+    # at beta0p = sqrt3, x = +-sqrt(3/2) on the axis is stationary at every
+    # lambda and at both signs of zeta, so the trivial resultant has a double
+    # (at lambda = 2 a triple) root there, which its mirror test must keep.
+    # The multistart oracle finds the same counts (one point fewer at
+    # lambda = 1); at lambda = 2 the point at -sqrt(3/2) is degenerate, and
+    # the census places it only to ~2e-6, the accuracy of a triple root
+    beta0p, x0 = math.sqrt(3.0), math.sqrt(1.5)
+    params = ModelParams(beta0p, lam)
+    coup = (beta0p, params.zeta, params.xi)
+    pts = stationary.find_stationary_points(params)
+    assert len(pts) == count
+    locs = np.array([sp.location for sp in pts])
+    for x in (x0, -x0):
+        loc = np.array([x, 0.0, 0.0, 0.0])
+        assert np.abs(_kernels.h_grad(*loc, *coup)).max() <= 1e-14
+        evals = np.linalg.eigvalsh(_kernels.h_hess(*loc, *coup))
+        if np.abs(evals).min() < 1e-6:  # the degenerate point, placed only to ~2e-6
+            continue
+        for image in stationary._orbit(loc):
+            (i,) = np.flatnonzero(np.abs(locs - image).max(axis=1) <= 1e-10)
+            assert pts[i].index_r == int(np.sum(evals < 0))
+
+
 @pytest.mark.parametrize("beta0p", [1.0, SQRT2, 1.7, 4.0])
 def test_census_at_zero_lambda_is_the_origin_and_the_flat_sphere(beta0p):
     params = ModelParams(beta0p, 0.0)
@@ -307,11 +332,20 @@ def test_continuous_manifolds_stay_degenerate():
     assert all(sp.index_r == "degenerate" for sp in manifold)
 
 
-def orbit_size(loc):
-    """Number of Z3 x (p -> -p) images of a point (x, 0, 0, py) of the plane census."""
-    if not loc.any():
-        return 1
-    return 3 if loc[3] == 0.0 else 6
+@pytest.mark.parametrize("loc, size", [
+    ([0.0, 0.0, 0.0, 0.0], 1), ([-0.7, 0.0, 0.0, 0.0], 3), ([0.4, 0.0, 0.0, 0.9], 6),
+])
+def test_orbit_of_a_plane_point(loc, size):
+    loc = np.array(loc)
+    orbit = stationary._orbit(loc)
+    assert orbit.shape == (size, 4)
+    assert (orbit[0] == loc).all()
+    assert len({tuple(row) for row in orbit}) == size
+    assert not np.signbit(orbit[orbit == 0.0]).any()
+    np.testing.assert_allclose(np.linalg.norm(orbit, axis=1), np.linalg.norm(loc), atol=1e-15)
+    # closed under the 2 pi / 3 rotation and p -> -p
+    for image in (orbit @ stationary._ROT3.T, orbit * [1.0, 1.0, -1.0, -1.0]):
+        assert np.abs(image[:, None] - orbit[None]).max(axis=2).min(axis=1).max() < 1e-15
 
 
 @pytest.mark.parametrize("beta0p", CENSUS_GRID_BETA0P)
@@ -321,7 +355,7 @@ def test_census_is_the_orbits_of_the_plane_census(beta0p):
         plane = stationary._plane_census(params)
         assert all(sp.location[1] == sp.location[2] == 0.0 <= sp.location[3] for sp in plane)
         pts = stationary.find_stationary_points(params)
-        assert len(pts) == sum(orbit_size(sp.location) for sp in plane)
+        assert len(pts) == sum(len(stationary._orbit(sp.location)) for sp in plane)
         classes = {(sp.energy, sp.index_r, sp.branch) for sp in plane}
         assert {(sp.energy, sp.index_r, sp.branch) for sp in pts} == classes
 
@@ -337,9 +371,9 @@ def test_census_rows_are_orbits_led_by_their_plane_point(lam):
     while start < len(pts):
         lead = pts[start]
         assert lead.location[1] == lead.location[2] == 0.0 <= lead.location[3]
-        n = orbit_size(lead.location)
+        images = stationary._orbit(lead.location)
+        n = len(images)
         orbit = pts[start:start + n]
-        images = stationary._orbits(lead.location[None])
         for sp in orbit:
             assert (sp.energy, sp.index_r, sp.branch) == (lead.energy, lead.index_r, lead.branch)
             assert np.abs(images - sp.location).max(axis=1).min() == 0.0
