@@ -1,7 +1,26 @@
-"""Machine-generated derivative formulas (tools/gen_derivs.py); do not edit by hand."""
+"""Machine-generated formulas of the classical Hamiltonian (tools/gen_derivs.py); do not edit by hand."""
 
 from numpy import sqrt
 
+
+def h_parts(x, y, px, py, b0, with_xi):
+    u = (1/2)*(x*x + y*y + px*px + py*py)
+    hxi = None
+    if with_xi:
+        w = (1/2)*(x*x + y*y - px*px - py*py) - b0*b0*(1 - u)
+        bpb = x*px + y*py
+        hxi = (1/2)*(bpb*bpb + w*w)
+        del w, bpb
+    h0 = u*u + b0*b0*(1 - u)*u
+    root = sqrt((1/2)*abs(1 - u))
+    del u
+    A = (py*py - px*px)*x + 2*px*py*y - x*x*x + 3*x*y*y
+    hz = b0*root*A
+    del root, A
+    pg = x*py - y*px
+    hzz = pg*pg
+    del pg
+    return h0, hzz, hz, hxi
 
 def grad_parts(x, y, px, py, b0, with_xi):
     x0 = px**2
@@ -18,7 +37,7 @@ def grad_parts(x, y, px, py, b0, with_xi):
     x11 = 3*x3
     x12 = x0 - x1
     x13 = sqrt(-x6)
-    x14 = (2*py*x8 - x**3 + x*x11 - x*x12)/x13
+    x14 = (2*py*x8 - x*x*x + x*x11 - x*x12)/x13
     x15 = (1/2)*x14
     parts = (
         (x*x7, x7*y, px*x7, py*x7),
@@ -76,13 +95,13 @@ def hess_parts(x, y, px, py, b0, with_xi):
     x35 = 1/x30
     x36 = x*x35
     x37 = 1/x10
-    x38 = (1/2)*py*x22 - 1/2*x**3 + (1/2)*x*x18 - 1/2*x*x33
+    x38 = (1/2)*py*x22 - 1/2*x*x*x + (1/2)*x*x18 - 1/2*x*x33
     x39 = x35*x38
     x40 = x30*y
     x41 = 3*x13 + x26
     x42 = x35*y
     x43 = (1/2)*x34
-    x44 = x38/x29**(3/2)
+    x44 = x38/(x29*sqrt(x29))
     x45 = px*x30
     x46 = x15 - x23
     x47 = px*x35
@@ -120,28 +139,30 @@ def hess_parts(x, y, px, py, b0, with_xi):
     return parts + ((z0 + z1*z4 + z9, z10 + z11*z4, z12 + z13*z15 + 2*z13, z15*z17 + z16, z4*z6 + z5 + z9, z15*z16 + z17, z12*z15 + 2*z12 + z13, z0*z18 + z1 + z19, z10*z18 + z11, z18*z5 + z19 + z6),)
 
 def kinetic_resultant(b0, ze, xi):
+    b2, z2 = b0**2, ze**2
     return (
-        b0**2*(b0**2*(b0**2*(b0**2*(b0**2*(b0**2*ze**2*(32*xi**4 + ze**2*(32*xi**3*ze**2 + xi**2*(xi*(-16*xi - 72) + 27))) + ze**2*(xi**3*(-128*xi - 136) + ze**2*(xi**2*ze**2*(-64*xi - 240) + xi*(xi*(xi*(32*xi + 392) + 216) - 108)))) - 16*xi**4 + ze**2*(xi**2*(xi*(192*xi + 528) + 144) + ze**2*(xi*(xi*(xi*(16*xi - 600) - 1240) - 36) + ze**2*(128*xi**2*ze**2 + xi*(xi*(416 - 96*xi) + 636)) + 108))) + xi**3*(64*xi + 32) + ze**2*(xi**2*(xi*(-96*xi - 872) - 528) + ze**2*(xi*(xi*(xi*(56 - 64*xi) + 2096) + 960) + ze**2*(xi*ze**2*(-256*xi - 576) + xi*(xi*(256*xi + 560) - 1360) - 536) - 216))) + xi**3*(-96*xi - 96) + ze**2*(xi**2*(xi*(736 - 64*xi) + 816) + ze**2*(xi*(xi*(xi*(16*xi + 640) - 1360) - 1776) + ze**2*(xi*(xi*(-32*xi - 1648) + 304) + ze**2*(128*xi*ze**2 + xi*(1248 - 64*xi) + 588) + 1272) + 108))) + xi**3*(64*xi + 96) + ze**2*(xi**2*(xi*(96*xi - 288) - 624) + ze**2*(xi*(xi*(xi*(32*xi - 576) + 96) + 1344) + ze**2*(xi*(xi*(1104 - 192*xi) + 1024) + ze**2*(xi*(384*xi - 576) + ze**2*(-256*xi - 192) - 1152) - 960)))) + xi**3*(-16*xi - 32) + ze**2*(xi**2*(xi*(32 - 32*xi) + 192) + ze**2*(xi*(xi*(xi*(160 - 16*xi) + 192) - 384) + ze**2*(xi*(xi*(96*xi - 192) - 640) + ze**2*(xi*(-192*xi - 128) + ze**2*(128*xi + 256) + 512) + 256))),
+        b2*(b2*(b2*(b2*(b2*(b2*z2*(32*xi*xi*xi*xi + z2*(32*xi*xi*xi*z2 + xi**2*(xi*(-16*xi - 72) + 27))) + z2*(xi*xi*xi*(-128*xi - 136) + z2*(xi**2*z2*(-64*xi - 240) + xi*(xi*(xi*(32*xi + 392) + 216) - 108)))) - 16*xi*xi*xi*xi + z2*(xi**2*(xi*(192*xi + 528) + 144) + z2*(xi*(xi*(xi*(16*xi - 600) - 1240) - 36) + z2*(128*xi**2*z2 + xi*(xi*(416 - 96*xi) + 636)) + 108))) + xi*xi*xi*(64*xi + 32) + z2*(xi**2*(xi*(-96*xi - 872) - 528) + z2*(xi*(xi*(xi*(56 - 64*xi) + 2096) + 960) + z2*(xi*z2*(-256*xi - 576) + xi*(xi*(256*xi + 560) - 1360) - 536) - 216))) + xi*xi*xi*(-96*xi - 96) + z2*(xi**2*(xi*(736 - 64*xi) + 816) + z2*(xi*(xi*(xi*(16*xi + 640) - 1360) - 1776) + z2*(xi*(xi*(-32*xi - 1648) + 304) + z2*(128*xi*z2 + xi*(1248 - 64*xi) + 588) + 1272) + 108))) + xi*xi*xi*(64*xi + 96) + z2*(xi**2*(xi*(96*xi - 288) - 624) + z2*(xi*(xi*(xi*(32*xi - 576) + 96) + 1344) + z2*(xi*(xi*(1104 - 192*xi) + 1024) + z2*(xi*(384*xi - 576) + z2*(-256*xi - 192) - 1152) - 960)))) + xi*xi*xi*(-16*xi - 32) + z2*(xi**2*(xi*(32 - 32*xi) + 192) + z2*(xi*(xi*(xi*(160 - 16*xi) + 192) - 384) + z2*(xi*(xi*(96*xi - 192) - 640) + z2*(xi*(-192*xi - 128) + z2*(128*xi + 256) + 512) + 256))),
         0,
-        b0**2*(b0**2*(b0**2*(b0**2*(b0**2*(b0**2*ze**2*(xi**3*(-64*xi - 12) + ze**2*(-96*xi**3*ze**2 + xi**2*(xi*(48*xi + 148) - 18))) + 16*xi**4 + ze**2*(xi**2*(xi*(256*xi + 276) + 60) + ze**2*(xi**2*ze**2*(256*xi + 560) + xi*(xi*(xi*(-128*xi - 844) - 560) + 54)))) + xi**3*(-48*xi - 32) + ze**2*(xi*(xi*(xi*(-432*xi - 836) - 452) - 72) + ze**2*(xi*(xi*(xi*(48*xi + 1532) + 2364) + 676) + ze**2*(-256*xi**2*ze**2 + xi*(xi*(32*xi - 1248) - 1060)) - 36))) + xi**3*(32*xi + 64) + ze**2*(xi*(xi*(xi*(368*xi + 1196) + 968) + 288) + ze**2*(xi*(xi*(xi*(128*xi - 948) - 3536) - 2216) + ze**2*(xi*ze**2*(640*xi + 832) + xi*(xi*(-576*xi - 16) + 2144) + 644) - 252))) + 32*xi**4 + ze**2*(xi*(xi*(xi*(-112*xi - 960) - 1048) - 360) + ze**2*(xi*(xi*(xi*(-112*xi - 224) + 2256) + 2576) + ze**2*(xi*(xi*(416*xi + 1800) - 664) + ze**2*(-128*xi*ze**2 + xi*(-320*xi - 1808) - 672) - 1248) + 576))) + xi**3*(-48*xi - 64) + ze**2*(xi*(xi*(xi*(368 - 48*xi) + 664) + 144) + ze**2*(xi*(xi*(496*xi - 368) - 1456) + ze**2*(xi*(xi*(64*xi - 1288) - 976) + ze**2*(xi*(880 - 256*xi) + ze**2*(256*xi + 192) + 1248) + 768) - 288))) + xi**3*(16*xi + 32) + ze**2*(xi**2*(xi*(32*xi - 32) - 192) + ze**2*(xi*(xi*(xi*(16*xi - 160) - 192) + 384) + ze**2*(xi*(xi*(192 - 96*xi) + 640) + ze**2*(xi*(192*xi + 128) + ze**2*(-128*xi - 256) - 512) - 256))),
+        b2*(b2*(b2*(b2*(b2*(b2*z2*(xi*xi*xi*(-64*xi - 12) + z2*(-96*xi*xi*xi*z2 + xi**2*(xi*(48*xi + 148) - 18))) + 16*xi*xi*xi*xi + z2*(xi**2*(xi*(256*xi + 276) + 60) + z2*(xi**2*z2*(256*xi + 560) + xi*(xi*(xi*(-128*xi - 844) - 560) + 54)))) + xi*xi*xi*(-48*xi - 32) + z2*(xi*(xi*(xi*(-432*xi - 836) - 452) - 72) + z2*(xi*(xi*(xi*(48*xi + 1532) + 2364) + 676) + z2*(-256*xi**2*z2 + xi*(xi*(32*xi - 1248) - 1060)) - 36))) + xi*xi*xi*(32*xi + 64) + z2*(xi*(xi*(xi*(368*xi + 1196) + 968) + 288) + z2*(xi*(xi*(xi*(128*xi - 948) - 3536) - 2216) + z2*(xi*z2*(640*xi + 832) + xi*(xi*(-576*xi - 16) + 2144) + 644) - 252))) + 32*xi*xi*xi*xi + z2*(xi*(xi*(xi*(-112*xi - 960) - 1048) - 360) + z2*(xi*(xi*(xi*(-112*xi - 224) + 2256) + 2576) + z2*(xi*(xi*(416*xi + 1800) - 664) + z2*(-128*xi*z2 + xi*(-320*xi - 1808) - 672) - 1248) + 576))) + xi*xi*xi*(-48*xi - 64) + z2*(xi*(xi*(xi*(368 - 48*xi) + 664) + 144) + z2*(xi*(xi*(496*xi - 368) - 1456) + z2*(xi*(xi*(64*xi - 1288) - 976) + z2*(xi*(880 - 256*xi) + z2*(256*xi + 192) + 1248) + 768) - 288))) + xi*xi*xi*(16*xi + 32) + z2*(xi**2*(xi*(32*xi - 32) - 192) + z2*(xi*(xi*(xi*(16*xi - 160) - 192) + 384) + z2*(xi*(xi*(192 - 96*xi) + 640) + z2*(xi*(192*xi + 128) + z2*(-128*xi - 256) - 512) - 256))),
         0,
-        b0**2*(b0**2*(b0**2*(b0**2*(b0**2*(b0**2*(-4*xi**4 + ze**2*(xi**3*(34*xi + 30) + ze**2*(96*xi**3*ze**2 + xi**2*(xi*(-48*xi - 84) - 24)))) + 8*xi**3 + ze**2*(xi**2*(xi*(-118*xi - 224) - 108) + ze**2*(xi**2*ze**2*(-320*xi - 432) + xi*(xi*(xi*(160*xi + 500) + 450) + 102)))) + xi**3*(40*xi + 8) + ze**2*(xi*(xi*(xi*(198*xi + 398) + 480) + 96) + ze**2*(xi*(xi*(xi*(-160*xi - 1028) - 1287) - 876) + ze**2*(128*xi**2*ze**2 + xi*(xi*(256*xi + 1168) + 540)) - 105))) + xi**3*(-80*xi - 72) + ze**2*(xi*(xi*(xi*(-226*xi - 324) - 604) - 360) + ze**2*(xi*(xi*(972*xi + 1508) + 1516) + ze**2*(xi*ze**2*(-384*xi - 256) + xi*(xi*(192*xi - 880) - 1020) - 150) + 600))) + xi**3*(60*xi + 88) + ze**2*(xi*(xi*(xi*(160*xi + 200) + 272) + 408) + ze**2*(xi*(xi*(xi*(80*xi - 440) - 892) - 872) + ze**2*(xi*(xi*(-352*xi - 40) + 480) + ze**2*(xi*(384*xi + 560) + 84) + 24) - 780))) + xi**3*(-16*xi - 32) + ze**2*(xi*(xi*(xi*(-48*xi - 80) - 40) - 144) + ze**2*(xi*(xi*(xi*(80 - 32*xi) + 272) + 112) + ze**2*(xi*(xi*(128*xi + 184) - 48) + ze**2*(xi*(-128*xi - 304) - 96) + 192) + 288))),
+        b2*(b2*(b2*(b2*(b2*(b2*(-4*xi*xi*xi*xi + z2*(xi*xi*xi*(34*xi + 30) + z2*(96*xi*xi*xi*z2 + xi**2*(xi*(-48*xi - 84) - 24)))) + 8*xi*xi*xi + z2*(xi**2*(xi*(-118*xi - 224) - 108) + z2*(xi**2*z2*(-320*xi - 432) + xi*(xi*(xi*(160*xi + 500) + 450) + 102)))) + xi*xi*xi*(40*xi + 8) + z2*(xi*(xi*(xi*(198*xi + 398) + 480) + 96) + z2*(xi*(xi*(xi*(-160*xi - 1028) - 1287) - 876) + z2*(128*xi**2*z2 + xi*(xi*(256*xi + 1168) + 540)) - 105))) + xi*xi*xi*(-80*xi - 72) + z2*(xi*(xi*(xi*(-226*xi - 324) - 604) - 360) + z2*(xi*(xi*(972*xi + 1508) + 1516) + z2*(xi*z2*(-384*xi - 256) + xi*(xi*(192*xi - 880) - 1020) - 150) + 600))) + xi*xi*xi*(60*xi + 88) + z2*(xi*(xi*(xi*(160*xi + 200) + 272) + 408) + z2*(xi*(xi*(xi*(80*xi - 440) - 892) - 872) + z2*(xi*(xi*(-352*xi - 40) + 480) + z2*(xi*(384*xi + 560) + 84) + 24) - 780))) + xi*xi*xi*(-16*xi - 32) + z2*(xi*(xi*(xi*(-48*xi - 80) - 40) - 144) + z2*(xi*(xi*(xi*(80 - 32*xi) + 272) + 112) + z2*(xi*(xi*(128*xi + 184) - 48) + z2*(xi*(-128*xi - 304) - 96) + 192) + 288))),
         0,
-        b0**4*(b0**2*(b0**2*(b0**2*(b0**2*(4*xi**4 + ze**2*(xi**3*(-4*xi - 20) + ze**2*(-32*xi**3*ze**2 + xi**2*(xi*(16*xi + 12) + 18)))) + xi**3*(-16*xi - 8) + ze**2*(xi**2*(xi*(96 - 4*xi) + 52) + ze**2*(xi**2*ze**2*(128*xi + 112) + xi*(xi*(xi*(-64*xi - 60) - 128) - 54)))) + xi**3*(24*xi + 24) + ze**2*(xi*(xi*(xi*(36*xi - 108) - 186) - 26) + ze**2*(xi*ze**2*(xi*(-192*xi - 336) - 116) + xi*(xi*(xi*(96*xi + 108) + 198) + 262) + 36))) + xi**3*(-16*xi - 24) + ze**2*(xi*(xi*(xi*(8 - 44*xi) + 174) + 76) + ze**2*(xi*(xi*(xi*(-64*xi - 84) - 84) - 280) + ze**2*(xi*(xi*(128*xi + 336) + 236) + 42) - 140))) + xi**3*(4*xi + 8) + ze**2*(xi*(xi*(xi*(16*xi + 24) - 40) - 48) + ze**2*(xi*(xi*(xi*(16*xi + 24) - 4) + 72) + ze**2*(xi*(xi*(-32*xi - 112) - 120) - 48) + 96))),
+        b2**2*(b2*(b2*(b2*(b2*(4*xi*xi*xi*xi + z2*(xi*xi*xi*(-4*xi - 20) + z2*(-32*xi*xi*xi*z2 + xi**2*(xi*(16*xi + 12) + 18)))) + xi*xi*xi*(-16*xi - 8) + z2*(xi**2*(xi*(96 - 4*xi) + 52) + z2*(xi**2*z2*(128*xi + 112) + xi*(xi*(xi*(-64*xi - 60) - 128) - 54)))) + xi*xi*xi*(24*xi + 24) + z2*(xi*(xi*(xi*(36*xi - 108) - 186) - 26) + z2*(xi*z2*(xi*(-192*xi - 336) - 116) + xi*(xi*(xi*(96*xi + 108) + 198) + 262) + 36))) + xi*xi*xi*(-16*xi - 24) + z2*(xi*(xi*(xi*(8 - 44*xi) + 174) + 76) + z2*(xi*(xi*(xi*(-64*xi - 84) - 84) - 280) + z2*(xi*(xi*(128*xi + 336) + 236) + 42) - 140))) + xi*xi*xi*(4*xi + 8) + z2*(xi*(xi*(xi*(16*xi + 24) - 40) - 48) + z2*(xi*(xi*(xi*(16*xi + 24) - 4) + 72) + z2*(xi*(xi*(-32*xi - 112) - 120) - 48) + 96))),
         0,
-        b0**6*(b0**2*(b0**2*(b0**2*ze**2*(xi**3*(2*xi + 2) + xi**2*ze**2*(-4*xi - 3)) + ze**2*(xi**2*(xi*(-6*xi - 12) - 4) + xi*ze**2*(xi*(12*xi + 22) + 6))) + ze**2*(xi*(xi*(xi*(6*xi + 18) + 14) + 2) + ze**2*(xi*(xi*(-12*xi - 35) - 26) - 3))) + ze**2*(xi*(xi*(xi*(-2*xi - 8) - 10) - 4) + ze**2*(xi*(xi*(4*xi + 16) + 20) + 8))),
+        b2*b2*b2*(b2*(b2*(b2*z2*(xi*xi*xi*(2*xi + 2) + xi**2*z2*(-4*xi - 3)) + z2*(xi**2*(xi*(-6*xi - 12) - 4) + xi*z2*(xi*(12*xi + 22) + 6))) + z2*(xi*(xi*(xi*(6*xi + 18) + 14) + 2) + z2*(xi*(xi*(-12*xi - 35) - 26) - 3))) + z2*(xi*(xi*(xi*(-2*xi - 8) - 10) - 4) + z2*(xi*(xi*(4*xi + 16) + 20) + 8))),
         0,
     )
 
 def trivial_resultant(b0, ze, xi):
+    b2, z2 = b0**2, ze**2
     return (
-        b0**2*(b0**2*(b0**2*(b0**2*xi**2 + xi*(4*xi - 4)) + xi*(6*xi - 4) + 4) + xi*(4*xi + 4) + 16*ze**2 - 8) + xi*(xi + 4) + 4,
+        b2*(b2*(b2*(b2*xi**2 + xi*(4*xi - 4)) + xi*(6*xi - 4) + 4) + xi*(4*xi + 4) + 16*z2 - 8) + xi*(xi + 4) + 4,
         0,
-        b0**2*(b0**2*(b0**2*(-6*b0**2*xi**2 + xi*(20 - 20*xi)) + xi*(16 - 24*xi) - 16) + xi*(-12*xi - 12) - 48*ze**2 + 24) + xi*(-2*xi - 8) - 8,
+        b2*(b2*(b2*(-6*b2*xi**2 + xi*(20 - 20*xi)) + xi*(16 - 24*xi) - 16) + xi*(-12*xi - 12) - 48*z2 + 24) + xi*(-2*xi - 8) - 8,
         0,
-        b0**2*(b0**2*(b0**2*(12*b0**2*xi**2 + xi*(32*xi - 32)) + xi*(28*xi - 24) + 20) + xi*(8*xi + 8) + 36*ze**2 - 16),
+        b2*(b2*(b2*(12*b2*xi**2 + xi*(32*xi - 32)) + xi*(28*xi - 24) + 20) + xi*(8*xi + 8) + 36*z2 - 16),
         0,
-        b0**4*(b0**2*(-8*b0**2*xi**2 + xi*(16 - 16*xi)) + xi*(16 - 8*xi) - 8),
+        b2**2*(b2*(-8*b2*xi**2 + xi*(16 - 16*xi)) + xi*(16 - 8*xi) - 8),
         0,
         0,
     )
@@ -156,7 +177,7 @@ def ps_cubic(x, b0, ze, xi):
 
 def axial_quartic(b0, ze, xi):
     return (
-        (1/2)*b0**4*xi,
+        (1/2)*b0*b0*b0*b0*xi,
         0,
         b0**2*(1 - xi),
         -2*b0*ze,

@@ -3,11 +3,11 @@
 Every kernel broadcasts over array coordinates.  The energy is linear in
 (zeta^2, zeta, xi), H = H0 + zeta^2 H_zz + zeta H_z + xi H_xi, mirroring
 N H = A + zeta^2 B + zeta C + xi D in `quantum`; so are its gradient and
-Hessian.  `h_parts` gives the four lambda-independent parts by hand, the
-generated `_derivs.grad_parts` and `hess_parts` give their derivatives from
-the one sympy definition of the parts (tools/gen_derivs.py, which a test
-proves equal to `h_parts`), and `h_combine` re-sums any of them: `h_eval`,
-`h_grad` and `h_hess` are parts-then-combine.
+Hessian.  The generated `_derivs.h_parts` gives the four lambda-independent
+parts, and `_derivs.grad_parts` and `hess_parts` give their derivatives, all
+from the one sympy definition of the parts (tools/gen_derivs.py);
+`h_combine` re-sums any of them: `h_eval`, `h_grad` and `h_hess` are
+parts-then-combine.
 """
 
 from __future__ import annotations
@@ -20,32 +20,8 @@ from . import _derivs
 USE_NUMBA = False
 
 
-def h_parts(x, y, px, py, b0, with_xi):
-    """The lambda-independent parts (H0, H_zz, H_z, H_xi) of the energy.
-
-    H = H0 + zeta^2 H_zz + zeta H_z + xi H_xi, the classical image of the
-    split N H = A + zeta^2 B + zeta C + xi D in `quantum`. H_xi is computed
-    only `with_xi` (else None), for callers with some xi != 0.
-    """
-    u = 0.5 * (x * x + y * y + px * px + py * py)
-    h_xi = None
-    if with_xi:
-        bpb = x * px + y * py
-        w = 0.5 * (x * x + y * y - px * px - py * py) - b0 * b0 * (1.0 - u)
-        h_xi = 0.5 * (bpb * bpb + w * w)
-    h0 = u * u + b0 * b0 * (1.0 - u) * u
-    b0_s = b0 * np.sqrt(np.abs(1.0 - u) / 2.0)
-    # each temporary goes once used: a Monte-Carlo scan holds the parts of a
-    # block while it bins every lambda, and its peak memory adds them
-    del u
-    h_z = b0_s * ((py * py - px * px) * x + 2.0 * px * py * y - x * x * x + 3.0 * x * y * y)
-    del b0_s
-    pg = x * py - y * px
-    return h0, pg * pg, h_z, h_xi
-
-
 def h_combine(parts, ze, xi):
-    """H = H0 + zeta^2 H_zz + zeta H_z (+ xi H_xi when xi != 0) from `h_parts`."""
+    """H = H0 + zeta^2 H_zz + zeta H_z (+ xi H_xi when xi != 0) from `_derivs.h_parts`."""
     h0, h_zz, h_z, h_xi = parts
     # h0 has the full broadcast shape, so the sums below can go in place
     h = h0 + (ze * ze) * h_zz
@@ -56,7 +32,7 @@ def h_combine(parts, ze, xi):
 
 
 def h_eval(x, y, px, py, b0, ze, xi):
-    return h_combine(h_parts(x, y, px, py, b0, xi != 0.0), ze, xi)
+    return h_combine(_derivs.h_parts(x, y, px, py, b0, xi != 0.0), ze, xi)
 
 
 def potential(x, y, b0, ze, xi):

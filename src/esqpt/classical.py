@@ -15,10 +15,11 @@ from .models import ModelParams
 R0_SQUARED = 2.0
 
 
-def _check_inside(v, tol=1e-12):
+def _check_inside(v):
     r2 = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2
-    if r2 > R0_SQUARED + tol:
+    if r2 > R0_SQUARED + 1e-12:
         raise ValueError(f"point outside the phase space: R^2 = {r2:.6f} > 2")
+    return r2
 
 
 def eval_H(params: ModelParams, pt) -> float:
@@ -30,5 +31,8 @@ def eval_H(params: ModelParams, pt) -> float:
 
 def grad_H(params: ModelParams, pt):
     v = np.asarray(pt, dtype=float)
-    _check_inside(v, tol=-1e-12)
+    r2 = _check_inside(v)
+    if r2 > R0_SQUARED - 1e-12:
+        # H_z has sqrt(1 - u) = sqrt(1 - R^2/2), whose derivatives diverge there
+        raise ValueError(f"the gradient is singular on the boundary R^2 = 2: R^2 = {r2:.6f}")
     return _kernels.h_grad(v[0], v[1], v[2], v[3], params.beta0p, params.zeta, params.xi)

@@ -7,8 +7,9 @@ count at a configured reference boson number.
 
 The uniform measure does not depend on lambda, and the classical energy is
 H0 + zeta^2 H_zz + zeta H_z + xi H_xi, the four-part split of N H in
-`quantum` (`_kernels.h_parts`). A scan over lambda therefore draws one
-sample and evaluates the parts once per block; each lambda re-sums them.
+`quantum` (`_derivs.h_parts`, generated from the one definition of H in
+tools/gen_derivs.py). A scan over lambda therefore draws one sample and
+evaluates the parts once per block; each lambda re-sums them.
 The sample streams through fixed-size blocks: memory does not grow with the
 number of samples.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _derivs, _kernels
 from .classical import R0_SQUARED
 from .models import ModelParams
 from .quantum import basis_dimension
@@ -94,7 +95,7 @@ def mc_density_scan(
     stream and the i-th radius variate of its second, so the sample does not
     depend on how it is cut into blocks. Each block of `_BLOCK` points is
     drawn into buffers allocated once; H is linear in (zeta^2, zeta, xi), so
-    the block gets its lambda-independent parts once (`_kernels.h_parts`) and
+    the block gets its lambda-independent parts once (`_derivs.h_parts`) and
     each lambda costs one four-term sum and its histogram. Each grid is the
     one a scan of that lambda alone gives; the grids of one scan are
     correlated.
@@ -116,7 +117,7 @@ def mc_density_scan(
         take = min(_BLOCK, n_samples - a)
         directions.standard_normal(out=normals[:take])
         radii.random(out=u[:take])
-        parts = _kernels.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
+        parts = _derivs.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
         for row, par in zip(counts, params):
             row += np.histogram(_kernels.h_combine(parts, par.zeta, par.xi), bins=edges)[0]
     dim = basis_dimension(ref_N)

@@ -20,6 +20,17 @@ def test_eval_domain_check():
         classical.eval_H(ModelParams(1.0, 0.5), [1.5, 0.0, 0.0, 0.9])
 
 
+def test_gradient_is_refused_on_the_boundary_as_singular():
+    # (1, 1, 0, 0) is in the ball, at R^2 = 2 exactly: H is finite there, but
+    # its gradient has sqrt(1 - u) in a denominator
+    params = ModelParams(SQRT2, 0.5)
+    assert classical.eval_H(params, [1.0, 1.0, 0.0, 0.0]) == 1.0
+    with pytest.raises(ValueError, match=r"gradient is singular on the boundary R\^2 = 2"):
+        classical.grad_H(params, [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="point outside the phase space"):
+        classical.grad_H(params, [1.0, 1.0, 0.1, 0.0])
+
+
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_eval_matches_operator_classical_limit(params, rng):
     # the per-boson classical limit of N*H equals twice the phase-space energy
@@ -94,7 +105,7 @@ def test_h_eval_is_the_sum_of_its_parts(lam):
     pts = interior_points(rng, 100_000, r_max=math.sqrt(R0_SQUARED)).T
     got = _kernels.h_eval(*pts, b0, ze, xi)
     for with_xi in {xi != 0.0, True}:
-        parts = _kernels.h_parts(*pts, b0, with_xi)
+        parts = _derivs.h_parts(*pts, b0, with_xi)
         assert np.array_equal(_kernels.h_combine(parts, ze, xi), got)
     want = ungrouped_h(*pts, b0, ze, xi)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -1,6 +1,6 @@
 """The committed generated module matches its sympy generator, the generator's
-axial quartic is the parts of H on the gamma = 0 axis, and the hand kernel
-`_kernels.h_parts` matches the generator's definition of the parts."""
+axial quartic is the parts of H on the gamma = 0 axis, and the emitted kernel
+`_derivs.h_parts` matches the generator's definition of the parts."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from esqpt import _kernels
+from esqpt import _derivs
 
 from conftest import ROOT, SQRT2, interior_points
 
@@ -18,8 +18,10 @@ def test_derivs_module_is_regenerated_byte_identically(gen):
 
 
 def ball_and_boundary_points(n_ball=100_000):
-    """(4, n) points: uniform in the ball R^2 <= 2, and the 24 points
-    (+-1, +-1, 0, 0), where R^2 = 2 exactly, also in floating point.
+    """(4, n) points: uniform in the ball R^2 <= 2; the 24 points
+    (+-1, +-1, 0, 0), where R^2 = 2 exactly, also in floating point; and the
+    same 24 points with +-nextafter(1, 2), just outside the ball, where the
+    rounding of a sample's radius can put it.
 
     Elsewhere on the boundary R^2 = 2 holds only to rounding, and there the
     sqrt(1 - u) of H_z turns a 1e-16 difference in the rounding of 1 - u into
@@ -30,23 +32,26 @@ def ball_and_boundary_points(n_ball=100_000):
     pairs = itertools.product(itertools.combinations(range(4), 2), itertools.product((-1, 1), repeat=2))
     for row, (where, signs) in zip(lattice, pairs):
         row[list(where)] = signs
-    return np.vstack([ball, lattice]).T
+    return np.vstack([ball, lattice, np.nextafter(lattice, 2 * lattice)]).T
 
 
 @pytest.mark.parametrize("b0", [0.7, SQRT2, 1.7, 4.0])
 def test_hand_parts_equal_the_generator_parts(gen, b0):
+    # the generator's parts keep the abs that guards sqrt(|1 - u|/2) outside
+    # the ball; without it H_z is NaN at the just-outside points
     import sympy as sp
 
     pts = ball_and_boundary_points()
     x, y, px, py = pts
-    assert np.count_nonzero(x * x + y * y + px * px + py * py == 2.0) == 24
-    hand = _kernels.h_parts(*pts, b0, True)
-    for name, part, got in zip(("H0", "HZZ", "HZ", "HXI"), gen.PARTS, hand):
-        f = sp.lambdify((gen.x, gen.y, gen.px, gen.py, gen.b0), part, "numpy")
+    r2 = x * x + y * y + px * px + py * py
+    assert np.count_nonzero(r2 == 2.0) == np.count_nonzero(r2 > 2.0) == 24
+    emitted = _derivs.h_parts(*pts, b0, True)
+    for part, got in zip(gen.NAMES, emitted):
+        f = sp.lambdify((gen.x, gen.y, gen.px, gen.py, gen.b0), gen.resolved(part), "numpy")
         want = np.broadcast_to(f(*pts, b0), got.shape)
         scale = np.abs(want).max()
-        assert math.isfinite(scale) and scale > 0, name
-        assert np.abs(got - want).max() <= 1e-13 * scale, name
+        assert math.isfinite(scale) and scale > 0, part
+        assert np.abs(got - want).max() <= 1e-13 * scale, part
 
 
 def parts_sum(gen):
