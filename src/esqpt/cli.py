@@ -10,13 +10,18 @@ computes them, then hands the writer rows made as they are written, so its
 table is never held as row tuples.  Exit codes: 0 success, 2 domain error,
 3 numerical failure, 64 usage error, 74 I/O error.
 
-Threads: each process runs BLAS on one thread, and `ESQPT_THREADS` worker
-processes share the lambda values of a grid (for the densities, each worker
-scans a slice of the grid and draws the full sample stream); every command
-rejects a bad value.  At these
-matrix sizes a threaded eigh costs CPU time without saving wall time, and
-its results depend on the number of threads.  Importing this module before numpy sets
-the BLAS thread variables below to 1 unless one of them is already set.
+Threads: BLAS runs on one thread, and the lambda values of a grid are shared
+by a pool of at most one worker per usable CPU and per lambda value.
+`spectrum` runs its eigensolves on threads (eigh releases the GIL), by
+default one per usable CPU; `phase-diagram` and `density-cut` run on
+processes, serially by default, since their per-block Python loop holds the
+GIL (each worker scans a slice of the grid and draws the full sample stream).
+`ESQPT_THREADS` sets the pool's width; every command rejects a bad value.
+At these matrix sizes a threaded eigh costs CPU time without saving wall
+time, and its results depend on the number of BLAS threads, while the
+workers leave every output byte-identical.  Importing this module before
+numpy sets the BLAS thread variables below to 1 unless one of them is
+already set.
 """
 
 from __future__ import annotations
@@ -156,8 +161,11 @@ def _density_job(task):
 
 
 def _threads_from_env():
-    """ESQPT_THREADS as a positive integer (default 1); checked by every command."""
-    text = os.environ.get("ESQPT_THREADS", "1")
+    """ESQPT_THREADS as a positive integer, or None when it is unset; checked by
+    every command."""
+    text = os.environ.get("ESQPT_THREADS")
+    if text is None:
+        return None
     try:
         threads = int(text)
     except ValueError:
@@ -167,19 +175,38 @@ def _threads_from_env():
     return threads
 
 
-def _worker_count(cfg, n_lambdas):
-    """Worker processes for a grid of n_lambdas values: ESQPT_THREADS, at most
-    one per lambda value (the pool forks all of them at its first submit)."""
-    cfg.workers = min(cfg.threads, n_lambdas)
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(cfg, n_lambdas, executor):
+    """Workers of an `executor` pool ("threads" or "processes") for a grid of
+    n_lambdas values; sets cfg.workers and cfg.pool for the manifest.
+
+    ESQPT_THREADS when set; otherwise one thread per usable CPU, or a single
+    process (serial). Either way at most one per usable CPU and one per lambda
+    value: a process pool forks all of its workers at its first submit.
+    """
+    cpus = _usable_cpus()
+    requested = cfg.threads or (cpus if executor == "threads" else 1)
+    cfg.workers = min(requested, cpus, n_lambdas)
+    cfg.pool = executor if cfg.workers > 1 else "serial"
     return cfg.workers
 
 
-def _pool_map(job, tasks, workers):
-    """[job(t) for t in tasks], over `workers` processes; results keep the order."""
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+_EXECUTORS = {"threads": "ThreadPoolExecutor", "processes": "ProcessPoolExecutor"}
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+
+def _pool_map(job, tasks, workers, executor):
+    """[job(t) for t in tasks] on `workers` workers of `executor` ("threads" or
+    "processes"); results keep the order. A single worker is this thread."""
+    if workers > 1:
+        import concurrent.futures
+
+        with getattr(concurrent.futures, _EXECUTORS[executor])(max_workers=workers) as pool:
             return list(pool.map(job, tasks))
     return [job(t) for t in tasks]
 
@@ -188,10 +215,11 @@ def _density_grids(cfg):
     """One density grid per lambda value. Each worker scans a contiguous slice
     of the grid and draws the full sample stream of `cfg.seed`, so every
     lambda bins the same samples whatever the number of workers."""
-    workers = _worker_count(cfg, len(cfg.lambdas))
+    workers = _worker_count(cfg, len(cfg.lambdas), "processes")
     tasks = [(cfg.beta0p, part, cfg.n_samples, cfg.seed, cfg.e_bins, cfg.ref_N)
              for part in np.array_split(cfg.lambdas, workers)]
-    return [grid for grids in _pool_map(_density_job, tasks, workers) for grid in grids]
+    return [grid for grids in _pool_map(_density_job, tasks, workers, cfg.pool)
+            for grid in grids]
 
 
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
@@ -279,7 +307,8 @@ def _spectrum_job(task):
 
 def run_spectrum(cfg):
     tasks = [(cfg.beta0p, lam, cfg.N) for lam in cfg.lambdas]
-    spectra = _pool_map(_spectrum_job, tasks, _worker_count(cfg, len(tasks)))
+    workers = _worker_count(cfg, len(tasks), "threads")
+    spectra = _pool_map(_spectrum_job, tasks, workers, cfg.pool)
     rows = ((lam, i, e, s, nd) for lam, columns in zip(cfg.lambdas, spectra)
             for i, (e, s, nd) in enumerate(zip(*columns)))
     return (["lambda", "level_index", "energy", "slope", "nd_expect"],
@@ -396,13 +425,15 @@ def make_config(argv=None):
     args.diagnostics = {}
     args.side_tables = []
     args.workers = 1
+    args.pool = "serial"
     return args
 
 
-def _thread_diagnostics(workers):
-    """Processes a job ran in and the BLAS thread variables they saw."""
+def _thread_diagnostics(workers, pool):
+    """Workers a job ran on, their pool, and the BLAS thread variables they saw."""
     return {
         "workers": workers,
+        "pool": pool,
         "blas": {v: {"value": os.environ.get(v), "set_by_esqpt": v in BLAS_THREADS_SET}
                  for v in BLAS_THREAD_VARIABLES},
     }
@@ -423,7 +454,7 @@ def run(cfg):
             written.append(path)
         write_manifest(
             cfg.output, cfg.command, cfg.inputs, cfg.seed, time.perf_counter() - t0,
-            {"threads": _thread_diagnostics(cfg.workers), **cfg.diagnostics},
+            {"threads": _thread_diagnostics(cfg.workers, cfg.pool), **cfg.diagnostics},
         )
     except BaseException:
         for path in written:

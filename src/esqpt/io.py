@@ -46,16 +46,29 @@ def _atomic_open(path):
             os.remove(tmp)
 
 
+# fmt's text of a value, as a '%' code, by the value's exact type
+_CODES = {float: "%.12g", np.float64: "%.12g", int: "%d", np.int64: "%d", str: "%s"}
+
+
+def _csv_lines(rows):
+    """Each row as fmt's text, through one '%' line per tuple of exact value
+    types; a row with any other type (bool, None, np.float32, ...) takes fmt
+    per value."""
+    lines = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        line = lines.get(types)
+        if line is None:
+            codes = [_CODES.get(t) for t in types]
+            line = lines[types] = "" if None in codes else ",".join(codes) + "\n"
+        yield line % tuple(row) if line else ",".join(map(fmt, row)) + "\n"
+
+
 def write_csv(path, header, rows):
     """Single header row, '.'-decimal numbers, '\n' line endings."""
-    # floats (np.float64 too) take fmt's format without its type dispatch
-    lines = (
-        ",".join(["%.12g" % v if isinstance(v, float) else fmt(v) for v in row]) + "\n"
-        for row in rows
-    )
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+        fh.writelines(_csv_lines(rows))
 
 
 def write_json_records(path, header, rows):

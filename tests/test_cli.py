@@ -1,11 +1,13 @@
 """CLI subcommands, config handling, exit codes, artifact reproducibility."""
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -46,7 +48,13 @@ def test_write_csv_matches_fmt_bytes(tmp_path):
               np.float32(float("nan")), 0.1, 1.0 / 3.0, -2.5e-17, 1e300, 4.0,
               np.float64(2.0 / 3.0), np.float64(-0.0), float("nan"),
               float("inf"), np.float64("-inf"), "first", ""]
-    rows = [values, values[::-1], [np.float64(1e-5), 123456789012345.0, "x"]]
+    # rows of float, np.float64, int, np.int64 and str only take the cached
+    # '%' line of their type tuple; the others take fmt per value
+    plain = [7, -3, np.int64(-12), 10**20, 0.1, 1.0 / 3.0, -2.5e-17, 1e300, 4.0,
+             np.float64(2.0 / 3.0), np.float64(-0.0), float("nan"), float("inf"),
+             np.float64("-inf"), "first", "", "50%"]
+    rows = [values, values[::-1], [np.float64(1e-5), 123456789012345.0, "x"],
+            plain, plain[::-1], plain[::-1], [np.int64(2**62), 1e-300, "%d"], []]
     p = tmp_path / "t.csv"
     write_csv(p, ["h1", "h2"], rows)
     expected = "h1,h2\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
@@ -131,6 +139,7 @@ def test_density_cut_reproducible(tmp_path):
 
 
 def test_phase_diagram_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 3)
     args = ["phase-diagram", "--beta0p", "1.7", "--lambda-start", "0.4",
             "--lambda-stop", "2.0", "--lambda-step", "0.8", "--n-samples", "50000"]
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
@@ -199,13 +208,17 @@ def test_lambda_step_below_the_printed_digits_is_a_domain_error(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+def usable_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, as cli counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in this process."""
+    """Stands in for either executor: records which one was asked for and its
+    max_workers, and runs the tasks in this thread; it starts nothing."""
 
-    max_workers = []
-
-    def __init__(self, max_workers):
-        SerialPool.max_workers.append(max_workers)
+    def __init__(self, asked, executor, max_workers):
+        asked.append((executor, max_workers))
 
     def __enter__(self):
         return self
@@ -217,25 +230,82 @@ class SerialPool:
         return map(fn, tasks)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The (executor, max_workers) of every pool a job asks for; SerialPool
+    stands in for both executors."""
+    asked = []
+    for executor in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(concurrent.futures, executor,
+                            functools.partial(SerialPool, asked, executor))
+    return asked
+
+
+def thread_diagnostics(out):
+    return json.loads(out.with_name(out.name + ".manifest.json").read_text())[
+        "diagnostics"]["threads"]
+
+
 @pytest.mark.parametrize("threads, lambdas, workers", [
-    ("64", ["0.4", "2.0", "0.8"], [3]),
+    ("64", ["0.4", "2.0", "0.8"], [("ProcessPoolExecutor", 3)]),
     ("64", ["0.5", "0.5", "1"], []),
 ])
-def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, threads,
+def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, pools, threads,
                                                          lambdas, workers):
     start, stop, step = lambdas
-    monkeypatch.setattr(SerialPool, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    usable_cpus(monkeypatch, 64)
     monkeypatch.setenv("ESQPT_THREADS", threads)
     out = tmp_path / "pd.csv"
     assert cli.main(["phase-diagram", "--beta0p", "1.7", "--lambda-start", start,
                      "--lambda-stop", stop, "--lambda-step", step, "--n-samples", "2000",
                      "-o", str(out)]) == 0
-    assert SerialPool.max_workers == workers
+    assert pools == workers
 
 
-def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+@pytest.mark.parametrize("argv, executor", [
+    (["phase-diagram", "--n-samples", "2000"], "ProcessPoolExecutor"),
+    (["spectrum", "--n", "4"], "ThreadPoolExecutor"),
+])
+def test_workers_are_capped_by_the_usable_cpus(tmp_path, monkeypatch, pools, argv, executor):
+    # never against a real pool: a process pool forks all its workers at once
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("ESQPT_THREADS", "100000")
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--beta0p", "1.7", "--lambda-start", "0.4", "--lambda-stop", "2.0",
+                     "--lambda-step", "0.4", "-o", str(out)]) == 0
+    assert pools == [(executor, 2)]
+    assert thread_diagnostics(out)["workers"] == 2
+
+
+def test_default_pools_are_spectrum_threads_and_serial_densities(tmp_path, monkeypatch, pools):
+    usable_cpus(monkeypatch, 3)
+    monkeypatch.delenv("ESQPT_THREADS", raising=False)
+    grid = ["--lambda-start", "0.4", "--lambda-stop", "2.0", "--lambda-step", "0.4"]
+    runs = [(["spectrum", "--n", "4", *grid], 3, "threads"),
+            (["spectrum", "--n", "4", "--lambda", "0.5"], 1, "serial"),
+            (["phase-diagram", "--n-samples", "2000", *grid], 1, "serial")]
+    for argv, workers, pool in runs:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert cli.main([*argv, "--beta0p", "1.7", "-o", str(out)]) == 0
+        threads = thread_diagnostics(out)
+        assert (threads["workers"], threads["pool"]) == (workers, pool)
+    assert pools == [("ThreadPoolExecutor", 3)]
+
+
+def test_spectrum_thread_pool_leaves_no_thread_running(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("ESQPT_THREADS", "2")
+    before = threading.active_count()
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda-start", "0.4",
+                     "--lambda-stop", "2.0", "--lambda-step", "0.4", "--n", "4",
+                     "-o", str(out)]) == 0
+    assert threading.active_count() == before
+    threads = thread_diagnostics(out)
+    assert (threads["workers"], threads["pool"]) == (2, "threads")
+
+
+def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys, pools):
     for threads, message in [("abc", "must be an integer, got 'abc'"),
                              ("0", "must be at least 1, got 0"),
                              ("-3", "must be at least 1, got -3")]:
@@ -277,9 +347,10 @@ def test_density_cut_inside_the_window_is_quiet(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads, workers", [("1", 1), ("3", 3)])
-def test_phase_diagram_records_samples_binned_and_drawn(tmp_path, monkeypatch, threads, workers):
+def test_phase_diagram_records_samples_binned_and_drawn(tmp_path, monkeypatch, pools, threads,
+                                                        workers):
     # every lambda bins the same 20 000 samples; every worker draws them all
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    usable_cpus(monkeypatch, 3)
     monkeypatch.setenv("ESQPT_THREADS", threads)
     out = tmp_path / "pd.csv"
     assert cli.main(["phase-diagram", "--beta0p", SQRT2_STR, "--lambda-start", "0.2",
@@ -297,6 +368,7 @@ def test_manifest_without_mc_has_only_thread_diagnostics(tmp_path):
     diag = json.loads((tmp_path / "spin.csv.manifest.json").read_text())["diagnostics"]
     assert list(diag) == ["threads"]
     assert diag["threads"]["workers"] == 1
+    assert diag["threads"]["pool"] == "serial"
     assert list(diag["threads"]["blas"]) == list(cli.BLAS_THREAD_VARIABLES)
 
 
@@ -342,23 +414,25 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_spectrum_bytes_do_not_depend_on_threads(tmp_path):
-    code = "import sys; from esqpt import cli; sys.exit(cli.main(sys.argv[1:]))"
+    # three usable CPUs whatever the host has, so that every pool width runs
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+            "from esqpt import cli; sys.exit(cli.main(sys.argv[1:]))")
     args = ["spectrum", "--beta0p", "1.7", "--lambda-start", "0.2", "--lambda-stop", "1.8",
             "--lambda-step", "0.4", "--n", "20"]
-    runs = {"serial": {}, "pooled": {"ESQPT_THREADS": "2"},
-            "openblas-1": {"OPENBLAS_NUM_THREADS": "1"}}
+    runs = {"serial": {"ESQPT_THREADS": "1"}, "default": {}, "pooled": {"ESQPT_THREADS": "2"},
+            "three": {"ESQPT_THREADS": "3"}, "openblas-1": {"OPENBLAS_NUM_THREADS": "1"}}
     data, diag = {}, {}
     for name, variables in runs.items():
         out = tmp_path / f"{name}.csv"
         run_python(code, *args, "-o", str(out), env=fresh_env(**variables))
         data[name] = out.read_bytes()
-        doc = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
-        diag[name] = doc["diagnostics"]["threads"]
+        diag[name] = thread_diagnostics(out)
     assert len(read_lines(tmp_path / "serial.csv")) == 1 + 5 * quantum.basis_dimension(20)
-    assert data["serial"] == data["pooled"] == data["openblas-1"]
-    assert [d["workers"] for d in diag.values()] == [1, 2, 1]
+    assert len(set(data.values())) == 1
+    assert [d["workers"] for d in diag.values()] == [1, 3, 2, 3, 3]
+    assert [d["pool"] for d in diag.values()] == ["serial"] + ["threads"] * 4
     pinned = {v: {"value": "1", "set_by_esqpt": True} for v in cli.BLAS_THREAD_VARIABLES}
-    assert diag["serial"]["blas"] == diag["pooled"]["blas"] == pinned
+    assert diag["serial"]["blas"] == diag["default"]["blas"] == diag["pooled"]["blas"] == pinned
     assert diag["openblas-1"]["blas"] == {
         "OPENBLAS_NUM_THREADS": {"value": "1", "set_by_esqpt": False},
         "OMP_NUM_THREADS": {"value": None, "set_by_esqpt": False},
