@@ -10,12 +10,13 @@ computes them, then hands the writer rows made as they are written, so its
 table is never held as row tuples.  Exit codes: 0 success, 2 domain error,
 3 numerical failure, 64 usage error, 74 I/O error.
 
-Threads: BLAS runs on one thread, and the lambda values of a grid are shared
-by a pool of at most one worker per usable CPU and per lambda value.
-`spectrum` runs its eigensolves on threads (eigh releases the GIL), by
-default one per usable CPU; `phase-diagram` and `density-cut` run on
-processes, serially by default, since their per-block Python loop holds the
-GIL (each worker scans a slice of the grid and draws the full sample stream).
+Threads: BLAS runs on one thread, and `_pool_map` shares the lambda values
+of a grid over a pool of at most one worker per usable CPU and per lambda
+value.  `spectrum` runs its eigensolves on threads (eigh releases the GIL),
+one lambda value per task, by default one thread per usable CPU and per BLAS
+thread; `phase-diagram` and `density-cut` run on processes, serially by
+default, since their per-block Python loop holds the GIL (each worker scans
+one contiguous slice of the grid and draws the full sample stream).
 `ESQPT_THREADS` sets the pool's width; every command rejects a bad value.
 At these matrix sizes a threaded eigh costs CPU time without saving wall
 time, and its results depend on the number of BLAS threads, while the
@@ -27,6 +28,7 @@ already set.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -150,16 +152,6 @@ def _single_lambda(cfg):
     return float(cfg.lambdas[0])
 
 
-def _density_job(task):
-    beta0p, lambdas, n_samples, seed, bins, ref_N = task
-    grids = density.mc_density_scan(
-        beta0p, lambdas, n_samples=n_samples, seed=seed, bins=bins, ref_N=ref_N
-    )
-    for grid in grids:
-        density.density_derivative(grid)
-    return grids
-
-
 def _threads_from_env():
     """ESQPT_THREADS as a positive integer, or None when it is unset; checked by
     every command."""
@@ -182,44 +174,33 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _worker_count(cfg, n_lambdas, executor):
-    """Workers of an `executor` pool ("threads" or "processes") for a grid of
-    n_lambdas values; sets cfg.workers and cfg.pool for the manifest.
+def _pool_map(cfg, job, executor):
+    """job(part) over parts of the lambda grid on an `executor` pool ("threads"
+    or "processes"), concatenated in grid order; sets cfg.workers and cfg.pool.
 
-    ESQPT_THREADS when set; otherwise one thread per usable CPU, or a single
-    process (serial). Either way at most one per usable CPU and one per lambda
-    value: a process pool forks all of its workers at its first submit.
+    A thread takes one lambda value per part, which balances the load; a
+    process takes one contiguous slice, since it draws the sample itself; a
+    single worker runs job(cfg.lambdas) here. The width is ESQPT_THREADS, or
+    by default one thread per usable CPU and per BLAS thread (the largest
+    positive-integer BLAS variable) or one process; at most one per usable CPU
+    and per lambda value: a process pool forks all of its workers at once.
     """
     cpus = _usable_cpus()
-    requested = cfg.threads or (cpus if executor == "threads" else 1)
-    cfg.workers = min(requested, cpus, n_lambdas)
-    cfg.pool = executor if cfg.workers > 1 else "serial"
-    return cfg.workers
+    threads = executor == "threads"
+    blas = max([int(v) for v in map(os.environ.get, BLAS_THREAD_VARIABLES)
+                if v and v.isdecimal()] + [1])
+    default = max(1, cpus // blas) if threads else 1
+    cfg.workers = min(cfg.threads or default, cpus, len(cfg.lambdas))
+    if cfg.workers == 1:
+        return job(cfg.lambdas)
+    import concurrent.futures
 
-
-_EXECUTORS = {"threads": "ThreadPoolExecutor", "processes": "ProcessPoolExecutor"}
-
-
-def _pool_map(job, tasks, workers, executor):
-    """[job(t) for t in tasks] on `workers` workers of `executor` ("threads" or
-    "processes"); results keep the order. A single worker is this thread."""
-    if workers > 1:
-        import concurrent.futures
-
-        with getattr(concurrent.futures, _EXECUTORS[executor])(max_workers=workers) as pool:
-            return list(pool.map(job, tasks))
-    return [job(t) for t in tasks]
-
-
-def _density_grids(cfg):
-    """One density grid per lambda value. Each worker scans a contiguous slice
-    of the grid and draws the full sample stream of `cfg.seed`, so every
-    lambda bins the same samples whatever the number of workers."""
-    workers = _worker_count(cfg, len(cfg.lambdas), "processes")
-    tasks = [(cfg.beta0p, part, cfg.n_samples, cfg.seed, cfg.e_bins, cfg.ref_N)
-             for part in np.array_split(cfg.lambdas, workers)]
-    return [grid for grids in _pool_map(_density_job, tasks, workers, cfg.pool)
-            for grid in grids]
+    cfg.pool = executor
+    parts = cfg.lambdas[:, None] if threads else np.array_split(cfg.lambdas, cfg.workers)
+    executor_type = (concurrent.futures.ThreadPoolExecutor if threads
+                     else concurrent.futures.ProcessPoolExecutor)
+    with executor_type(max_workers=cfg.workers) as pool:
+        return [result for results in pool.map(job, parts) for result in results]
 
 
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
@@ -261,7 +242,11 @@ def _report_coverage(cfg, grids):
 
 
 def run_phase_diagram(cfg):
-    grids = _density_grids(cfg)
+    # every worker draws the full sample stream of cfg.seed, so every lambda
+    # bins the same samples whatever the number of workers
+    grids = _pool_map(cfg, functools.partial(
+        density.mc_density_scan, cfg.beta0p, n_samples=cfg.n_samples, seed=cfg.seed,
+        bins=cfg.e_bins, ref_N=cfg.ref_N), "processes")
     _report_coverage(cfg, grids)
     rows = ((lam, e, r, d, err) for lam, grid in zip(cfg.lambdas, grids)
             for e, r, d, err in zip(grid.e_centers, grid.rho, grid.drho_dE, grid.mc_error))
@@ -299,20 +284,17 @@ def run_boundary(cfg):
     return ["lambda", "e_min", "e_max"], rows
 
 
-def _spectrum_job(task):
-    beta0p, lam, N = task
-    spec = quantum.diagonalize(ModelParams(beta0p, float(lam)), N)
-    return spec.energies, spec.slopes, spec.nd_expectation
-
-
 def run_spectrum(cfg):
-    tasks = [(cfg.beta0p, lam, cfg.N) for lam in cfg.lambdas]
-    workers = _worker_count(cfg, len(tasks), "threads")
-    spectra = _pool_map(_spectrum_job, tasks, workers, cfg.pool)
-    rows = ((lam, i, e, s, nd) for lam, columns in zip(cfg.lambdas, spectra)
-            for i, (e, s, nd) in enumerate(zip(*columns)))
+    def job(lambdas):
+        return [quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
+                for lam in lambdas]
+
+    spectra = _pool_map(cfg, job, "threads")
+    rows = ((lam, i, e, s, nd) for lam, spec in zip(cfg.lambdas, spectra)
+            for i, (e, s, nd) in enumerate(zip(spec.energies, spec.slopes,
+                                               spec.nd_expectation)))
     return (["lambda", "level_index", "energy", "slope", "nd_expect"],
-            _Rows(sum(len(energies) for energies, _, _ in spectra), rows))
+            _Rows(sum(len(spec.energies) for spec in spectra), rows))
 
 
 def run_flow(cfg):

@@ -38,6 +38,9 @@ DETECT_WINDOW = 6
 
 @dataclass
 class DensityGrid:
+    """A Monte-Carlo level density on fixed energy bins; `mc_density_scan`
+    sets d rho / dE and its error on every grid (`density_derivative`)."""
+
     e_edges: np.ndarray
     rho: np.ndarray
     mc_error: np.ndarray
@@ -97,8 +100,8 @@ def mc_density_scan(
     drawn into buffers allocated once; H is linear in (zeta^2, zeta, xi), so
     the block gets its lambda-independent parts once (`_derivs.h_parts`) and
     each lambda costs one four-term sum and its histogram. Each grid is the
-    one a scan of that lambda alone gives; the grids of one scan are
-    correlated.
+    one a scan of that lambda alone gives, with d rho / dE taken
+    (`density_derivative`); the grids of one scan are correlated.
     """
     params = [ModelParams(beta0p, float(lam)) for lam in lambdas]
     if n_samples < 1:
@@ -125,11 +128,14 @@ def mc_density_scan(
     p = counts / n_samples
     rho = dim * p / width
     err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
-    return [
+    grids = [
         DensityGrid(edges, r, e, int(n_samples), par, int(ref_N),
                     n_outside=int(n_samples - row.sum()))
         for r, e, row, par in zip(rho, err, counts, params)
     ]
+    for grid in grids:
+        density_derivative(grid)
+    return grids
 
 
 def mc_density(
@@ -190,8 +196,6 @@ def detect_singularities(grid: DensityGrid):
     features, localized at the steepest or highest bin, and typed by
     comparing the core against flanking baselines.
     """
-    if grid.drho_dE is None:
-        density_derivative(grid)
     d = grid.drho_dE
     err = grid.drho_error
     centers = grid.e_centers

@@ -34,8 +34,3 @@ class ModelParams:
     @property
     def xi(self):
         return max(self.lam - 1.0, 0.0)
-
-    @property
-    def branch(self):
-        """'first' for lambda <= 1, 'second' for lambda > 1."""
-        return "first" if self.lam <= LAMBDA_CRITICAL else "second"

@@ -175,8 +175,6 @@ def build_hamiltonian(params: ModelParams, N, operators=None):
 
 def _dh_dlambda_matrix(params: ModelParams, N, side, operators):
     lam = params.lam
-    if side == "auto":
-        side = "left" if lam <= LAMBDA_CRITICAL else "right"
     first = (lam < LAMBDA_CRITICAL) or (lam == LAMBDA_CRITICAL and side == "left")
     a, b, c, d = operators
     terms = [(2.0 * params.zeta, b), (1.0, c)] if first else [(1.0, d)]
@@ -205,13 +203,15 @@ class SpectrumResult:
         return self.energies - self.energies[0]
 
 
-def diagonalize(params: ModelParams, N, side="auto") -> SpectrumResult:
+def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
     """Full spectrum with slope and <n_d> expectations per eigenstate.
 
-    Inside a cluster of degenerate levels (gaps <= DEGENERACY_TOL max(1, |E|))
-    the eigenvectors are rotated to diagonalize dH/dlambda, so the slopes are
-    the one-sided derivatives of the levels on `side` and <n_d> belongs to the
-    states those levels continue into, whatever basis `eigh` returned.
+    The slopes are dE/dlambda from the `side` ("left" or "right") of lambda;
+    the sides differ only at the critical lambda = 1. Inside a cluster of
+    degenerate levels (gaps <= DEGENERACY_TOL max(1, |E|)) the eigenvectors
+    are rotated to diagonalize dH/dlambda, so the slopes are the one-sided
+    derivatives of the levels on `side` and <n_d> belongs to the states those
+    levels continue into, whatever basis `eigh` returned.
     """
     operators = _operators(N, params.beta0p)
     evals, evecs = np.linalg.eigh(build_hamiltonian(params, N, operators))

@@ -1,5 +1,6 @@
 """CLI subcommands, config handling, exit codes, artifact reproducibility."""
 
+import argparse
 import concurrent.futures
 import functools
 import json
@@ -215,10 +216,12 @@ def usable_cpus(monkeypatch, n):
 
 class SerialPool:
     """Stands in for either executor: records which one was asked for and its
-    max_workers, and runs the tasks in this thread; it starts nothing."""
+    max_workers, and the tasks it maps, and runs them in this thread; it
+    starts nothing."""
 
-    def __init__(self, asked, executor, max_workers):
+    def __init__(self, asked, mapped, executor, max_workers):
         asked.append((executor, max_workers))
+        self.mapped = mapped
 
     def __enter__(self):
         return self
@@ -227,18 +230,27 @@ class SerialPool:
         return False
 
     def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.mapped.extend(tasks)
         return map(fn, tasks)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The (executor, max_workers) of every pool a job asks for; SerialPool
-    stands in for both executors."""
-    asked = []
+def pool_tasks(monkeypatch):
+    """(asked, mapped): the (executor, max_workers) of every pool a job asks
+    for, and every task those pools map; SerialPool stands in for both
+    executors."""
+    asked, mapped = [], []
     for executor in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
         monkeypatch.setattr(concurrent.futures, executor,
-                            functools.partial(SerialPool, asked, executor))
-    return asked
+                            functools.partial(SerialPool, asked, mapped, executor))
+    return asked, mapped
+
+
+@pytest.fixture
+def pools(pool_tasks):
+    """The (executor, max_workers) of every pool a job asks for."""
+    return pool_tasks[0]
 
 
 def thread_diagnostics(out):
@@ -290,6 +302,75 @@ def test_default_pools_are_spectrum_threads_and_serial_densities(tmp_path, monke
         threads = thread_diagnostics(out)
         assert (threads["workers"], threads["pool"]) == (workers, pool)
     assert pools == [("ThreadPoolExecutor", 3)]
+
+
+def pool_config(lambdas, threads):
+    return argparse.Namespace(lambdas=np.array(lambdas), threads=threads, workers=1,
+                              pool="serial")
+
+
+def test_pool_map_parts(monkeypatch, pool_tasks):
+    asked, mapped = pool_tasks
+    usable_cpus(monkeypatch, 4)
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    calls = []
+
+    def job(part):
+        calls.append(part)
+        return [10 * lam for lam in part]
+
+    cfg = pool_config(grid, 3)
+    assert cli._pool_map(cfg, job, "threads") == [10 * lam for lam in grid]
+    assert asked == [("ThreadPoolExecutor", 3)]
+    assert [part.tolist() for part in mapped] == [[lam] for lam in grid]
+    assert (cfg.workers, cfg.pool) == (3, "threads")
+
+    asked.clear()
+    mapped.clear()
+    cfg = pool_config(grid, 2)
+    assert cli._pool_map(cfg, job, "processes") == [10 * lam for lam in grid]
+    assert asked == [("ProcessPoolExecutor", 2)]
+    # one contiguous slice per worker, in grid order
+    assert [part.tolist() for part in mapped] == [grid[:3], grid[3:]]
+    assert (cfg.workers, cfg.pool) == (2, "processes")
+
+    asked.clear()
+    mapped.clear()
+    for executor in ("threads", "processes"):
+        cfg = pool_config(grid, 1)
+        assert cli._pool_map(cfg, job, executor) == [10 * lam for lam in grid]
+        assert calls.pop() is cfg.lambdas
+        assert (cfg.workers, cfg.pool) == (1, "serial")
+    assert asked == mapped == []
+
+
+@pytest.mark.parametrize("cpus, variables, asked", [
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, []),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, [("ThreadPoolExecutor", 2)]),
+    (4, {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}, []),
+    (4, {"OMP_NUM_THREADS": "0", "MKL_NUM_THREADS": "two"}, [("ThreadPoolExecutor", 4)]),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "ESQPT_THREADS": "2"}, [("ThreadPoolExecutor", 2)]),
+    (4, {"OPENBLAS_NUM_THREADS": "4", "ESQPT_THREADS": "8"}, [("ThreadPoolExecutor", 4)]),
+    (1, {"ESQPT_THREADS": "2"}, []),
+], ids=["blas2-cpus2", "blas2-cpus4", "blas3-cpus4", "blas-not-positive-cpus4",
+        "esqpt2-blas2-cpus2", "esqpt8-blas4-cpus4", "esqpt2-cpus1"])
+def test_default_spectrum_threads_count_the_blas_threads(tmp_path, monkeypatch, pools, cpus,
+                                                         variables, asked):
+    # the widest BLAS variable divides the CPUs; a value that is not a positive
+    # integer counts as one thread; ESQPT_THREADS wins, capped by the CPUs
+    usable_cpus(monkeypatch, cpus)
+    for v in cli.BLAS_THREAD_VARIABLES + ("ESQPT_THREADS",):
+        monkeypatch.delenv(v, raising=False)
+    for v, value in variables.items():
+        monkeypatch.setenv(v, value)
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda-start", "0.4",
+                     "--lambda-stop", "2.0", "--lambda-step", "0.4", "--n", "4",
+                     "-o", str(out)]) == 0
+    assert pools == asked
+    threads = thread_diagnostics(out)
+    assert threads["workers"] == (asked[0][1] if asked else 1)
+    assert threads["pool"] == ("threads" if asked else "serial")
 
 
 def test_spectrum_thread_pool_leaves_no_thread_running(tmp_path, monkeypatch):

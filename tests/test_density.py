@@ -190,7 +190,8 @@ def test_detect_singularities_spherical_cut():
 def test_phase_diagram_shapes():
     cfg = cli.make_config(["phase-diagram", "--beta0p", repr(SQRT2), "--lambda-start", "0.1",
                            "--lambda-stop", "0.3", "--lambda-step", "0.2", "--n-samples", "50000"])
-    grids = cli._density_grids(cfg)
+    grids = density.mc_density_scan(cfg.beta0p, cfg.lambdas, n_samples=cfg.n_samples,
+                                    seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.ref_N)
     assert len(grids) == 2
     header, rows = cli.run_phase_diagram(cfg)
     mat = np.array([r[header.index("drho_dE")] for r in rows]).reshape(2, -1)
