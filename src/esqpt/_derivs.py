@@ -138,33 +138,22 @@ def hess_parts(x, y, px, py, b0, with_xi):
     z19 = z14*z8
     return parts + ((z0 + z1*z4 + z9, z10 + z11*z4, z12 + z13*z15 + 2*z13, z15*z17 + z16, z4*z6 + z5 + z9, z15*z16 + z17, z12*z15 + 2*z12 + z13, z0*z18 + z1 + z19, z10*z18 + z11, z18*z5 + z19 + z6),)
 
-def kinetic_resultant(b0, ze, xi):
+def kinetic_cubic(b0, ze, xi):
     b2, z2 = b0**2, ze**2
     return (
         b2*(b2*(b2*(b2*(b2*(b2*z2*(32*xi*xi*xi*xi + z2*(32*xi*xi*xi*z2 + xi**2*(xi*(-16*xi - 72) + 27))) + z2*(xi*xi*xi*(-128*xi - 136) + z2*(xi**2*z2*(-64*xi - 240) + xi*(xi*(xi*(32*xi + 392) + 216) - 108)))) - 16*xi*xi*xi*xi + z2*(xi**2*(xi*(192*xi + 528) + 144) + z2*(xi*(xi*(xi*(16*xi - 600) - 1240) - 36) + z2*(128*xi**2*z2 + xi*(xi*(416 - 96*xi) + 636)) + 108))) + xi*xi*xi*(64*xi + 32) + z2*(xi**2*(xi*(-96*xi - 872) - 528) + z2*(xi*(xi*(xi*(56 - 64*xi) + 2096) + 960) + z2*(xi*z2*(-256*xi - 576) + xi*(xi*(256*xi + 560) - 1360) - 536) - 216))) + xi*xi*xi*(-96*xi - 96) + z2*(xi**2*(xi*(736 - 64*xi) + 816) + z2*(xi*(xi*(xi*(16*xi + 640) - 1360) - 1776) + z2*(xi*(xi*(-32*xi - 1648) + 304) + z2*(128*xi*z2 + xi*(1248 - 64*xi) + 588) + 1272) + 108))) + xi*xi*xi*(64*xi + 96) + z2*(xi**2*(xi*(96*xi - 288) - 624) + z2*(xi*(xi*(xi*(32*xi - 576) + 96) + 1344) + z2*(xi*(xi*(1104 - 192*xi) + 1024) + z2*(xi*(384*xi - 576) + z2*(-256*xi - 192) - 1152) - 960)))) + xi*xi*xi*(-16*xi - 32) + z2*(xi**2*(xi*(32 - 32*xi) + 192) + z2*(xi*(xi*(xi*(160 - 16*xi) + 192) - 384) + z2*(xi*(xi*(96*xi - 192) - 640) + z2*(xi*(-192*xi - 128) + z2*(128*xi + 256) + 512) + 256))),
-        0,
-        b2*(b2*(b2*(b2*(b2*(b2*z2*(xi*xi*xi*(-64*xi - 12) + z2*(-96*xi*xi*xi*z2 + xi**2*(xi*(48*xi + 148) - 18))) + 16*xi*xi*xi*xi + z2*(xi**2*(xi*(256*xi + 276) + 60) + z2*(xi**2*z2*(256*xi + 560) + xi*(xi*(xi*(-128*xi - 844) - 560) + 54)))) + xi*xi*xi*(-48*xi - 32) + z2*(xi*(xi*(xi*(-432*xi - 836) - 452) - 72) + z2*(xi*(xi*(xi*(48*xi + 1532) + 2364) + 676) + z2*(-256*xi**2*z2 + xi*(xi*(32*xi - 1248) - 1060)) - 36))) + xi*xi*xi*(32*xi + 64) + z2*(xi*(xi*(xi*(368*xi + 1196) + 968) + 288) + z2*(xi*(xi*(xi*(128*xi - 948) - 3536) - 2216) + z2*(xi*z2*(640*xi + 832) + xi*(xi*(-576*xi - 16) + 2144) + 644) - 252))) + 32*xi*xi*xi*xi + z2*(xi*(xi*(xi*(-112*xi - 960) - 1048) - 360) + z2*(xi*(xi*(xi*(-112*xi - 224) + 2256) + 2576) + z2*(xi*(xi*(416*xi + 1800) - 664) + z2*(-128*xi*z2 + xi*(-320*xi - 1808) - 672) - 1248) + 576))) + xi*xi*xi*(-48*xi - 64) + z2*(xi*(xi*(xi*(368 - 48*xi) + 664) + 144) + z2*(xi*(xi*(496*xi - 368) - 1456) + z2*(xi*(xi*(64*xi - 1288) - 976) + z2*(xi*(880 - 256*xi) + z2*(256*xi + 192) + 1248) + 768) - 288))) + xi*xi*xi*(16*xi + 32) + z2*(xi**2*(xi*(32*xi - 32) - 192) + z2*(xi*(xi*(xi*(16*xi - 160) - 192) + 384) + z2*(xi*(xi*(192 - 96*xi) + 640) + z2*(xi*(192*xi + 128) + z2*(-128*xi - 256) - 512) - 256))),
-        0,
-        b2*(b2*(b2*(b2*(b2*(b2*(-4*xi*xi*xi*xi + z2*(xi*xi*xi*(34*xi + 30) + z2*(96*xi*xi*xi*z2 + xi**2*(xi*(-48*xi - 84) - 24)))) + 8*xi*xi*xi + z2*(xi**2*(xi*(-118*xi - 224) - 108) + z2*(xi**2*z2*(-320*xi - 432) + xi*(xi*(xi*(160*xi + 500) + 450) + 102)))) + xi*xi*xi*(40*xi + 8) + z2*(xi*(xi*(xi*(198*xi + 398) + 480) + 96) + z2*(xi*(xi*(xi*(-160*xi - 1028) - 1287) - 876) + z2*(128*xi**2*z2 + xi*(xi*(256*xi + 1168) + 540)) - 105))) + xi*xi*xi*(-80*xi - 72) + z2*(xi*(xi*(xi*(-226*xi - 324) - 604) - 360) + z2*(xi*(xi*(972*xi + 1508) + 1516) + z2*(xi*z2*(-384*xi - 256) + xi*(xi*(192*xi - 880) - 1020) - 150) + 600))) + xi*xi*xi*(60*xi + 88) + z2*(xi*(xi*(xi*(160*xi + 200) + 272) + 408) + z2*(xi*(xi*(xi*(80*xi - 440) - 892) - 872) + z2*(xi*(xi*(-352*xi - 40) + 480) + z2*(xi*(384*xi + 560) + 84) + 24) - 780))) + xi*xi*xi*(-16*xi - 32) + z2*(xi*(xi*(xi*(-48*xi - 80) - 40) - 144) + z2*(xi*(xi*(xi*(80 - 32*xi) + 272) + 112) + z2*(xi*(xi*(128*xi + 184) - 48) + z2*(xi*(-128*xi - 304) - 96) + 192) + 288))),
-        0,
-        b2**2*(b2*(b2*(b2*(b2*(4*xi*xi*xi*xi + z2*(xi*xi*xi*(-4*xi - 20) + z2*(-32*xi*xi*xi*z2 + xi**2*(xi*(16*xi + 12) + 18)))) + xi*xi*xi*(-16*xi - 8) + z2*(xi**2*(xi*(96 - 4*xi) + 52) + z2*(xi**2*z2*(128*xi + 112) + xi*(xi*(xi*(-64*xi - 60) - 128) - 54)))) + xi*xi*xi*(24*xi + 24) + z2*(xi*(xi*(xi*(36*xi - 108) - 186) - 26) + z2*(xi*z2*(xi*(-192*xi - 336) - 116) + xi*(xi*(xi*(96*xi + 108) + 198) + 262) + 36))) + xi*xi*xi*(-16*xi - 24) + z2*(xi*(xi*(xi*(8 - 44*xi) + 174) + 76) + z2*(xi*(xi*(xi*(-64*xi - 84) - 84) - 280) + z2*(xi*(xi*(128*xi + 336) + 236) + 42) - 140))) + xi*xi*xi*(4*xi + 8) + z2*(xi*(xi*(xi*(16*xi + 24) - 40) - 48) + z2*(xi*(xi*(xi*(16*xi + 24) - 4) + 72) + z2*(xi*(xi*(-32*xi - 112) - 120) - 48) + 96))),
-        0,
-        b2*b2*b2*(b2*(b2*(b2*z2*(xi*xi*xi*(2*xi + 2) + xi**2*z2*(-4*xi - 3)) + z2*(xi**2*(xi*(-6*xi - 12) - 4) + xi*z2*(xi*(12*xi + 22) + 6))) + z2*(xi*(xi*(xi*(6*xi + 18) + 14) + 2) + z2*(xi*(xi*(-12*xi - 35) - 26) - 3))) + z2*(xi*(xi*(xi*(-2*xi - 8) - 10) - 4) + z2*(xi*(xi*(4*xi + 16) + 20) + 8))),
-        0,
+        b2*(b2*(b2*(b2*(b2*(b2*z2*(xi*xi*xi*(-32*xi - 12) + z2*(-64*xi*xi*xi*z2 + xi**2*(xi*(32*xi + 76) + 9))) + 16*xi*xi*xi*xi + z2*(xi**2*(xi*(128*xi + 140) + 60) + z2*(xi**2*z2*(192*xi + 320) + xi*(xi*(xi*(-96*xi - 452) - 344) - 54)))) + xi*xi*xi*(-64*xi - 32) + z2*(xi*(xi*(xi*(-240*xi - 308) - 308) - 72) + z2*(xi*(xi*(xi*(64*xi + 932) + 1124) + 640) + z2*(-128*xi**2*z2 + xi*(xi*(-64*xi - 832) - 424)) + 72))) + xi*xi*xi*(96*xi + 96) + z2*(xi*(xi*(xi*(272*xi + 324) + 440) + 288) + z2*(xi*(xi*(xi*(64*xi - 892) - 1440) - 1256) + z2*(xi*z2*(384*xi + 256) + xi*(xi*(544 - 320*xi) + 784) + 108) - 468))) + xi*xi*xi*(-64*xi - 96) + z2*(xi*(xi*(xi*(-176*xi - 224) - 232) - 360) + z2*(xi*(xi*(xi*(416 - 96*xi) + 896) + 800) + z2*(xi*(xi*(384*xi + 152) - 360) + z2*(xi*(-384*xi - 560) - 84) + 24) + 684))) + xi*xi*xi*(16*xi + 32) + z2*(xi*(xi*(xi*(48*xi + 80) + 40) + 144) + z2*(xi*(xi*(xi*(32*xi - 80) - 272) - 112) + z2*(xi*(xi*(-128*xi - 184) + 48) + z2*(xi*(128*xi + 304) + 96) - 192) - 288))),
+        b2**2*(b2*(b2*(b2*(b2*(-4*xi*xi*xi*xi + z2*(xi*xi*xi*(2*xi + 18) + z2*(32*xi*xi*xi*z2 + xi**2*(xi*(-16*xi - 8) - 15)))) + xi*xi*xi*(16*xi + 8) + z2*(xi**2*(xi*(10*xi - 84) - 48) + z2*(xi**2*z2*(-128*xi - 112) + xi*(xi*(xi*(64*xi + 48) + 106) + 48)))) + xi*xi*xi*(-24*xi - 24) + z2*(xi*(xi*(xi*(90 - 42*xi) + 172) + 24) + z2*(xi*z2*(xi*(192*xi + 336) + 116) + xi*(xi*(xi*(-96*xi - 96) - 163) - 236) - 33))) + xi*xi*xi*(16*xi + 24) + z2*(xi*(xi*(46*xi**2 - 164) - 72) + z2*(xi*(xi*(xi*(64*xi + 80) + 68) + 260) + z2*(xi*(xi*(-128*xi - 336) - 236) - 42) + 132))) + xi*xi*xi*(-4*xi - 8) + z2*(xi*(xi*(xi*(-16*xi - 24) + 40) + 48) + z2*(xi*(xi*(xi*(-16*xi - 24) + 4) - 72) + z2*(xi*(xi*(32*xi + 112) + 120) + 48) - 96))),
+        b2*b2*b2*(b2*(b2*(b2*z2*(xi*xi*xi*(-2*xi - 2) + xi**2*z2*(4*xi + 3)) + z2*(xi**2*(xi*(6*xi + 12) + 4) + xi*z2*(xi*(-12*xi - 22) - 6))) + z2*(xi*(xi*(xi*(-6*xi - 18) - 14) - 2) + z2*(xi*(xi*(12*xi + 35) + 26) + 3))) + z2*(xi*(xi*(xi*(2*xi + 8) + 10) + 4) + z2*(xi*(xi*(-4*xi - 16) - 20) - 8))),
     )
 
-def trivial_resultant(b0, ze, xi):
+def trivial_cubic(b0, ze, xi):
     b2, z2 = b0**2, ze**2
     return (
         b2*(b2*(b2*(b2*xi**2 + xi*(4*xi - 4)) + xi*(6*xi - 4) + 4) + xi*(4*xi + 4) + 16*z2 - 8) + xi*(xi + 4) + 4,
-        0,
         b2*(b2*(b2*(-6*b2*xi**2 + xi*(20 - 20*xi)) + xi*(16 - 24*xi) - 16) + xi*(-12*xi - 12) - 48*z2 + 24) + xi*(-2*xi - 8) - 8,
-        0,
         b2*(b2*(b2*(12*b2*xi**2 + xi*(32*xi - 32)) + xi*(28*xi - 24) + 20) + xi*(8*xi + 8) + 36*z2 - 16),
-        0,
         b2**2*(b2*(-8*b2*xi**2 + xi*(16 - 16*xi)) + xi*(16 - 8*xi) - 8),
-        0,
-        0,
     )
 
 def ps_cubic(x, b0, ze, xi):

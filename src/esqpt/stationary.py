@@ -1,9 +1,9 @@
 """Stationary-point census, spinodals, boundary analysis and borderlines.
 
 Interior stationary points of the classical Hamiltonian are exact roots on
-the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two resultants, generated by
-tools/gen_derivs.py, give them as polynomial roots in x.  Each root is
-polished by 3 Newton steps on its own polynomial, each plane point by 3
+the symmetry plane Fix(sigma) = {(x, 0, 0, py)}: two cubics in X = x^2,
+generated by tools/gen_derivs.py, give them as x = +-sqrt(X).  Each root is
+polished by 3 Newton steps on its cubic, each plane point by up to 3 resolved
 Newton steps on its own gradient, and a candidate is kept where the (x, s)
 equations it came from hold to GRAD_TOL; no search from seeds, no
 convergence loop.  The plane census keeps one point (x, 0, 0, py >= 0) per
@@ -27,7 +27,7 @@ from .classical import R0_SQUARED
 from .models import ModelParams
 
 # tolerance of a plane point's residual in the (x, s) equations of the plane
-# resultants; a Hessian eigenvalue smaller in magnitude makes the point degenerate
+# cubics; a Hessian eigenvalue smaller in magnitude makes the point degenerate
 GRAD_TOL = 1e-9
 # points with R^2 above this count as on the boundary sphere R^2 = 2
 INTERIOR_R2 = R0_SQUARED - 1e-9
@@ -85,7 +85,7 @@ def _classify(params, locs):
     # an absolute test: near the ball boundary one eigenvalue diverges like
     # 1/s, which would swamp a ratio to the largest one
     degenerate = np.abs(evals).min(axis=1) < GRAD_TOL
-    # py = 0 exactly on the trivial resultant, sqrt(t) > 0 on the kinetic one
+    # py = 0 exactly on the trivial cubic, sqrt(t) > 0 on the kinetic one
     return [StationaryPoint(loc, float(e), "degenerate" if d else int(np.sum(ev < 0)),
                             "kinetic" if loc[3] > 0 else "trivial_momentum")
             for loc, e, d, ev in zip(locs, _kernels.h_eval(*locs.T, *coup), degenerate, evals)]
@@ -110,25 +110,31 @@ def _plane_candidates(params):
     """Candidate stationary points (x, 0, 0, py >= 0) on the plane Fix(sigma).
 
     There, with s = sqrt((1 - u)/2) and t = py^2 = 2 - 4 s^2 - x^2, H is a
-    quartic polynomial P(x, s).  Points with py = 0 are the roots x of the
-    degree-8 resultant of 4 s P_x - x P_s and 4 s^2 + x^2 - 2; kinetic points
-    are the roots x of the degree-9 resultant of P_x and P_s, each with the
-    roots s > 0 of the cubic P_s(x, s) that leave t > 0, and py = sqrt(t)
-    (roots of the cubic that P_x does not share fail their residual).  The
-    degree-8 resultant has the roots of mirror points s < 0 too, stationary at
-    -zeta (s -> -s is zeta -> -zeta): a root is dropped where its Newton step
-    on H_x(x, 0, 0, 0) = 0 at zeta exceeds twice that at -zeta by more than
+    quartic polynomial P(x, s).  Each candidate x is +-sqrt(X) at a root
+    0 <= X < INTERIOR_R2 of a cubic: T, the resultant of 4 s P_x - x P_s and
+    4 s^2 + x^2 - 2 over x^2, gives the points with py = 0 besides the origin;
+    C, the resultant of P_x and P_s over x (x^2 - 1), gives the kinetic ones,
+    each with the roots s > 0 of the cubic P_s(x, s) that leave t > 0 and
+    py = sqrt(t) (roots of P_s that P_x does not share fail their residual).
+    T has the roots of mirror points s < 0 too, stationary at -zeta (s -> -s
+    is zeta -> -zeta): a root is dropped where its Newton step on
+    H_x(x, 0, 0, 0) = 0 at zeta exceeds twice that at -zeta by more than
     DEDUPE_TOL.  The step is the distance to a simple root and half that to a
     double one, so a point stationary at both signs stays.
     """
     b0, ze, xi = params.beta0p, params.zeta, params.xi
-    x = _real_roots(_derivs.trivial_resultant(b0, ze, xi))
-    axis = np.outer(x[x * x < INTERIOR_R2], [1.0, 0.0, 0.0, 0.0])
+
+    def roots_x(cubic):  # x = +-sqrt(X) at its roots 0 <= X < INTERIOR_R2
+        big_x = _real_roots(cubic(b0, ze, xi))
+        x = np.sqrt(big_x[(big_x >= 0.0) & (big_x < INTERIOR_R2)])
+        return np.concatenate([x, -x])
+
+    axis = np.outer(roots_x(_derivs.trivial_cubic), [1.0, 0.0, 0.0, 0.0])
     with np.errstate(divide="ignore", invalid="ignore"):  # nan: kept, the residual decides
         step, mirror = (np.abs(_kernels.h_grad(*axis.T, b0, z, xi)[0]
                                / _kernels.h_hess(*axis.T, b0, z, xi)[:, 0, 0]) for z in (ze, -ze))
         cands = [np.zeros(4), *axis[~(step > 2.0 * mirror + DEDUPE_TOL)]]
-    for x in _real_roots(_derivs.kinetic_resultant(b0, ze, xi)):
+    for x in roots_x(_derivs.kinetic_cubic):
         for s in _real_roots(_derivs.ps_cubic(x, b0, ze, xi)):
             t = 2.0 - 4.0 * s * s - x * x
             if s > 0 and t > 0 and x * x + t < INTERIOR_R2:
@@ -140,13 +146,14 @@ def _plane_polish(params, locs):
     """The (n, 4) plane points after 3 Newton steps on (H_x, H_py) = 0, and
     each one's residual in the (x, s) equations it came from.
 
-    The steps remove the rounding that a resultant root carries, which near
-    R^2 = 2 (where the Hessian grows like 1/s) or at a close root pair leaves
-    |grad H| large; a step is taken only where it lowers |grad H| and keeps
-    py >= 0, so a (nearly) singular Hessian cannot move a point.  The
-    residual does not grow like 1/s: with 4 s = 2 sqrt(2 - x^2 - py^2), it is
-    max(|P_x|, |P_s|) = max(|H_x - H_py x / py|, |H_py| 4 s / py) for py > 0,
-    and |4 s P_x - x P_s| = 4 s |H_x| for py = 0.
+    The steps remove the rounding that a root carries, which near R^2 = 2
+    (where the Hessian grows like 1/s) or at a close root pair leaves
+    |grad H| large.  A step is taken only where the 2 x 2 determinant is
+    resolved, |ad - bc| > 16 eps max(|ad|, |bc|), and where it lowers |grad H|
+    and keeps py >= 0, so a (nearly) singular Hessian cannot move a point.
+    The residual does not grow like 1/s: with 4 s = 2 sqrt(2 - x^2 - py^2), it
+    is max(|P_x|, |P_s|) = max(|H_x - H_py x / py|, |H_py| 4 s / py) for
+    py > 0, and |4 s P_x - x P_s| = 4 s |H_x| for py = 0.
     """
     coup = (params.beta0p, params.zeta, params.xi)
     g = np.asarray(_kernels.h_grad(*locs.T, *coup))
@@ -154,11 +161,12 @@ def _plane_polish(params, locs):
         h = _kernels.h_hess(*locs.T, *coup)
         (a, b), (c, d) = h[:, 0, [0, 3]].T, h[:, 3, [0, 3]].T
         det, new = a * d - b * c, locs.copy()
+        resolved = np.abs(det) > 16 * np.finfo(float).eps * np.maximum(np.abs(a * d), np.abs(b * c))
         with np.errstate(divide="ignore", invalid="ignore"):  # nan: not a step
             new[:, 0] -= (d * g[0] - b * g[3]) / det
             new[:, 3] -= (a * g[3] - c * g[0]) / det
             new_g = np.asarray(_kernels.h_grad(*new.T, *coup))
-        better = (np.abs(new_g).max(axis=0) < np.abs(g).max(axis=0)) & (new[:, 3] >= 0.0)
+        better = resolved & (np.abs(new_g).max(axis=0) < np.abs(g).max(axis=0)) & (new[:, 3] >= 0.0)
         locs, g = np.where(better[:, None], new, locs), np.where(better, new_g, g)
     x, py = locs[:, 0], locs[:, 3]
     four_s = 2.0 * np.sqrt(2.0 - x * x - py * py)
@@ -201,7 +209,7 @@ def _plane_census(params: ModelParams):
     ascending residual) and classified.  At zeta = 0 the census is the origin
     and, for beta0p^2 > 2, the sphere u = u* of _flat_sphere, reported once
     as the degenerate point (sqrt(2 u*), 0, 0, 0).  Where the kinetic
-    resultant vanishes identically otherwise (beta0p = sqrt2, lambda = 2),
+    cubic vanishes identically otherwise (beta0p = sqrt2, lambda = 2),
     the stationary points form continuous manifolds, reported by the
     degenerate points where they cross the axis y = p = 0.
     """
@@ -254,7 +262,8 @@ def spinodal_points(beta0p):
     lambda_star_star is the lambda at which the origin stops being a minimum.
     Its Hessian eigenvalues are b^2 [1 - xi (1 + b^2)] in the coordinates and
     b^2 [1 + xi (1 - b^2)] in the momenta; the first vanishes first, at
-    xi = 1 / (1 + b^2).
+    xi = 1 / (1 + b^2).  At the critical lambda_c = 1 both gamma = 0 minima,
+    r = 0 and r = b, lie at E = 0, with the barrier E_b = (sqrt(1 + b^2) - 1)^2 / 4.
     """
     ModelParams(beta0p, 0.0)  # rejects beta0p <= 0
     b2 = beta0p * beta0p

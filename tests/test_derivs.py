@@ -68,3 +68,16 @@ def test_axial_quartic_is_the_parts_on_the_axis(gen):
     assert sp.expand(v - gen.AXIAL) == 0
     on_axis = v.subs({s: sp.sqrt(1 - x**2 / 2), d: x / sp.sqrt(2)})
     assert sp.simplify(on_axis - parts_sum(gen).subs({gen.y: 0, gen.px: 0, gen.py: 0})) == 0
+
+
+def test_the_dropped_resultant_factors_carry_no_interior_point(gen):
+    # the census solves the kinetic resultant over x (x^2 - 1) and the
+    # trivial one over x^2.  At x = 0, P_x vanishes only at s = 0 or at
+    # t = 2 - 4 s^2 = 0, so no kinetic point (s > 0, t > 0) has x = 0; at
+    # x^2 = 1 the common root of P_x and P_s is s = 0, the edge R^2 = 2.
+    import sympy as sp
+
+    x, s, b0, ze = gen.x, gen.s, gen.b0, gen.ze
+    assert sp.expand(gen.Px.subs(x, 0) + 2 * b0 * ze * s * (2 * s**2 - 1)) == 0
+    for p in (gen.Px, gen.Ps):
+        assert sp.expand(p.subs(x, 1)).subs(s, 0) == 0

@@ -203,6 +203,11 @@ def test_census_keeps_the_degenerate_orbit_born_at_2_3():
     # the cubic P_s loses its leading term and the resultants gain roots at
     # s = infinity, which must not become points
     (1.0, 2.5, 10),
+    # r = 3 kinetic orbits at 2 - R^2 = 1.4e-3 and 3.6e-3, next to the edge
+    # x^2 = 1: a degree-9 resultant with the factor x (x^2 - 1) places their
+    # roots 3.2e-6 and 2.1e-4 off, beside its spurious roots near x = +-1
+    (1.3808185714914567, 2.088564660192366, 16),
+    (1.4300832507400512, 1.9540866738196716, 16),
 ])
 def test_census_polish_keeps_every_point_and_adds_none(beta0p, lam, count):
     params = ModelParams(beta0p, lam)
@@ -500,6 +505,20 @@ def test_spinodal_closed_form():
         assert stationary.spinodal_points(beta0p)[0] == 0.0
     with pytest.raises(ValueError):
         stationary.spinodal_points(0.0)
+
+
+@pytest.mark.parametrize("beta0p", [0.5, 1.0, SQRT2, 1.7, 2.0, 3.0])
+def test_critical_point_has_two_minima_at_zero_and_the_closed_form_barrier(beta0p):
+    # at lambda_c = 1 the gamma = 0 potential sin^2(th) (b cos(th) - sin(th))^2
+    # has its minima th = 0 and tan(th) = b at E = 0, and between them the
+    # axis saddle at E_b = (sqrt(1 + b^2) - 1)^2 / 4
+    trivial = [sp for sp in stationary._plane_census(ModelParams(beta0p, 1.0))
+               if sp.branch == "trivial_momentum"]
+    minima = [sp for sp in trivial if sp.index_r == 0]
+    (saddle,) = [sp for sp in trivial if sp.index_r == 1]
+    assert len(minima) == 2
+    assert all(abs(sp.energy) <= 1e-12 for sp in minima)
+    assert abs(saddle.energy - (math.sqrt(1.0 + beta0p**2) - 1.0) ** 2 / 4.0) <= 1e-12
 
 
 def has_axial_minimum(beta0p, lam):

@@ -12,8 +12,8 @@ Everything emitted comes from these parts:
 - `h_parts` evaluates the parts, step by step in their written order;
 - `grad_parts` and `hess_parts` give each part's gradient and Hessian, which
   `_kernels.h_combine` re-sums like the energy;
-- the plane polynomials (`kinetic_resultant`, `trivial_resultant`,
-  `ps_cubic`) give the stationary points on the symmetry plane;
+- the plane polynomials give the stationary points on the symmetry plane:
+  `kinetic_cubic` and `trivial_cubic` in X = x^2, and `ps_cubic` in s;
 - `axial_quartic` gives the gamma = 0 potential as a quartic form in the
   condensate amplitudes (s, d), for `surfaces`.
 
@@ -31,7 +31,7 @@ from sympy.printing.pycode import PythonCodePrinter
 TARGET = Path(__file__).resolve().parent.parent / "src" / "esqpt" / "_derivs.py"
 
 x, y, px, py, b0, ze = sp.symbols('x y px py b0 ze', real=True)
-s, xi = sp.symbols('s xi', positive=True)
+s, xi, X = sp.symbols('s xi X', positive=True)
 d = sp.symbols('d', nonnegative=True)
 V = [x, y, px, py]
 
@@ -82,6 +82,22 @@ H = hamiltonian(*PARTS)
 # 4 s P_x - x P_s = 0.  Eliminating s leaves one polynomial in x for each.
 P = sp.expand(H.subs({y: 0, px: 0, py: sp.sqrt(2 - 4 * s**2 - x**2)}))
 Px, Ps = sp.diff(P, x), sp.diff(P, s)
+
+
+def in_X(expr, factor):
+    """expr / factor, an exact division, as a polynomial in X = x^2."""
+    quotient, remainder = sp.div(sp.Poly(expr, x), sp.Poly(factor, x))
+    assert remainder.is_zero and all(k % 2 == 0 for (k,) in quotient.monoms())
+    return sum(c * X ** (k // 2) for (k,), c in quotient.terms())
+
+
+# Each resultant is a cubic in X times a factor with no interior point.
+# P_x(0, s) = -2 b0 ze s (2 s^2 - 1) vanishes only at s = 0 or t = 0, and at
+# x^2 = 1 both P_x and P_s have the factor s, the edge s = 0: the kinetic
+# resultant is x (X - 1) C(X).  The trivial one is x^2 T(X), its x = 0 the
+# origin.
+KINETIC = in_X(sp.resultant(Px, Ps, s), x * (x**2 - 1))
+TRIVIAL = in_X(sp.resultant(sp.expand(4 * s * Px - x * Ps), 4 * s**2 + x**2 - 2, s), x**2)
 
 # The axial quartic.  On gamma = 0 (y = px = py = 0), x = sqrt(2) d with
 # s^2 + d^2 = 1, so u = d^2 and sqrt((1 - u)/2) = s/sqrt(2); with 1 = s^2 + d^2
@@ -240,13 +256,8 @@ def derivs_source():
         emit_h_parts(),
         emit_parts("grad_parts", grads),
         emit_parts("hess_parts", hessians),
-        emit_coeffs("kinetic_resultant", sp.resultant(Px, Ps, s), x, plane),
-        emit_coeffs(
-            "trivial_resultant",
-            sp.resultant(sp.expand(4 * s * Px - x * Ps), 4 * s**2 + x**2 - 2, s),
-            x,
-            plane,
-        ),
+        emit_coeffs("kinetic_cubic", KINETIC, X, plane),
+        emit_coeffs("trivial_cubic", TRIVIAL, X, plane),
         emit_coeffs("ps_cubic", Ps, s, ["x", *plane]),
         emit_values("axial_quartic", [AXIAL.coeff(s, 4 - j).coeff(d, j) for j in range(5)], plane),
     ]
