@@ -10,25 +10,22 @@ computes them, then hands the writer rows made as they are written, so its
 table is never held as row tuples.  Exit codes: 0 success, 2 domain error,
 3 numerical failure, 64 usage error, 74 I/O error.
 
-Threads: BLAS runs on one thread, and `_pool_map` shares the lambda values
-of a grid over a pool of at most one worker per usable CPU and per lambda
-value.  `spectrum` runs its eigensolves on threads (eigh releases the GIL),
-one lambda value per task, by default one thread per usable CPU and per BLAS
-thread; `phase-diagram` and `density-cut` run on processes, serially by
-default, since their per-block Python loop holds the GIL (each worker scans
-one contiguous slice of the grid and draws the full sample stream).
-`ESQPT_THREADS` sets the pool's width; every command rejects a bad value.
-At these matrix sizes a threaded eigh costs CPU time without saving wall
-time, and its results depend on the number of BLAS threads, while the
-workers leave every output byte-identical.  Importing this module before
-numpy sets the BLAS thread variables below to 1 unless one of them is
-already set.
+Threads: BLAS runs on one thread, and a job's thread pool has at most one
+worker per usable CPU and per task (`_pool_width`): by default one thread per
+usable CPU and per BLAS thread, or `ESQPT_THREADS`, which every command
+checks.  `spectrum` runs its eigensolves on threads (eigh releases the GIL),
+one lambda value per task (`_pool_map`).  `phase-diagram`, `density-cut` and
+`oscillatory` bin one Monte-Carlo sample on threads that share its blocks,
+one block per task (`density.mc_density_scan`).  At these matrix sizes a
+threaded eigh costs CPU time without saving wall time, and its results
+depend on the number of BLAS threads, while the workers leave every output
+byte-identical.  Importing this module before numpy sets the BLAS thread
+variables below to 1 unless one of them is already set.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -174,33 +171,35 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _pool_map(cfg, job, executor):
-    """job(part) over parts of the lambda grid on an `executor` pool ("threads"
-    or "processes"), concatenated in grid order; sets cfg.workers and cfg.pool.
-
-    A thread takes one lambda value per part, which balances the load; a
-    process takes one contiguous slice, since it draws the sample itself; a
-    single worker runs job(cfg.lambdas) here. The width is ESQPT_THREADS, or
-    by default one thread per usable CPU and per BLAS thread (the largest
-    positive-integer BLAS variable) or one process; at most one per usable CPU
-    and per lambda value: a process pool forks all of its workers at once.
-    """
+def _pool_width(cfg, tasks):
+    """Sets and returns cfg.workers, the width of a job's thread pool, and
+    cfg.pool: ESQPT_THREADS, or by default one thread per usable CPU and per
+    BLAS thread (the largest positive-integer BLAS variable); at most one per
+    usable CPU and per task."""
     cpus = _usable_cpus()
-    threads = executor == "threads"
     blas = max([int(v) for v in map(os.environ.get, BLAS_THREAD_VARIABLES)
                 if v and v.isdecimal()] + [1])
-    default = max(1, cpus // blas) if threads else 1
-    cfg.workers = min(cfg.threads or default, cpus, len(cfg.lambdas))
-    if cfg.workers == 1:
+    cfg.workers = min(cfg.threads or max(1, cpus // blas), cpus, tasks)
+    if cfg.workers > 1:
+        cfg.pool = "threads"
+    return cfg.workers
+
+
+def _pool_map(cfg, job):
+    """job(part) over the lambda grid, one lambda value per part on a pool of
+    `_pool_width` threads, concatenated in grid order; a single worker runs
+    job(cfg.lambdas) here."""
+    if _pool_width(cfg, len(cfg.lambdas)) == 1:
         return job(cfg.lambdas)
     import concurrent.futures
 
-    cfg.pool = executor
-    parts = cfg.lambdas[:, None] if threads else np.array_split(cfg.lambdas, cfg.workers)
-    executor_type = (concurrent.futures.ThreadPoolExecutor if threads
-                     else concurrent.futures.ProcessPoolExecutor)
-    with executor_type(max_workers=cfg.workers) as pool:
-        return [result for results in pool.map(job, parts) for result in results]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return [result for results in pool.map(job, cfg.lambdas[:, None]) for result in results]
+
+
+def _density_workers(cfg):
+    """`_pool_width` for a Monte-Carlo job: its tasks are the sample's blocks."""
+    return _pool_width(cfg, -(-cfg.n_samples // density._BLOCK))
 
 
 DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
@@ -226,8 +225,8 @@ def _report_coverage(cfg, grids):
     coverage = [1.0 - g.n_outside / g.n_samples for g in grids]
     cfg.diagnostics.update(
         mc_samples=sum(g.n_samples for g in grids),
-        # every worker draws the full stream
-        mc_draws=cfg.n_samples * cfg.workers,
+        # the workers share one draw of the sample
+        mc_draws=cfg.n_samples,
         coverage_min=min(coverage),
     )
     short = sum(g.n_outside > 0 for g in grids)
@@ -242,11 +241,9 @@ def _report_coverage(cfg, grids):
 
 
 def run_phase_diagram(cfg):
-    # every worker draws the full sample stream of cfg.seed, so every lambda
-    # bins the same samples whatever the number of workers
-    grids = _pool_map(cfg, functools.partial(
-        density.mc_density_scan, cfg.beta0p, n_samples=cfg.n_samples, seed=cfg.seed,
-        bins=cfg.e_bins, ref_N=cfg.ref_N), "processes")
+    grids = density.mc_density_scan(cfg.beta0p, cfg.lambdas, n_samples=cfg.n_samples,
+                                    seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.ref_N,
+                                    workers=_density_workers(cfg))
     _report_coverage(cfg, grids)
     rows = ((lam, e, r, d, err) for lam, grid in zip(cfg.lambdas, grids)
             for e, r, d, err in zip(grid.e_centers, grid.rho, grid.drho_dE, grid.mc_error))
@@ -289,7 +286,7 @@ def run_spectrum(cfg):
         return [quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
                 for lam in lambdas]
 
-    spectra = _pool_map(cfg, job, "threads")
+    spectra = _pool_map(cfg, job)
     rows = ((lam, i, e, s, nd) for lam, spec in zip(cfg.lambdas, spectra)
             for i, (e, s, nd) in enumerate(zip(spec.energies, spec.slopes,
                                                spec.nd_expectation)))
@@ -310,9 +307,8 @@ def run_oscillatory(cfg):
     lam = _single_lambda(cfg)
     quantum.check_boson_number(cfg.N)
     params = ModelParams(cfg.beta0p, lam)
-    grid = density.mc_density(
-        params, n_samples=cfg.n_samples, seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.N
-    )
+    grid = density.mc_density(params, n_samples=cfg.n_samples, seed=cfg.seed,
+                              bins=cfg.e_bins, ref_N=cfg.N, workers=_density_workers(cfg))
     tilde = quantum.oscillatory_density(params, cfg.N, grid)
     rows = ((lam, e, t) for e, t in zip(grid.e_centers, tilde))
     return ["lambda", "e_center", "rho_osc"], _Rows(len(tilde), rows)

@@ -17,6 +17,7 @@ number of samples.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,7 @@ def mc_density_scan(
     seed=0,
     bins=DEFAULT_BINS,
     ref_N=DEFAULT_REF_N,
+    workers=1,
 ) -> list[DensityGrid]:
     """Monte-Carlo smoothed level densities at each lambda, on the classical
     energy scale, on `bins` bins of the window DEFAULT_E_RANGE.
@@ -96,12 +98,20 @@ def mc_density_scan(
     Every lambda bins the same `n_samples` phase-space points. The i-th point
     has the i-th direction (four standard normals) of the seed's first child
     stream and the i-th radius variate of its second, so the sample does not
-    depend on how it is cut into blocks. Each block of `_BLOCK` points is
-    drawn into buffers allocated once; H is linear in (zeta^2, zeta, xi), so
-    the block gets its lambda-independent parts once (`_derivs.h_parts`) and
-    each lambda costs one four-term sum and its histogram. Each grid is the
-    one a scan of that lambda alone gives, with d rho / dE taken
-    (`density_derivative`); the grids of one scan are correlated.
+    depend on how it is cut into blocks. H is linear in (zeta^2, zeta, xi),
+    so each block of `_BLOCK` points gets its lambda-independent parts once
+    (`_derivs.h_parts`) and each lambda costs one four-term sum, a sort and
+    a search of the bin edges, which count as np.histogram does. Each grid is the one a scan of that lambda
+    alone gives, with d rho / dE taken (`density_derivative`); the grids of
+    one scan are correlated.
+
+    `workers` threads share the blocks; one worker runs in the calling
+    thread. Each worker owns its buffers and counts. Under one lock it takes
+    the next block and draws that block's stretch of both streams, so block
+    k holds the same points whichever worker draws it; the parts and the
+    binning run outside the lock, on numpy calls that release the GIL. The
+    workers' integer counts are summed, so every output is the same for any
+    number of workers.
     """
     params = [ModelParams(beta0p, float(lam)) for lam in lambdas]
     if n_samples < 1:
@@ -110,19 +120,44 @@ def mc_density_scan(
         raise ValueError(f"bins must be at least 2, got {bins}")
     if ref_N < 1:
         raise ValueError(f"ref_N must be a positive integer, got {ref_N}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     with_xi = any(par.xi != 0.0 for par in params)
     edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
-    counts = np.zeros((len(params), bins), dtype=np.int64)
+    # h < cuts[-1] is h <= edges[-1]: the last bin is closed, as in np.histogram
+    cuts = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
     directions, radii = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    normals = np.empty((min(n_samples, _BLOCK), 4))
-    u = np.empty(len(normals))
-    for a in range(0, n_samples, _BLOCK):
-        take = min(_BLOCK, n_samples - a)
-        directions.standard_normal(out=normals[:take])
-        radii.random(out=u[:take])
-        parts = _derivs.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
-        for row, par in zip(counts, params):
-            row += np.histogram(_kernels.h_combine(parts, par.zeta, par.xi), bins=edges)[0]
+    starts = iter(range(0, n_samples, _BLOCK))
+    lock = threading.Lock()
+
+    def work():
+        """Samples below each of `cuts`, per lambda, over the blocks this
+        worker takes."""
+        below = np.zeros((len(params), bins + 1), dtype=np.int64)
+        normals = np.empty((min(n_samples, _BLOCK), 4))
+        u = np.empty(len(normals))
+        while True:
+            with lock:
+                a = next(starts, None)
+                if a is None:
+                    return below
+                take = min(_BLOCK, n_samples - a)
+                directions.standard_normal(out=normals[:take])
+                radii.random(out=u[:take])
+            parts = _derivs.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
+            for row, par in zip(below, params):
+                h = _kernels.h_combine(parts, par.zeta, par.xi)
+                h.sort()
+                row += h.searchsorted(cuts)
+
+    if workers == 1:
+        below = work()
+    else:
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            below = sum(pool.map(lambda _: work(), range(workers)))
+    counts = np.diff(below, axis=1)
     dim = basis_dimension(ref_N)
     width = edges[1] - edges[0]
     p = counts / n_samples
@@ -144,9 +179,11 @@ def mc_density(
     seed=0,
     bins=DEFAULT_BINS,
     ref_N=DEFAULT_REF_N,
+    workers=1,
 ) -> DensityGrid:
     """`mc_density_scan` at the one lambda of `params`."""
-    return mc_density_scan(params.beta0p, [params.lam], n_samples, seed, bins, ref_N)[0]
+    return mc_density_scan(params.beta0p, [params.lam], n_samples, seed, bins, ref_N,
+                           workers)[0]
 
 
 def density_derivative(grid: DensityGrid):

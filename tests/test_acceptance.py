@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from esqpt import density, quantum, stationary, surfaces
+from esqpt import cli, density, quantum, stationary, surfaces
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -18,6 +18,9 @@ from oracle import fock
 from oracle.hamiltonian import h_scaled
 
 _RESULTS = []
+# the Monte-Carlo densities bin their sample on one thread per usable CPU;
+# the sample and every number are those of one thread
+WORKERS = cli._usable_cpus()
 
 
 @pytest.fixture
@@ -174,7 +177,7 @@ def test_acceptance_06_singularity_consistency(announce):
     for beta0p, lams in CUTS.items():
         for lam in lams:
             params = ModelParams(beta0p, lam)
-            grid = density.mc_density(params, n_samples=10_000_000, seed=17)
+            grid = density.mc_density(params, n_samples=10_000_000, seed=17, workers=WORKERS)
             feats = density.detect_singularities(grid)
             refs = reference_energies(params)
             edges = grid.e_edges
@@ -243,7 +246,8 @@ def test_acceptance_09_cumulative_counts(announce):
         for lam in (0.5, 2.0):
             params = ModelParams(beta0p, lam)
             spec = quantum.diagonalize(params, N)
-            grid = density.mc_density(params, n_samples=2_000_000, seed=23, ref_N=N)
+            grid = density.mc_density(params, n_samples=2_000_000, seed=23, ref_N=N,
+                                      workers=WORKERS)
             cum_semi = np.cumsum(grid.rho) * grid.binwidth
             n_quant = int(np.sum((spec.epsilon > 0.2) & (spec.epsilon <= 2.8)))
             n_semi = float(
@@ -266,7 +270,8 @@ def test_acceptance_10_surface_correlation(announce):
     n_minima = 0
     for lam in (0.71, 1.0, 1.33):
         params = ModelParams(SQRT2, lam)
-        grid = density.mc_density(params, n_samples=2_000_000, seed=29, ref_N=N)
+        grid = density.mc_density(params, n_samples=2_000_000, seed=29, ref_N=N,
+                                  workers=WORKERS)
         tilde = quantum.oscillatory_density(params, N, grid)
         for n_gamma in (0, 2, 4):
             for sp in surfaces.surface_stationary_points(params, N, n_gamma):

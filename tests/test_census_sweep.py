@@ -1,5 +1,6 @@
 """tools/census_sweep.py: a tree compared with itself shows no difference, and
-a census that drops points is reported case by case."""
+a census that drops points, or has steep rows the other lacks, is reported
+case by case."""
 
 import importlib.util
 import re
@@ -64,4 +65,33 @@ def test_census_sweep_reports_a_dropped_row_and_the_differences_elsewhere():
         "max energy difference 3.55e-15 (case 0)",
         "rows with max|grad H| > 1e-09: parent 1 (0 in unchanged cases), "
         "this tree 0 (0 in unchanged cases)",
+        "  - case 1: (1.2, 0, 0, 0.6)  2 - R^2 = 2.00e-01  max|grad H| = 3.00e-09",
+    ]
+
+
+def test_census_sweep_lists_the_steep_rows_of_one_tree_only():
+    # rows: case, x, y, px, py, energy, r, kinetic, max |grad H|; every case
+    # keeps its points, so only the steep rows differ
+    old = np.array([
+        [0, 0.0, 0.0, 0.0, 0.0, 1.0, 4, 0, 2e-9],  # steep in both trees
+        [0, 0.5, 0.0, 0.0, 0.0, 0.2, 0, 0, 5e-9],  # steep in the parent only
+        [1, 0.0, 0.0, 0.0, 0.0, 0.5, 0, 0, 1e-12],
+        [1, 1.2, 0.0, 0.0, 0.6, 0.9, 1, 1, 1e-12],  # steep in this tree only
+        [2, 0.3, 0.4, 0.0, 0.0, 0.7, 2, 0, 1e-12],
+    ])
+    new = old.copy()
+    new[0, 8] = 7e-9
+    new[1, 8] = 1e-10
+    new[3, 8] = 4.7e-9
+    # case 2: a steep row 2e-6 from the parent's row, a different point
+    new[4, [1, 8]] = 0.3 + 2e-6, 3e-9
+    old[4, 8] = 2e-9
+    lines = load_tool().compare([(1.0, 0.5), (2.0, 1.5), (3.0, 0.1)], old, new)
+    assert lines[-5:] == [
+        "rows with max|grad H| > 1e-09: parent 3 (3 in unchanged cases), "
+        "this tree 3 (3 in unchanged cases)",
+        "  - case 0: (0.5, 0, 0, 0)  2 - R^2 = 1.75e+00  max|grad H| = 5.00e-09",
+        "  - case 2: (0.3, 0.4, 0, 0)  2 - R^2 = 1.75e+00  max|grad H| = 2.00e-09",
+        "  + case 1: (1.2, 0, 0, 0.6)  2 - R^2 = 2.00e-01  max|grad H| = 4.70e-09",
+        "  + case 2: (0.300002, 0.4, 0, 0)  2 - R^2 = 1.75e+00  max|grad H| = 3.00e-09",
     ]

@@ -258,28 +258,35 @@ def thread_diagnostics(out):
         "diagnostics"]["threads"]
 
 
-@pytest.mark.parametrize("threads, lambdas, workers", [
-    ("64", ["0.4", "2.0", "0.8"], [("ProcessPoolExecutor", 3)]),
-    ("64", ["0.5", "0.5", "1"], []),
-])
-def test_density_workers_are_capped_by_the_lambda_count(tmp_path, monkeypatch, pools, threads,
-                                                         lambdas, workers):
-    start, stop, step = lambdas
+@pytest.mark.parametrize("argv, workers", [
+    (["phase-diagram", "--lambda-start", "0.4", "--lambda-stop", "2.0", "--lambda-step", "0.8",
+      "--n-samples", "49153"], [("ThreadPoolExecutor", 4)]),
+    (["phase-diagram", "--lambda-start", "0.4", "--lambda-stop", "2.0", "--lambda-step", "0.8",
+      "--n-samples", "16385"], [("ThreadPoolExecutor", 2)]),
+    (["density-cut", "--lambda", "0.5", "--n-samples", "16384"], []),
+    (["oscillatory", "--lambda", "0.5", "--n", "4", "--n-samples", "32768"],
+     [("ThreadPoolExecutor", 2)]),
+], ids=["4-blocks", "2-blocks", "1-block", "oscillatory-2-blocks"])
+def test_density_workers_are_capped_by_the_block_count(tmp_path, monkeypatch, pools, argv,
+                                                        workers):
+    # a block is 16 384 samples; the lambda count does not cap the workers
     usable_cpus(monkeypatch, 64)
-    monkeypatch.setenv("ESQPT_THREADS", threads)
-    out = tmp_path / "pd.csv"
-    assert cli.main(["phase-diagram", "--beta0p", "1.7", "--lambda-start", start,
-                     "--lambda-stop", stop, "--lambda-step", step, "--n-samples", "2000",
-                     "-o", str(out)]) == 0
+    monkeypatch.setenv("ESQPT_THREADS", "64")
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--beta0p", "1.7", "-o", str(out)]) == 0
     assert pools == workers
+    threads = thread_diagnostics(out)
+    assert threads["workers"] == (workers[0][1] if workers else 1)
+    assert threads["pool"] == ("threads" if workers else "serial")
 
 
 @pytest.mark.parametrize("argv, executor", [
-    (["phase-diagram", "--n-samples", "2000"], "ProcessPoolExecutor"),
+    (["phase-diagram", "--n-samples", "200000"], "ThreadPoolExecutor"),
     (["spectrum", "--n", "4"], "ThreadPoolExecutor"),
 ])
 def test_workers_are_capped_by_the_usable_cpus(tmp_path, monkeypatch, pools, argv, executor):
-    # never against a real pool: a process pool forks all its workers at once
+    # never against a real pool: it would start all the threads asked for;
+    # 200 000 samples are 13 blocks, 5 lambda values are 5 tasks
     usable_cpus(monkeypatch, 2)
     monkeypatch.setenv("ESQPT_THREADS", "100000")
     out = tmp_path / "out.csv"
@@ -289,19 +296,25 @@ def test_workers_are_capped_by_the_usable_cpus(tmp_path, monkeypatch, pools, arg
     assert thread_diagnostics(out)["workers"] == 2
 
 
-def test_default_pools_are_spectrum_threads_and_serial_densities(tmp_path, monkeypatch, pools):
+def test_default_pools_are_threads_for_spectra_and_densities(tmp_path, monkeypatch, pools):
     usable_cpus(monkeypatch, 3)
-    monkeypatch.delenv("ESQPT_THREADS", raising=False)
+    for v in cli.BLAS_THREAD_VARIABLES + ("ESQPT_THREADS",):
+        monkeypatch.delenv(v, raising=False)
     grid = ["--lambda-start", "0.4", "--lambda-stop", "2.0", "--lambda-step", "0.4"]
     runs = [(["spectrum", "--n", "4", *grid], 3, "threads"),
             (["spectrum", "--n", "4", "--lambda", "0.5"], 1, "serial"),
-            (["phase-diagram", "--n-samples", "2000", *grid], 1, "serial")]
-    for argv, workers, pool in runs:
-        out = tmp_path / f"{argv[0]}.csv"
+            (["phase-diagram", "--n-samples", "2000", *grid], 1, "serial"),
+            (["phase-diagram", "--n-samples", "40000", *grid], 3, "threads"),
+            (["density-cut", "--n-samples", "20000", "--lambda", "0.5"], 2, "threads"),
+            (["oscillatory", "--n", "4", "--n-samples", "40000", "--lambda", "0.5"], 3,
+             "threads")]
+    for i, (argv, workers, pool) in enumerate(runs):
+        out = tmp_path / f"{i}.csv"
         assert cli.main([*argv, "--beta0p", "1.7", "-o", str(out)]) == 0
         threads = thread_diagnostics(out)
         assert (threads["workers"], threads["pool"]) == (workers, pool)
-    assert pools == [("ThreadPoolExecutor", 3)]
+    assert pools == [("ThreadPoolExecutor", 3), ("ThreadPoolExecutor", 3),
+                     ("ThreadPoolExecutor", 2), ("ThreadPoolExecutor", 3)]
 
 
 def pool_config(lambdas, threads):
@@ -320,27 +333,17 @@ def test_pool_map_parts(monkeypatch, pool_tasks):
         return [10 * lam for lam in part]
 
     cfg = pool_config(grid, 3)
-    assert cli._pool_map(cfg, job, "threads") == [10 * lam for lam in grid]
+    assert cli._pool_map(cfg, job) == [10 * lam for lam in grid]
     assert asked == [("ThreadPoolExecutor", 3)]
     assert [part.tolist() for part in mapped] == [[lam] for lam in grid]
     assert (cfg.workers, cfg.pool) == (3, "threads")
 
     asked.clear()
     mapped.clear()
-    cfg = pool_config(grid, 2)
-    assert cli._pool_map(cfg, job, "processes") == [10 * lam for lam in grid]
-    assert asked == [("ProcessPoolExecutor", 2)]
-    # one contiguous slice per worker, in grid order
-    assert [part.tolist() for part in mapped] == [grid[:3], grid[3:]]
-    assert (cfg.workers, cfg.pool) == (2, "processes")
-
-    asked.clear()
-    mapped.clear()
-    for executor in ("threads", "processes"):
-        cfg = pool_config(grid, 1)
-        assert cli._pool_map(cfg, job, executor) == [10 * lam for lam in grid]
-        assert calls.pop() is cfg.lambdas
-        assert (cfg.workers, cfg.pool) == (1, "serial")
+    cfg = pool_config(grid, 1)
+    assert cli._pool_map(cfg, job) == [10 * lam for lam in grid]
+    assert calls.pop() is cfg.lambdas
+    assert (cfg.workers, cfg.pool) == (1, "serial")
     assert asked == mapped == []
 
 
@@ -386,6 +389,58 @@ def test_spectrum_thread_pool_leaves_no_thread_running(tmp_path, monkeypatch):
     assert (threads["workers"], threads["pool"]) == (2, "threads")
 
 
+@pytest.mark.parametrize("argv", [
+    ["density-cut", "--beta0p", "1.7", "--lambda", "0.5", "--n-samples", "50001"],
+    ["phase-diagram", "--beta0p", "1.7", "--lambda-start", "0.4", "--lambda-stop", "2.0",
+     "--lambda-step", "0.4", "--n-samples", "20000"],
+    ["density-cut", "--beta0p", "4", "--lambda", "0", "--n-samples", "40000"],
+    ["phase-diagram", "--beta0p", "4", "--lambda-start", "0", "--lambda-stop", "0.5",
+     "--lambda-step", "0.5", "--n-samples", "40000"],
+], ids=["uneven-blocks", "fewer-blocks-than-workers", "outside-window",
+        "outside-window-grid"])
+def test_density_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, capsys, argv):
+    # real threads on three usable CPUs; 50 001 samples are 4 blocks, the
+    # last of 847 points; 20 000 samples are 2 blocks
+    usable_cpus(monkeypatch, 3)
+    for v in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(v, raising=False)
+    data, diag = [], []
+    for threads in (None, "1", "2", "3"):
+        if threads is None:
+            monkeypatch.delenv("ESQPT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ESQPT_THREADS", threads)
+        out = tmp_path / f"{threads}.csv"
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        data.append(out.read_bytes())
+        diag.append(json.loads(out.with_name(out.name + ".manifest.json").read_text())[
+            "diagnostics"])
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(set(data)) == 1
+    blocks = -(-int(argv[-1]) // density._BLOCK)
+    assert [d.pop("threads")["workers"] for d in diag] == [min(w, blocks) for w in (3, 1, 2, 3)]
+    assert all(d == diag[0] for d in diag)
+    assert diag[0]["mc_draws"] == int(argv[-1])
+    # every run warns alike, or none does
+    assert len(warnings) == (4 if diag[0]["coverage_min"] < 1.0 else 0)
+    assert len(set(warnings)) <= 1
+    if argv[2] == "4":
+        assert diag[0]["coverage_min"] < 0.5
+
+
+def test_density_thread_pool_leaves_no_thread_running(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("ESQPT_THREADS", "2")
+    before = threading.active_count()
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--beta0p", "1.7", "--lambda-start", "0.4",
+                     "--lambda-stop", "2.0", "--lambda-step", "0.4", "--n-samples", "40000",
+                     "-o", str(out)]) == 0
+    assert threading.active_count() == before
+    threads = thread_diagnostics(out)
+    assert (threads["workers"], threads["pool"]) == (2, "threads")
+
+
 def test_non_integer_threads_is_a_domain_error(tmp_path, monkeypatch, capsys, pools):
     for threads, message in [("abc", "must be an integer, got 'abc'"),
                              ("0", "must be at least 1, got 0"),
@@ -417,30 +472,34 @@ def test_density_cut_warns_when_samples_leave_the_window(tmp_path, capsys):
     assert diag["coverage_min"] < 0.5
 
 
-def test_density_cut_inside_the_window_is_quiet(tmp_path, capsys):
+def test_density_cut_inside_the_window_is_quiet(tmp_path, monkeypatch, capsys):
+    # 20 000 samples are 2 blocks: 2 real threads on 2 usable CPUs
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("ESQPT_THREADS", "2")
     out = tmp_path / "cut.csv"
     assert cli.main(["density-cut", "--beta0p", SQRT2_STR, "--lambda", "0.2",
                      "--n-samples", "20000", "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
     diag = json.loads((tmp_path / "cut.csv.manifest.json").read_text())["diagnostics"]
-    assert diag.pop("threads")["workers"] == 1
+    assert diag.pop("threads")["workers"] == 2
     assert diag == {"mc_samples": 20000, "mc_draws": 20000, "coverage_min": 1.0}
 
 
 @pytest.mark.parametrize("threads, workers", [("1", 1), ("3", 3)])
 def test_phase_diagram_records_samples_binned_and_drawn(tmp_path, monkeypatch, pools, threads,
                                                         workers):
-    # every lambda bins the same 20 000 samples; every worker draws them all
+    # every lambda bins the same 50 000 samples (4 blocks), drawn once and
+    # shared by the workers
     usable_cpus(monkeypatch, 3)
     monkeypatch.setenv("ESQPT_THREADS", threads)
     out = tmp_path / "pd.csv"
     assert cli.main(["phase-diagram", "--beta0p", SQRT2_STR, "--lambda-start", "0.2",
-                     "--lambda-stop", "0.6", "--lambda-step", "0.2", "--n-samples", "20000",
+                     "--lambda-stop", "0.6", "--lambda-step", "0.2", "--n-samples", "50000",
                      "-o", str(out)]) == 0
     diag = json.loads((tmp_path / "pd.csv.manifest.json").read_text())["diagnostics"]
     assert diag["threads"]["workers"] == workers
-    assert diag["mc_samples"] == 60_000
-    assert diag["mc_draws"] == 20_000 * workers
+    assert diag["mc_samples"] == 150_000
+    assert diag["mc_draws"] == 50_000
 
 
 def test_manifest_without_mc_has_only_thread_diagnostics(tmp_path):
@@ -492,6 +551,22 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     code = ("import esqpt.cli, sys; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     assert run_python(code, env=fresh_env()) == "[]"
+
+
+def test_serial_density_job_runs_without_a_pool(tmp_path):
+    # one worker bins the sample in the calling thread; two load the thread
+    # pool and no process pool (two usable CPUs whatever the host has)
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "import esqpt.cli; rc = esqpt.cli.main(sys.argv[1:]); "
+            "print(rc, [m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    out = tmp_path / "cut.csv"
+    argv = ["density-cut", "--beta0p", "1.7", "--lambda", "0.5", "--n-samples", "40000",
+            "-o", str(out)]
+    assert run_python(code, *argv, env=fresh_env(ESQPT_THREADS="1")) == "0 []"
+    assert thread_diagnostics(out)["workers"] == 1
+    assert run_python(code, *argv, env=fresh_env()) == "0 ['concurrent.futures']"
+    assert thread_diagnostics(out)["workers"] == 2
 
 
 def test_spectrum_bytes_do_not_depend_on_threads(tmp_path):

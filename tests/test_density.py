@@ -1,6 +1,7 @@
 """Monte-Carlo level density, derivative, singularity detection, flow."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,21 @@ def test_blocked_sampler_matches_unblocked_over_batches(monkeypatch, lam):
         assert grid.n_outside == outside
 
 
+def test_binning_counts_the_edges_as_np_histogram_does(monkeypatch):
+    # the i-th of 21 edges i + 1 times, one energy an ulp either side of each
+    # edge, and two off the window; the last bin is closed, the others
+    # half-open
+    edges = np.linspace(*density.DEFAULT_E_RANGE, 21)
+    h = np.concatenate([np.repeat(edges, np.arange(1, 22)), np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), [-1.0, 5.0]])
+    monkeypatch.setattr(_kernels, "h_combine", lambda parts, ze, xi: h.copy())
+    grid = density.mc_density(ModelParams(1.7, 0.5), n_samples=len(h), bins=20)
+    counts = np.histogram(h, bins=edges)[0]
+    dim = quantum.basis_dimension(density.DEFAULT_REF_N)
+    assert grid.n_outside == len(h) - counts.sum() == 4
+    assert np.array_equal(grid.rho, dim * (counts / len(h)) / (edges[1] - edges[0]))
+
+
 def test_mc_density_memory_does_not_grow_with_the_sample():
     # the sample streams through fixed-size blocks; a whole-sample draw of
     # 2e6 points alone holds 80 MB
@@ -144,6 +160,29 @@ def test_scan_rows_equal_single_lambda_densities_over_batches(monkeypatch):
         assert_same_grid(grid, want)
 
 
+@pytest.mark.parametrize("block, n_samples", [(1000, 120_001), (7, 4001), (1000, 1500)])
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_scan_does_not_depend_on_the_workers(monkeypatch, block, n_samples, workers):
+    # real threads share 121 blocks, the last of one point, or 572 blocks of
+    # 7 points, where the threads interleave often, or 2 blocks, fewer than
+    # the workers; at beta0' = 4, lambda = 0 samples leave the window; a
+    # short switch interval interleaves the threads often
+    monkeypatch.setattr(density, "_BLOCK", block)
+    lambdas = [0.0, 0.9, 2.5]
+    want = density.mc_density_scan(4.0, lambdas, n_samples=n_samples, seed=21)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = density.mc_density_scan(4.0, lambdas, n_samples=n_samples, seed=21,
+                                      workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert want[0].n_outside > 0
+    for grid, serial in zip(got, want):
+        assert_same_grid(grid, serial)
+        assert np.array_equal(grid.drho_dE, serial.drho_dE)
+
+
 def test_n_outside_counts_samples_off_the_window():
     # beta0p = 4, lambda = 0: the energies reach far above E = 3.05
     grid = density.mc_density(ModelParams(4.0, 0.0), n_samples=20_000, seed=3)
@@ -165,6 +204,8 @@ def test_mc_error_scaling():
 def test_density_validation():
     with pytest.raises(ValueError):
         density.mc_density(ModelParams(1.0, 0.5), n_samples=0)
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        density.mc_density(ModelParams(1.0, 0.5), n_samples=10, workers=0)
 
 
 def test_derivative_flat_region_is_quiet():

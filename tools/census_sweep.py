@@ -11,7 +11,9 @@ of rows per (r, branch) differs, with the rows that have no counterpart
 within 1e-6 on the other side and their 2 - R^2 and max |grad H|.  Over the
 other cases it gives the largest location and energy differences between
 each row and its nearest counterpart of the same (r, branch).  For both
-trees it counts the rows with max |grad H| > 1e-9.  It writes no file.
+trees it counts the rows with max |grad H| > 1e-9, and lists those that have
+no such row within 1e-6 in the same case of the other tree.  It writes no
+file.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 THIS_SRC = Path(__file__).resolve().parent.parent / "src"
 MATCH = 1e-6  # rows closer than this are one point, as in the census's own dedupe
-GRAD_ROW = 1e-9  # a row with a larger max |grad H| is counted
+GRAD_ROW = 1e-9  # a row with a larger max |grad H| is counted and, if new, listed
 
 # reads the cases as JSON on stdin; writes one row per census point as an
 # .npy array on stdout: case, x, y, px, py, energy, r (-1: degenerate),
@@ -136,6 +138,12 @@ def compare(cases, old, new):
         f"rows with max|grad H| > {GRAD_ROW:g}: parent {steep[0][0]} ({steep[0][1]} in unchanged "
         f"cases), this tree {steep[1][0]} ({steep[1][1]} in unchanged cases)",
     ]
+    for sign, x, y in (("-", old, new), ("+", new, old)):
+        x, y = x[x[:, 8] > GRAD_ROW], y[y[:, 8] > GRAD_ROW]
+        for row in x:
+            other = y[y[:, 0] == row[0]]
+            if not len(other) or nearest(row[None], other)[0][0] > MATCH:
+                lines.append(f"  {sign} case {int(row[0])}: {describe(row)}")
     return lines
 
 
