@@ -172,16 +172,14 @@ def _usable_cpus():
 
 
 def _pool_width(cfg, tasks):
-    """Sets and returns cfg.workers, the width of a job's thread pool, and
-    cfg.pool: ESQPT_THREADS, or by default one thread per usable CPU and per
-    BLAS thread (the largest positive-integer BLAS variable); at most one per
+    """Sets and returns cfg.workers, the width of a job's thread pool:
+    ESQPT_THREADS, or by default one thread per usable CPU and per BLAS
+    thread (the largest positive-integer BLAS variable); at most one per
     usable CPU and per task."""
     cpus = _usable_cpus()
     blas = max([int(v) for v in map(os.environ.get, BLAS_THREAD_VARIABLES)
                 if v and v.isdecimal()] + [1])
     cfg.workers = min(cfg.threads or max(1, cpus // blas), cpus, tasks)
-    if cfg.workers > 1:
-        cfg.pool = "threads"
     return cfg.workers
 
 
@@ -403,15 +401,14 @@ def make_config(argv=None):
     args.diagnostics = {}
     args.side_tables = []
     args.workers = 1
-    args.pool = "serial"
     return args
 
 
-def _thread_diagnostics(workers, pool):
+def _thread_diagnostics(workers):
     """Workers a job ran on, their pool, and the BLAS thread variables they saw."""
     return {
         "workers": workers,
-        "pool": pool,
+        "pool": "threads" if workers > 1 else "serial",
         "blas": {v: {"value": os.environ.get(v), "set_by_esqpt": v in BLAS_THREADS_SET}
                  for v in BLAS_THREAD_VARIABLES},
     }
@@ -432,7 +429,7 @@ def run(cfg):
             written.append(path)
         write_manifest(
             cfg.output, cfg.command, cfg.inputs, cfg.seed, time.perf_counter() - t0,
-            {"threads": _thread_diagnostics(cfg.workers, cfg.pool), **cfg.diagnostics},
+            {"threads": _thread_diagnostics(cfg.workers), **cfg.diagnostics},
         )
     except BaseException:
         for path in written:

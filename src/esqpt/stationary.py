@@ -8,11 +8,12 @@ Newton steps on its own gradient, and a candidate is kept where the (x, s)
 equations it came from hold to GRAD_TOL; no search from seeds, no
 convergence loop.  The plane census keeps one point (x, 0, 0, py >= 0) per
 Z3 x (p -> -p) orbit and classifies it once by its Hessian index r (number
-of negative eigenvalues); the full census carries each point over the phase
-space with the orbit's images, which share its energy and index.  The
-spinodals and the energy restricted to the boundary 3-sphere have closed
-forms, and critical borderlines E_c(lambda) follow the plane census from one
-lambda grid value to the next.
+of negative eigenvalues, by Sylvester's rule on its two 2 x 2 sigma blocks);
+the full census carries each point over the phase space with the orbit's
+images, which share its energy and index.  The spinodals and the energy
+restricted to the boundary 3-sphere have closed forms, and critical
+borderlines E_c(lambda) follow the plane census from one lambda grid value
+to the next.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .classical import R0_SQUARED
 from .models import ModelParams
 
 # tolerance of a plane point's residual in the (x, s) equations of the plane
-# cubics; a Hessian eigenvalue smaller in magnitude makes the point degenerate
+# cubics; a sigma block's small eigenvalue below it makes the point degenerate
 GRAD_TOL = 1e-9
 # points with R^2 above this count as on the boundary sphere R^2 = 2
 INTERIOR_R2 = R0_SQUARED - 1e-9
@@ -78,17 +79,30 @@ def _dedupe(points):
     return points[kept]
 
 
+def _sigma_blocks(h):
+    """(a, b, d, det = ad - b^2, resolved: |det| > 16 eps max(|ad|, b^2)), each
+    (2, n), of the sigma-even (x, py) (row 0) and sigma-odd (y, px) blocks
+    [[a, b], [b, d]], all that the (n, 4, 4) plane Hessians hold."""
+    a, b, d = h[:, [0, 1], [0, 1]].T, h[:, [0, 1], [3, 2]].T, h[:, [3, 2], [3, 2]].T
+    det = a * d - b * b
+    return a, b, d, det, np.abs(det) > 16 * np.finfo(float).eps * np.maximum(np.abs(a * d), b * b)
+
+
 def _classify(params, locs):
-    """One StationaryPoint per row of the (n, 4) array of plane points."""
+    """One StationaryPoint per row of the (n, 4) array of plane points.  Each
+    sigma block adds 1 to r where det < 0, else 2 where a < 0 (Sylvester's rule),
+    and makes the point degenerate where its det is unresolved or its small
+    eigenvalue |det| / |large| is below GRAD_TOL: an absolute test, since
+    |large| = |a + d| / 2 + hypot((a - d) / 2, b) diverges like 1/s near R^2 = 2."""
     coup = (params.beta0p, params.zeta, params.xi)
-    evals = np.linalg.eigvalsh(_kernels.h_hess(*locs.T, *coup))
-    # an absolute test: near the ball boundary one eigenvalue diverges like
-    # 1/s, which would swamp a ratio to the largest one
-    degenerate = np.abs(evals).min(axis=1) < GRAD_TOL
+    a, b, d, det, resolved = _sigma_blocks(_kernels.h_hess(*locs.T, *coup))
+    r = np.where(det < 0, 1, np.where(a < 0, 2, 0)).sum(axis=0)
+    large = 0.5 * np.abs(a + d) + np.hypot(0.5 * (a - d), b)
+    degenerate = (~resolved | (np.abs(det) < GRAD_TOL * large)).any(axis=0)
     # py = 0 exactly on the trivial cubic, sqrt(t) > 0 on the kinetic one
-    return [StationaryPoint(loc, float(e), "degenerate" if d else int(np.sum(ev < 0)),
+    return [StationaryPoint(loc, float(e), "degenerate" if dg else int(ri),
                             "kinetic" if loc[3] > 0 else "trivial_momentum")
-            for loc, e, d, ev in zip(locs, _kernels.h_eval(*locs.T, *coup), degenerate, evals)]
+            for loc, e, dg, ri in zip(locs, _kernels.h_eval(*locs.T, *coup), degenerate, r)]
 
 
 def _real_roots(coeffs):
@@ -148,8 +162,8 @@ def _plane_polish(params, locs):
 
     The steps remove the rounding that a root carries, which near R^2 = 2
     (where the Hessian grows like 1/s) or at a close root pair leaves
-    |grad H| large.  A step is taken only where the 2 x 2 determinant is
-    resolved, |ad - bc| > 16 eps max(|ad|, |bc|), and where it lowers |grad H|
+    |grad H| large.  A step is taken only where the determinant of the
+    sigma-even block is resolved (_sigma_blocks), and where it lowers |grad H|
     and keeps py >= 0, so a (nearly) singular Hessian cannot move a point.
     The residual does not grow like 1/s: with 4 s = 2 sqrt(2 - x^2 - py^2), it
     is max(|P_x|, |P_s|) = max(|H_x - H_py x / py|, |H_py| 4 s / py) for
@@ -158,13 +172,11 @@ def _plane_polish(params, locs):
     coup = (params.beta0p, params.zeta, params.xi)
     g = np.asarray(_kernels.h_grad(*locs.T, *coup))
     for _ in range(3):
-        h = _kernels.h_hess(*locs.T, *coup)
-        (a, b), (c, d) = h[:, 0, [0, 3]].T, h[:, 3, [0, 3]].T
-        det, new = a * d - b * c, locs.copy()
-        resolved = np.abs(det) > 16 * np.finfo(float).eps * np.maximum(np.abs(a * d), np.abs(b * c))
+        a, b, d, det, resolved = (v[0] for v in _sigma_blocks(_kernels.h_hess(*locs.T, *coup)))
+        new = locs.copy()
         with np.errstate(divide="ignore", invalid="ignore"):  # nan: not a step
             new[:, 0] -= (d * g[0] - b * g[3]) / det
-            new[:, 3] -= (a * g[3] - c * g[0]) / det
+            new[:, 3] -= (a * g[3] - b * g[0]) / det
             new_g = np.asarray(_kernels.h_grad(*new.T, *coup))
         better = resolved & (np.abs(new_g).max(axis=0) < np.abs(g).max(axis=0)) & (new[:, 3] >= 0.0)
         locs, g = np.where(better[:, None], new, locs), np.where(better, new_g, g)
@@ -354,23 +366,17 @@ class CriticalBorderline:
         return _singularity_class(self.index_r, self.branch)
 
 
-def _signature(sp: StationaryPoint):
-    """Continuation signature invariant under the discrete symmetries."""
-    x, y, px, py = sp.location
-    return np.array([sp.energy, math.hypot(x, y), math.hypot(px, py)])
-
-
 def _mutual_nearest(prev, recs):
     """{j: i} for the mutually nearest pairs of census points prev[i], recs[j].
 
-    Only points of equal branch and Hessian index pair up; the distance is
-    the largest difference of their signatures.  recs[j] is the nearest of
-    its class to prev[i], and prev[i] the nearest of its class to recs[j].
+    Only points of equal branch and Hessian index pair up; the distance is the
+    largest difference of their (energy, |x|, py), a plane point's (energy,
+    beta, |p|).  recs[j] is the nearest of its class to prev[i], and vice versa.
     """
     if not prev or not recs:
         return {}
-    a = np.array([_signature(sp) for sp in prev])
-    b = np.array([_signature(sp) for sp in recs])
+    a, b = (np.array([[sp.energy, abs(sp.location[0]), sp.location[3]] for sp in pts])
+            for pts in (prev, recs))
     same = np.array([[(p.branch, p.index_r) == (r.branch, r.index_r) for r in recs]
                      for p in prev])
     d = np.where(same, np.abs(a[:, None] - b[None]).max(axis=2), np.inf)

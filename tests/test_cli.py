@@ -318,8 +318,7 @@ def test_default_pools_are_threads_for_spectra_and_densities(tmp_path, monkeypat
 
 
 def pool_config(lambdas, threads):
-    return argparse.Namespace(lambdas=np.array(lambdas), threads=threads, workers=1,
-                              pool="serial")
+    return argparse.Namespace(lambdas=np.array(lambdas), threads=threads, workers=1)
 
 
 def test_pool_map_parts(monkeypatch, pool_tasks):
@@ -336,14 +335,14 @@ def test_pool_map_parts(monkeypatch, pool_tasks):
     assert cli._pool_map(cfg, job) == [10 * lam for lam in grid]
     assert asked == [("ThreadPoolExecutor", 3)]
     assert [part.tolist() for part in mapped] == [[lam] for lam in grid]
-    assert (cfg.workers, cfg.pool) == (3, "threads")
+    assert (cfg.workers, cli._thread_diagnostics(cfg.workers)["pool"]) == (3, "threads")
 
     asked.clear()
     mapped.clear()
     cfg = pool_config(grid, 1)
     assert cli._pool_map(cfg, job) == [10 * lam for lam in grid]
     assert calls.pop() is cfg.lambdas
-    assert (cfg.workers, cfg.pool) == (1, "serial")
+    assert (cfg.workers, cli._thread_diagnostics(cfg.workers)["pool"]) == (1, "serial")
     assert asked == mapped == []
 
 

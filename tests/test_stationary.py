@@ -235,6 +235,25 @@ def xs_equations(gen):
     }
 
 
+@pytest.fixture(scope="module")
+def exact_sigma_blocks(gen):
+    """An mpmath function of (x, py, b0, ze, xi) giving the (a, b, d) of the
+    sigma-even (x, py) and sigma-odd (y, px) Hessian blocks of the
+    generator's H at the plane point (x, 0, 0, py)."""
+    import sympy as sp
+
+    plane = {gen.y: 0, gen.px: 0}
+    entries = [sp.diff(gen.H, u, v).subs(plane)
+               for i, j in ((gen.x, gen.py), (gen.y, gen.px)) for u, v in ((i, i), (i, j), (j, j))]
+    return sp.lambdify((gen.x, gen.py, gen.b0, gen.ze, gen.xi), entries, "mpmath")
+
+
+# the one rounding-floor case with an orbit whose even-block det is below
+# 16 eps max(|ad|, b^2) at its 50-digit root: the kinetic orbit at 2 - R^2 =
+# 2.9e-9, r = 3 by a 4 x 4 eigvalsh, has det = -50.2 against 16 eps |ad| = 212
+EVEN_BLOCK_UNRESOLVED = {(1.1389355454248538, 0.0005771240812716627)}
+
+
 @pytest.mark.parametrize("beta0p, lam, count", [
     (3.373080969144025, 0.0006092934611782397, 22),
     (3.08521616714032, 0.00035086136884920904, 22),
@@ -245,15 +264,23 @@ def xs_equations(gen):
     (0.380289, 2.962655, 16),
     (1.4564034092103928, 0.7685209321078155, 16),
 ])
-def test_census_keeps_the_points_at_the_rounding_floor(xs_equations, beta0p, lam, count):
+def test_census_keeps_the_points_at_the_rounding_floor(xs_equations, exact_sigma_blocks, beta0p,
+                                                       lam, count):
     # each case has an orbit at 2 - R^2 < 2e-6, where one Hessian eigenvalue
     # grows like 1/s and rounding alone puts |grad H| near GRAD_TOL; a census
     # that judges points by |grad H| drops it.  Every orbit must lie within
-    # 1e-10 of a 50-digit root of the (x, s) equations it came from.
+    # 1e-10 of a 50-digit root of the (x, s) equations it came from.  There,
+    # an orbit whose even-block det double precision cannot resolve reads
+    # degenerate, and every other orbit has the index of Sylvester's rule on
+    # the exact blocks.  Not checked: the kinetic orbit at (1.4564..., 0.7685...)
+    # has an exact odd-block eigenvalue of 4.8e-11, below GRAD_TOL, where the
+    # float Hessian's is 30 times larger, and reads r = 3, not degenerate
     import mpmath
 
     params = ModelParams(beta0p, lam)
     assert len(stationary.find_stationary_points(params)) == count
+    floor = 16 * np.finfo(float).eps
+    found = 0
     with mpmath.workdps(50):
         coup = [mpmath.mpf(v) for v in (beta0p, params.zeta, params.xi)]
         for sp in stationary._plane_census(params):
@@ -264,6 +291,15 @@ def test_census_keeps_the_points_at_the_rounding_floor(xs_equations, beta0p, lam
                                      J=lambda a, b: jac(a, b, *coup))
             pyr = mpmath.sqrt(2 - 4 * sr**2 - xr**2) if sp.branch == "kinetic" else 0
             assert max(abs(xr - x), abs(pyr - py)) <= 1e-10, sp
+            entries = exact_sigma_blocks(xr, pyr, *coup)
+            (a, b, d), odd = entries[:3], entries[3:]
+            if abs(a * d - b * b) <= floor * max(abs(a * d), b * b):
+                found += 1
+                assert sp.index_r == "degenerate", sp
+                continue
+            r = sum(1 if a * d < b * b else 2 if a < 0 else 0 for a, b, d in ((a, b, d), odd))
+            assert sp.index_r == r, sp
+    assert found == ((beta0p, lam) in EVEN_BLOCK_UNRESOLVED)
 
 
 @pytest.mark.parametrize("lam, count", [(0.1, 22), (0.5, 22), (1.0, 22), (2.0, 7), (2.5, 10)])
@@ -397,6 +433,45 @@ def test_plane_hessian_does_not_couple_the_sigma_blocks(beta0p):
         for sp in stationary._plane_census(params):
             h = _kernels.h_hess(*sp.location, beta0p, params.zeta, params.xi)
             assert np.all(h[np.ix_([0, 3], [1, 2])] == 0.0)
+
+
+def block_hessian(even, odd):
+    """The 4 x 4 Hessian with the sigma-even (x, py) block [[a, b], [b, d]] of
+    even = (a, b, d) and the sigma-odd (y, px) block of odd."""
+    h = np.zeros((4, 4))
+    for (i, j), (a, b, d) in (((0, 3), even), ((1, 2), odd)):
+        h[i, i], h[i, j], h[j, i], h[j, j] = a, b, b, d
+    return h
+
+
+@pytest.mark.parametrize("even, odd, index_r", [
+    # det < 0: eigenvalues 3 and -1
+    ((1.0, 2.0, 1.0), (2.0, 0.0, 3.0), 1),
+    ((2.0, 0.0, 3.0), (1.0, 2.0, 1.0), 1),
+    # a < 0 with det = 5 > 0
+    ((-2.0, 1.0, -3.0), (2.0, 0.0, 3.0), 2),
+    ((-2.0, 1.0, -3.0), (1.0, 2.0, 1.0), 3),
+    ((-2.0, 1.0, -3.0), (-1.0, 0.5, -1.0), 4),
+    # a dominant entry of 1e8 beside a small eigenvalue of +-1e-6
+    ((1e8, 1.0, 1e-8 + 1e-6), (2.0, 0.0, 3.0), 0),
+    ((1e8, 1.0, 1e-8 - 1e-6), (2.0, 0.0, 3.0), 1),
+    ((-1e8, 1.0, -1e-8 + 1e-6), (2.0, 0.0, 3.0), 1),
+    # ad and b^2 of 1e14 cancel to det = 0.25, below 16 eps 1e14 = 0.36,
+    # though |det| / |large| = 2.5e-9 would pass GRAD_TOL
+    ((1e8, 1e7, 1e6 + 2.5e-9), (2.0, 0.0, 3.0), "degenerate"),
+    # det = 6.25e-10 over |large| = 1.25: a small eigenvalue of 5e-10
+    ((2.0, 0.0, 3.0), (1.0, 0.5, 0.25 + 6.25e-10), "degenerate"),
+    ((2.0, 0.0, 3.0), (-1.0, -0.5, -0.25 - 6.25e-10), "degenerate"),
+])
+def test_classify_counts_the_index_by_sylvesters_rule_on_the_blocks(monkeypatch, even, odd,
+                                                                     index_r):
+    h = block_hessian(even, odd)
+    monkeypatch.setattr(_kernels, "h_hess", lambda *args: np.stack([h, h]))
+    locs = np.array([[0.3, 0.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.4]])
+    pts = stationary._classify(ModelParams(1.7, 0.5), locs)
+    assert [sp.index_r for sp in pts] == [index_r, index_r]
+    if index_r != "degenerate":
+        assert index_r == int(np.sum(np.linalg.eigvalsh(h) < 0))
 
 
 ACCEPTANCE_07_GRID = np.arange(0.0, 3.2001, 0.02)

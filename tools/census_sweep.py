@@ -6,14 +6,16 @@ PARENT_SRC is the `src` directory of another checkout of esqpt, for example
 one unpacked by `git archive`.  The census of that tree and of this one
 (`find_stationary_points`) each run in a child process on the same N cases,
 drawn as beta0' = uniform(0.3, 4) then lambda = uniform(0, 3.2) per case
-from numpy.random.default_rng(S).  The report lists every case whose number
-of rows per (r, branch) differs, with the rows that have no counterpart
-within 1e-6 on the other side and their 2 - R^2 and max |grad H|.  Over the
-other cases it gives the largest location and energy differences between
-each row and its nearest counterpart of the same (r, branch).  For both
-trees it counts the rows with max |grad H| > 1e-9, and lists those that have
-no such row within 1e-6 in the same case of the other tree.  It writes no
-file.
+from numpy.random.default_rng(S).  The report lists every case that
+reclassifies a row, one whose nearest counterpart on the other side lies
+within 1e-6 but has another r, as one `r 3 -> degenerate` line per row, and
+every case whose other rows differ in number per (r, branch), with the rows
+that have no counterpart within 1e-6 on the other side; each listed row
+comes with its 2 - R^2 and max |grad H|.  Over the other cases it gives the
+largest location and energy differences between each row and its nearest
+counterpart of the same (r, branch).  For both trees it counts the rows with
+max |grad H| > 1e-9, and lists those that have no such row within 1e-6 in
+the same case of the other tree.  It writes no file.
 """
 
 from __future__ import annotations
@@ -79,13 +81,20 @@ def by_case(rows, n):
     return np.split(rows, np.searchsorted(rows[:, 0], np.arange(1, n)))
 
 
+def r_name(r):
+    return "degenerate" if r < 0 else str(int(r))
+
+
 def group_name(key):
     r, kinetic = key
-    return f"r = {'degenerate' if r < 0 else int(r)}, {'kinetic' if kinetic else 'trivial_momentum'}"
+    return f"r = {r_name(r)}, {'kinetic' if kinetic else 'trivial_momentum'}"
 
 
 def nearest(a, b):
-    """For each row of a, the distance to the nearest row of b and the index of that row."""
+    """For each row of a, the distance to the nearest row of b (inf where b
+    is empty) and the index of that row."""
+    if not len(b):
+        return np.full(len(a), np.inf), np.zeros(len(a), int)
     d = np.abs(a[:, None, 1:5] - b[None, :, 1:5]).max(axis=2)
     return d.min(axis=1), d.argmin(axis=1)
 
@@ -103,13 +112,20 @@ def where(diff):
 
 def compare(cases, old, new):
     """The report lines of the two census arrays."""
-    lines, gains, losses, unchanged = [], 0, 0, np.ones(len(cases), bool)
+    lines, unchanged = [], np.ones(len(cases), bool)
+    gains = losses = recounted = reclassified = 0
     dloc = denergy = (0.0, None)
     for i, (a, b) in enumerate(zip(by_case(old, len(cases)), by_case(new, len(cases)))):
+        d, j = nearest(a, b)
+        moved = np.flatnonzero(d <= MATCH)
+        moved = moved[a[moved, 6] != b[j[moved], 6]]
+        pairs = list(zip(a[moved], b[j[moved]]))
+        a, b = np.delete(a, moved, axis=0), np.delete(b, j[moved], axis=0)
         keys = sorted({tuple(k) for k in np.vstack([a, b])[:, [6, 7]]})
         groups = [(k, a[(a[:, 6] == k[0]) & (a[:, 7] == k[1])],
                    b[(b[:, 6] == k[0]) & (b[:, 7] == k[1])]) for k in keys]
-        if all(len(ga) == len(gb) for _, ga, gb in groups):
+        same_counts = all(len(ga) == len(gb) for _, ga, gb in groups)
+        if same_counts and not pairs:
             for _, ga, gb in groups:
                 for x, y in ((ga, gb), (gb, ga)):
                     d, j = nearest(x, y)
@@ -118,21 +134,23 @@ def compare(cases, old, new):
                     denergy = max(denergy, (de.max(), i), key=lambda t: t[0])
             continue
         unchanged[i] = False
+        recounted += not same_counts
+        reclassified += bool(pairs)
         gains += any(len(gb) > len(ga) for _, ga, gb in groups)
         losses += any(len(gb) < len(ga) for _, ga, gb in groups)
         lines.append(f"case {i}: beta0p = {cases[i][0]!r}, lambda = {cases[i][1]!r}")
+        lines += [f"  r {r_name(x[6])} -> {r_name(y[6])}: {describe(y)}" for x, y in pairs]
         for key, ga, gb in groups:
             if len(ga) == len(gb):
                 continue
             lines.append(f"  {group_name(key)}: {len(ga)} -> {len(gb)} rows")
             for sign, x, y in (("-", ga, gb), ("+", gb, ga)):
-                far = x if not len(y) else x[nearest(x, y)[0] > MATCH]
-                lines += [f"    {sign} {describe(row)}" for row in far]
+                lines += [f"    {sign} {describe(row)}" for row in x[nearest(x, y)[0] > MATCH]]
     steep = [(rows[:, 8] > GRAD_ROW, rows[:, 0].astype(int)) for rows in (old, new)]
     steep = [(int(s.sum()), int(s[unchanged[case]].sum())) for s, case in steep]
     lines += [
-        f"cases that gain or lose points: {len(cases) - int(unchanged.sum())} "
-        f"(gain {gains}, lose {losses})",
+        f"cases that gain or lose points: {recounted} (gain {gains}, lose {losses})",
+        f"cases that reclassify points: {reclassified}",
         f"unchanged cases: max location difference {where(dloc)}, "
         f"max energy difference {where(denergy)}",
         f"rows with max|grad H| > {GRAD_ROW:g}: parent {steep[0][0]} ({steep[0][1]} in unchanged "
@@ -141,8 +159,7 @@ def compare(cases, old, new):
     for sign, x, y in (("-", old, new), ("+", new, old)):
         x, y = x[x[:, 8] > GRAD_ROW], y[y[:, 8] > GRAD_ROW]
         for row in x:
-            other = y[y[:, 0] == row[0]]
-            if not len(other) or nearest(row[None], other)[0][0] > MATCH:
+            if nearest(row[None], y[y[:, 0] == row[0]])[0][0] > MATCH:
                 lines.append(f"  {sign} case {int(row[0])}: {describe(row)}")
     return lines
 
