@@ -2,7 +2,7 @@
 
 Energies are per-boson mean-field values evaluated in Cartesian variables
 (x, y, px, py), which stay regular at beta = 0; the phase space is the
-4-ball x^2 + y^2 + px^2 + py^2 <= 2.
+4-ball x^2 + y^2 + px^2 + py^2 <= R0_SQUARED (`models`).
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .models import ModelParams
-
-R0_SQUARED = 2.0
+from .models import R0_SQUARED, ModelParams
 
 
 def _check_inside(v):

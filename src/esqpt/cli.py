@@ -320,8 +320,8 @@ def run_excited_surfaces(cfg):
     for lam in cfg.lambdas:
         params = ModelParams(cfg.beta0p, float(lam))
         for ng in cfg.n_gamma:
-            for b in betas:
-                rows.append((lam, ng, b, surfaces.excited_energy(params, cfg.N, ng, float(b))))
+            energies = surfaces.excited_energy(params, cfg.N, ng, betas)
+            rows.extend((lam, ng, b, e) for b, e in zip(betas, energies))
             for sp in surfaces.surface_stationary_points(params, cfg.N, ng):
                 spt_rows.append((lam, ng, sp.beta, sp.energy, sp.kind))
     stem, ext = os.path.splitext(cfg.output)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _derivs, _kernels
-from .classical import R0_SQUARED
-from .models import ModelParams
+from .models import R0_SQUARED, ModelParams
 from .quantum import basis_dimension
 
 DEFAULT_BINS = 300

@@ -1,9 +1,11 @@
-"""Control parameters of the interpolating s/d boson Hamiltonian H(lambda, beta0p).
+"""Control parameters and phase space of the interpolating s/d boson Hamiltonian.
 
 `ModelParams` holds beta0p and the single control parameter lambda, and maps
 lambda to the two couplings of the Hamiltonian: zeta = lambda on [0, 1]
 (xi = 0, the first branch) and xi = lambda - 1 for lambda > 1 (zeta = 1,
-the second branch). `LAMBDA_CRITICAL` = 1 separates the branches.
+the second branch). `LAMBDA_CRITICAL` = 1 separates the branches, where
+`coupling_slopes` is one-sided. The classical phase space is the 4-ball
+x^2 + y^2 + px^2 + py^2 <= `R0_SQUARED`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 LAMBDA_CRITICAL = 1.0
+R0_SQUARED = 2.0
 
 
 @dataclass(frozen=True)
@@ -34,3 +37,9 @@ class ModelParams:
     @property
     def xi(self):
         return max(self.lam - 1.0, 0.0)
+
+    def coupling_slopes(self, side="left"):
+        """d(zeta^2, zeta, xi)/dlambda from the `side` ("left" or "right") of lambda."""
+        if self.lam < LAMBDA_CRITICAL or (self.lam == LAMBDA_CRITICAL and side == "left"):
+            return (2.0 * self.zeta, 1.0, 0.0)
+        return (0.0, 0.0, 1.0)

@@ -3,7 +3,8 @@
 The L = 0 states of N s/d bosons are labelled by the U(5) > O(5) quantum
 numbers (n_d, tau): at d-boson number n the seniorities are
 tau in {n, n-2, ...} with tau = 0 (mod 3), one state each (Arima & Iachello,
-Ann. Phys. 99 (1976) 253).  States are ordered by n_d, then by ascending tau.
+Ann. Phys. 99 (1976) 253).  States are ordered by n_d, then by ascending tau,
+so (n, a = tau/3) sits at index offset[n] + (a - n mod 2)/2.
 Every parameter-independent operator is analytic in (n_d, tau), with all
 phases chosen +1 (k = tau / 3, G = [d+ d+]^(2), W = sum_mu G_mu d_mu):
 
@@ -13,8 +14,8 @@ phases chosen +1 (k = tau / 3, G = [d+ d+]^(2), W = sum_mu G_mu d_mu):
     <n+1, tau-3|W|n, tau>^2  2k^2 / [7(2k-1)(2k+1)] (n-tau+2)(n-tau+4)(n+tau+3)
 
 N H is linear in (1, zeta^2, zeta, xi), so H(lambda, beta0p) and dH/dlambda
-are sums of four fixed sparse operators.  Spectra are exact for
-N <= N_CAP_DEFAULT = 200 (basis dimension 3434).
+(`ModelParams.coupling_slopes`) are sums of four fixed sparse operators.
+Spectra are exact for N <= N_CAP_DEFAULT = 200 (basis dimension 3434).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import LAMBDA_CRITICAL, ModelParams
+from .models import ModelParams
 
 N_CAP_DEFAULT = 200
 DEGENERACY_TOL = 1e-9  # levels closer than this times max(1, |E|) form one cluster
@@ -79,33 +80,31 @@ class ChainBlocks:
     w: tuple  # <n+1, tau +- 3|W|n, tau>
 
 
-def _elements(states, dn, dtau):
-    """(rows, cols) of every state pair (n, tau) -> (n + dn, tau + dtau) in `states`."""
-    index = {s: i for i, s in enumerate(states)}
-    pairs = [
-        (index[(n + dn, t + dtau)], i)
-        for i, (n, t) in enumerate(states)
-        if (n + dn, t + dtau) in index
-    ]
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-
-
 @lru_cache(maxsize=4)
 def chain_blocks(n_max):
     """Parameter-independent operators on the L=0 states with n_d <= n_max."""
     states = [(n, 3 * a) for n in range(n_max + 1) for _, a in sector_labels(n)]
     nd, tau = np.array(states, dtype=np.int64).reshape(-1, 2).T
     q2 = (2.0 / 7.0) * (nd * (nd - 2) + tau * (tau + 3))
+    # the states of d-number n start at offset[n], with a = tau/3 = n mod 2, n mod 2 + 2, ...
+    offset = np.searchsorted(nd, np.arange(n_max + 1))
 
-    rows, cols = _elements(states, 2, 0)
+    def pairs(dn, da):
+        """(rows, cols) of every state pair (n, a) -> (n + dn, a + da), by source."""
+        n, a = nd + dn, tau // 3 + da
+        cols = np.flatnonzero((a >= 0) & (3 * a <= n) & (n <= n_max))
+        n, a = n[cols], a[cols]
+        return offset[n] + (a - n % 2) // 2, cols
+
+    rows, cols = pairs(2, 0)
     n, t = nd[cols], tau[cols]
     pdag = (rows, cols, np.sqrt((n - t + 2.0) * (n + t + 5)))
 
-    up_rows, up_cols = _elements(states, 1, 3)
+    up_rows, up_cols = pairs(1, 1)
     n, t = nd[up_cols], tau[up_cols]
     k = t // 3
     up = 2.0 * (k + 1) ** 2 / (7 * (2 * k + 1) * (2 * k + 3)) * (n - t) * (n + t + 5) * (n + t + 7)
-    down_rows, down_cols = _elements(states, 1, -3)
+    down_rows, down_cols = pairs(1, -1)
     n, t = nd[down_cols], tau[down_cols]
     k = t // 3
     down = 2.0 * k**2 / (7 * (2 * k - 1) * (2 * k + 1)) * (n - t + 2) * (n - t + 4) * (n + t + 3)
@@ -173,14 +172,6 @@ def build_hamiltonian(params: ModelParams, N, operators=None):
     return h / N
 
 
-def _dh_dlambda_matrix(params: ModelParams, N, side, operators):
-    lam = params.lam
-    first = (lam < LAMBDA_CRITICAL) or (lam == LAMBDA_CRITICAL and side == "left")
-    a, b, c, d = operators
-    terms = [(2.0 * params.zeta, b), (1.0, c)] if first else [(1.0, d)]
-    return _assemble(len(a[0]), terms) / N
-
-
 @dataclass
 class SpectrumResult:
     params: ModelParams
@@ -215,7 +206,8 @@ def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
     """
     operators = _operators(N, params.beta0p)
     evals, evecs = np.linalg.eigh(build_hamiltonian(params, N, operators))
-    dh_v = _dh_dlambda_matrix(params, N, side, operators) @ evecs
+    terms = [(c, op) for c, op in zip(params.coupling_slopes(side), operators[1:]) if c != 0.0]
+    dh_v = _assemble(len(evals), terms) / N @ evecs
     slopes = np.einsum("ij,ij->j", evecs, dh_v)
     tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
     edges = np.flatnonzero(np.diff(evals) > tol[1:]) + 1

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _derivs, _kernels
-from .classical import R0_SQUARED
-from .models import ModelParams
+from .models import R0_SQUARED, ModelParams
 
 # tolerance of a plane point's residual in the (x, s) equations of the plane
 # cubics; a sigma block's small eigenvalue below it makes the point degenerate

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _derivs, _kernels
-from .models import ModelParams
+from .models import R0_SQUARED, ModelParams
 
-BETA_MAX = math.sqrt(2.0)
+BETA_MAX = math.sqrt(R0_SQUARED)
 
 
 def condensate_energy(params: ModelParams, N, beta, gamma=0.0):
@@ -66,17 +66,19 @@ def _quartic(params: ModelParams, N, N_gamma):
 
 
 def excited_energy(params: ModelParams, N, N_gamma, beta):
-    """Excited surface value along the gamma = 0 cut.
+    """Excited surface value along the gamma = 0 cut, at a scalar or an array of beta.
 
     Expectation of H in the normalized state
     (d+_{+2} d+_{-2})^{N_gamma/2} (B+(beta, 0))^{N - N_gamma} |0>;
-    N_gamma must be even (axial K = 0 selection).
+    N_gamma must be even (axial K = 0 selection). A scalar beta gives a float.
     """
     f = _quartic(params, N, N_gamma)
-    if not 0.0 <= beta <= BETA_MAX:
+    beta = np.asarray(beta, dtype=float)
+    if not np.all((0.0 <= beta) & (beta <= BETA_MAX)):
         raise ValueError(f"beta out of range [0, sqrt(2)]: {beta}")
-    s, d = math.sqrt(max(1.0 - beta * beta / 2.0, 0.0)), beta / BETA_MAX
-    return float(sum(fj * s ** (4 - j) * d**j for j, fj in enumerate(f))) / (2.0 * N * N)
+    s, d = np.sqrt(np.maximum(1.0 - beta * beta / 2.0, 0.0)), beta / BETA_MAX
+    e = sum(fj * s ** (4 - j) * d**j for j, fj in enumerate(f)) / (2.0 * N * N)
+    return float(e) if np.ndim(e) == 0 else e
 
 
 @dataclass(frozen=True)

@@ -663,11 +663,12 @@ def test_stationary_run_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_the_oracle_out():
-    # the boson operator algebra is a test-only oracle; the library uses closed forms
+    # the boson operator algebra is a test-only oracle and `classical` a checker's
+    # domain-checked entry point; the library uses closed forms and `_kernels`
     code = (
         "import esqpt.cli, sys; "
-        "print(sorted(m for m in sys.modules if m in ('fractions', 'esqpt.algebra', 'esqpt.fock')"
-        " or m.split('.')[0] == 'oracle'))"
+        "print(sorted(m for m in sys.modules if m in ('fractions', 'esqpt.algebra', 'esqpt.fock',"
+        " 'esqpt.classical') or m.split('.')[0] == 'oracle'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -55,6 +55,19 @@ def test_basis_states_sorted_unique():
     assert states == sorted(states)
     for n, tau in states:
         assert tau % 3 == 0 and (n - tau) % 2 == 0 and tau <= n
+    # each operator lists every pair its selection rule allows exactly once, target
+    # row from source column: P+ (n, tau) -> (n + 2, tau), W (n, tau) -> (n + 1, tau +- 3)
+    rules = {
+        "pdag": lambda n, t, n2, t2: n2 == n + 2 and t2 == t,
+        "w": lambda n, t, n2, t2: n2 == n + 1 and abs(t2 - t) == 3,
+    }
+    for name, allowed in rules.items():
+        rows, cols, _ = getattr(ch, name)
+        got = [(int(r), int(c)) for r, c in zip(rows, cols)]
+        assert all(allowed(*states[c], *states[r]) for r, c in got)
+        want = [(i, j) for i, s2 in enumerate(states) for j, s in enumerate(states)
+                if allowed(*s, *s2)]
+        assert sorted(got) == want
 
 
 # -- Hamiltonian vs Fock oracle ---------------------------------------------
@@ -197,6 +210,20 @@ def test_slopes_differ_across_critical_point():
     left = quantum.diagonalize(ModelParams(1.7, 1.0), 25, side="left").slopes
     right = quantum.diagonalize(ModelParams(1.7, 1.0), 25, side="right").slopes
     assert np.abs(left - right).max() > 1e-3
+
+
+def test_coupling_slopes_are_one_sided_derivatives():
+    def couplings(lam):
+        p = ModelParams(1.7, lam)
+        return np.array([p.zeta**2, p.zeta, p.xi])
+
+    d = 1e-7
+    for lam in (0.0, 0.4, 1.0, 2.3):
+        for side, sign in (("left", -1.0), ("right", 1.0)):
+            if lam + sign * d >= 0.0:
+                fd = sign * (couplings(lam + sign * d) - couplings(lam)) / d
+                got = ModelParams(1.7, lam).coupling_slopes(side)
+                assert np.abs(np.array(got) - fd).max() < 1e-6
 
 
 def test_nd_expectation_bounds_and_u5_integers():

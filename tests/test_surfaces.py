@@ -61,12 +61,16 @@ def test_condensate_energy_matches_fock_oracle(params, rng):
 def test_excited_energy_matches_fock_oracle(n_gamma, rng):
     # (sqrt2, 1.2) has xi != 0, (1.7, 0.6) has 0 < zeta < 1 with xi = 0, and
     # (1.3, 0) has zeta = 0, so every coupling of the quartic is exercised
+    # an array of beta gives one value per beta, a scalar a float
     for params in (ModelParams(SQRT2, 1.2), ModelParams(1.7, 0.6), ModelParams(1.3, 0.0)):
-        for _ in range(3):
-            beta = rng.uniform(0.0, 1.3)
-            got = surfaces.excited_energy(params, 8, n_gamma, beta)
+        betas = rng.uniform(0.0, 1.3, 3)
+        got = surfaces.excited_energy(params, 8, n_gamma, betas)
+        assert got.shape == betas.shape
+        for beta, e in zip(betas, got):
             want = oracle_excited_energy(params, 8, n_gamma, beta)
-            assert got == pytest.approx(want, abs=1e-10)
+            assert e == pytest.approx(want, abs=1e-10)
+            scalar = surfaces.excited_energy(params, 8, n_gamma, float(beta))
+            assert type(scalar) is float and scalar == pytest.approx(e, abs=1e-14)
 
 
 def test_excited_energy_reduces_to_condensate():
@@ -85,6 +89,8 @@ def test_excited_energy_validation():
         surfaces.excited_energy(params, 10, 12, 0.5)
     with pytest.raises(ValueError):
         surfaces.excited_energy(params, 10, 2, 1.5)
+    with pytest.raises(ValueError):
+        surfaces.excited_energy(params, 10, 2, np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         surfaces.condensate_energy(params, 10, -0.1)
 
