@@ -183,16 +183,15 @@ def _pool_width(cfg, tasks):
     return cfg.workers
 
 
-def _pool_map(cfg, job):
-    """job(part) over the lambda grid, one lambda value per part on a pool of
-    `_pool_width` threads, concatenated in grid order; a single worker runs
-    job(cfg.lambdas) here."""
+def _pool_map(cfg, fn):
+    """[fn(lam) for lam in cfg.lambdas], one lambda value per task on a pool of
+    `_pool_width` threads; a single worker maps them in the calling thread."""
     if _pool_width(cfg, len(cfg.lambdas)) == 1:
-        return job(cfg.lambdas)
+        return list(map(fn, cfg.lambdas))
     import concurrent.futures
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return [result for results in pool.map(job, cfg.lambdas[:, None]) for result in results]
+        return list(pool.map(fn, cfg.lambdas))
 
 
 def _density_workers(cfg):
@@ -280,11 +279,10 @@ def run_boundary(cfg):
 
 
 def run_spectrum(cfg):
-    def job(lambdas):
-        return [quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
-                for lam in lambdas]
+    def solve(lam):
+        return quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
 
-    spectra = _pool_map(cfg, job)
+    spectra = _pool_map(cfg, solve)
     rows = ((lam, i, e, s, nd) for lam, spec in zip(cfg.lambdas, spectra)
             for i, (e, s, nd) in enumerate(zip(spec.energies, spec.slopes,
                                                spec.nd_expectation)))

@@ -10,6 +10,7 @@ leaves neither a partial file nor the temporary one behind.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import platform
@@ -46,6 +47,8 @@ def _atomic_open(path):
             os.remove(tmp)
 
 
+_JSON_CHUNK = 1024  # records per json.dumps call of write_json_records
+
 # fmt's text of a value, as a '%' code, by the value's exact type
 _CODES = {float: "%.12g", np.float64: "%.12g", int: "%d", np.int64: "%d", str: "%s"}
 
@@ -72,11 +75,15 @@ def write_csv(path, header, rows):
 
 
 def write_json_records(path, header, rows):
-    """The same table as a list of JSON objects (format = json option)."""
-    records = [{key: _jsonable(value) for key, value in zip(header, row)} for row in rows]
+    """The same table as a list of JSON objects (format = json option), in the
+    bytes of json.dump(records, indent=1), encoded _JSON_CHUNK records at a time."""
+    records = ({key: _jsonable(value) for key, value in zip(header, row)} for row in rows)
     with _atomic_open(path) as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+        sep = "[\n"
+        while chunk := list(itertools.islice(records, _JSON_CHUNK)):
+            fh.write(sep + json.dumps(chunk, indent=1)[2:-2])  # without "[\n" and "\n]"
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def write_table(path, header, rows, fmt_kind="csv"):

@@ -3,9 +3,9 @@
 `ModelParams` holds beta0p and the single control parameter lambda, and maps
 lambda to the two couplings of the Hamiltonian: zeta = lambda on [0, 1]
 (xi = 0, the first branch) and xi = lambda - 1 for lambda > 1 (zeta = 1,
-the second branch). `LAMBDA_CRITICAL` = 1 separates the branches, where
-`coupling_slopes` is one-sided. The classical phase space is the 4-ball
-x^2 + y^2 + px^2 + py^2 <= `R0_SQUARED`.
+the second branch), weighed by `couplings`. `LAMBDA_CRITICAL` = 1 separates
+the branches, where their derivative `coupling_slopes` is one-sided. The
+classical phase space is the 4-ball x^2 + y^2 + px^2 + py^2 <= `R0_SQUARED`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ class ModelParams:
     @property
     def xi(self):
         return max(self.lam - 1.0, 0.0)
+
+    @property
+    def couplings(self):
+        """(1, zeta^2, zeta, xi), the weights of A, B, C, D in N H (`quantum`)."""
+        return (1.0, self.zeta**2, self.zeta, self.xi)
 
     def coupling_slopes(self, side="left"):
         """d(zeta^2, zeta, xi)/dlambda from the `side` ("left" or "right") of lambda."""

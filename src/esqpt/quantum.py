@@ -13,8 +13,9 @@ phases chosen +1 (k = tau / 3, G = [d+ d+]^(2), W = sum_mu G_mu d_mu):
     <n+1, tau+3|W|n, tau>^2  2(k+1)^2 / [7(2k+1)(2k+3)] (n-tau)(n+tau+5)(n+tau+7)
     <n+1, tau-3|W|n, tau>^2  2k^2 / [7(2k-1)(2k+1)] (n-tau+2)(n-tau+4)(n+tau+3)
 
-N H is linear in (1, zeta^2, zeta, xi), so H(lambda, beta0p) and dH/dlambda
-(`ModelParams.coupling_slopes`) are sums of four fixed sparse operators.
+N H = A + zeta^2 B + zeta C + xi D with four sparse operators built once per
+(N, beta0p) (`_operators`); `_assemble` weighs them by `ModelParams.couplings`
+for H and by (0, `ModelParams.coupling_slopes`) for dH/dlambda.
 Spectra are exact for N <= N_CAP_DEFAULT = 200 (basis dimension 3434).
 """
 
@@ -116,11 +117,13 @@ def chain_blocks(n_max):
     return ChainBlocks(nd, tau, q2, pdag, w)
 
 
+@lru_cache(maxsize=4)
 def _operators(N, beta0p):
     """A, B, C, D with N H = A + zeta^2 B + zeta C + xi D on the N-boson L=0 space.
 
     Each operator is (rows, cols, values) listing every nonzero element once,
     both triangles included, so that a scatter-add assembles it exactly.
+    Memoized like `chain_blocks`; no caller writes to the shared arrays.
     """
     check_boson_number(N)
     ch = chain_blocks(N)
@@ -147,11 +150,13 @@ def _operators(N, beta0p):
     return a, b, c, d
 
 
-def _assemble(dim, terms):
-    """Dense sum of coeff * operator over the (coeff, operator) pairs."""
+def _assemble(coeffs, operators):
+    """Dense sum of coeff * operator over the nonzero coeffs; the size is A's, the first."""
+    dim = len(operators[0][0])
     m = np.zeros((dim, dim))
-    for coeff, (rows, cols, vals) in terms:
-        m[rows, cols] += coeff * vals
+    for coeff, (rows, cols, vals) in zip(coeffs, operators):
+        if coeff != 0.0:
+            m[rows, cols] += coeff * vals
     return m
 
 
@@ -159,17 +164,9 @@ def _assemble(dim, terms):
 # Hamiltonian assembly
 
 
-def build_hamiltonian(params: ModelParams, N, operators=None):
-    """Dense symmetric matrix of H(lambda, beta0p) in the L=0 basis.
-
-    `operators` is `_operators(N, params.beta0p)` when the caller has it.
-    """
-    if operators is None:
-        operators = _operators(N, params.beta0p)
-    a, b, c, d = operators
-    ze = params.zeta
-    h = _assemble(len(a[0]), [(1.0, a), (ze**2, b), (ze, c), (params.xi, d)])
-    return h / N
+def build_hamiltonian(params: ModelParams, N):
+    """Dense symmetric H(lambda, beta0p) in the L=0 basis: `_operators` weighed by `couplings`."""
+    return _assemble(params.couplings, _operators(N, params.beta0p)) / N
 
 
 @dataclass
@@ -204,10 +201,9 @@ def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
     derivatives of the levels on `side` and <n_d> belongs to the states those
     levels continue into, whatever basis `eigh` returned.
     """
-    operators = _operators(N, params.beta0p)
-    evals, evecs = np.linalg.eigh(build_hamiltonian(params, N, operators))
-    terms = [(c, op) for c, op in zip(params.coupling_slopes(side), operators[1:]) if c != 0.0]
-    dh_v = _assemble(len(evals), terms) / N @ evecs
+    evals, evecs = np.linalg.eigh(build_hamiltonian(params, N))
+    dh = _assemble((0.0, *params.coupling_slopes(side)), _operators(N, params.beta0p)) / N
+    dh_v = dh @ evecs
     slopes = np.einsum("ij,ij->j", evecs, dh_v)
     tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
     edges = np.flatnonzero(np.diff(evals) > tol[1:]) + 1

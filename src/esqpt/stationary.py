@@ -264,11 +264,14 @@ def spinodal_points(beta0p):
 
     lambda_star is the lambda above which a deformed gamma = 0 minimum exists
     at every larger lambda.  For b^2 < 3 it is the minimum of f on
-    (0, sqrt(3)), f(sqrt(s*)) with s* = 3 b^2 / (3 + sqrt(9 + 3 b^2 (2 - b^2)));
-    for b^2 >= 3 a deformed minimum exists at every lambda > 0 and
-    lambda_star = 0.  For 2 < b^2 < 3 a second, near-boundary minimum
-    (r > sqrt(3)) also exists on 0 < lambda < f(sqrt(s2)), s2 the other root;
-    it ends below lambda_star.
+    (0, sqrt(3)), f(sqrt(s*)) with s* = sigma b^2,
+    sigma = 3 / (3 + sqrt(9 + 3 b^2 (2 - b^2))); with b^2 cancelled,
+    f(sqrt(s*)) = [1 + (2 - b^2) sigma] / [sqrt(sigma) (3 - sigma b^2)], which
+    stays finite as b -> 0, where it tends to 2 sqrt(2) / 3 (s* itself
+    underflows there).  For b^2 >= 3 a deformed minimum exists at every
+    lambda > 0 and lambda_star = 0.  For 2 < b^2 < 3 a second, near-boundary
+    minimum (r > sqrt(3)) also exists on 0 < lambda < f(sqrt(s2)), s2 the
+    other root; it ends below lambda_star.
 
     lambda_star_star is the lambda at which the origin stops being a minimum.
     Its Hessian eigenvalues are b^2 [1 - xi (1 + b^2)] in the coordinates and
@@ -280,8 +283,8 @@ def spinodal_points(beta0p):
     b2 = beta0p * beta0p
     lam_star = 0.0
     if b2 < 3.0:
-        s = 3.0 * b2 / (3.0 + math.sqrt(9.0 + 3.0 * b2 * (2.0 - b2)))
-        lam_star = (b2 + (2.0 - b2) * s) / (beta0p * math.sqrt(s) * (3.0 - s))  # f(sqrt(s*))
+        sigma = 3.0 / (3.0 + math.sqrt(9.0 + 3.0 * b2 * (2.0 - b2)))
+        lam_star = (1.0 + (2.0 - b2) * sigma) / (math.sqrt(sigma) * (3.0 - sigma * b2))
     return lam_star, 1.0 + 1.0 / (1.0 + b2)
 
 

@@ -1,0 +1,101 @@
+"""tools/bench_pairs.py: its statistics on fixed numbers, the order of its
+runs, and the two trees it compares. No benchmark runs here."""
+
+import importlib.util
+
+import pytest
+
+from conftest import ROOT
+
+# density-map wall_s of ten alternating pairs (BENCH_27.json), parent then change
+PARENT = [3.0361, 2.6329, 2.6826, 2.5716, 2.4999, 2.7313, 2.9016, 2.387, 2.3631, 2.2197]
+CHANGE = [2.1618, 2.0409, 2.0485, 2.1262, 2.0275, 1.9095, 1.8243, 1.7391, 1.8962, 1.9638]
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quartiles_are_exclusive(tool):
+    assert tool.quartiles([1, 2, 3, 4, 5, 6, 7, 8, 9, 10]) == (2.75, 8.25)
+    assert tool.quartiles([4.0]) == (4.0, 4.0)
+
+
+def test_a_gain_in_every_pair_beyond_the_parent_spread_is_a_claim(tool):
+    m = tool.compare(PARENT, CHANGE, "lower", 0.24)
+    assert m["parent"] == pytest.approx(2.60225)
+    assert m["change"] == pytest.approx(1.99565)
+    assert m["parent_iqr"] == pytest.approx([2.381025, 2.773875])
+    assert m["change_iqr"] == pytest.approx([1.878225, 2.067925])
+    assert m["change_vs_parent"] == pytest.approx(1.99565 / 2.60225 - 1)
+    assert (m["change_wins"], m["claim"], m["beyond_bound"]) == (10, True, False)
+    assert (m["parent_runs"], m["change_runs"]) == (PARENT, CHANGE)
+
+    # the other way round the change is 30% worse: beyond a 0.24 bound, not at 0.35
+    m = tool.compare(CHANGE, PARENT, "lower", 0.24)
+    assert (m["change_wins"], m["claim"], m["beyond_bound"]) == (0, False, True)
+    assert tool.compare(CHANGE, PARENT, "lower", 0.35)["beyond_bound"] is False
+
+
+def test_nine_wins_within_the_parent_spread_are_no_claim(tool):
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    change = [p - 0.01 for p in parent[:9]] + [3.0]
+    m = tool.compare(parent, change, "lower", 0.24)
+    assert m["change_wins"] == 9
+    assert m["claim"] is False  # the medians differ by 0.01, the parent's IQR is 1.0
+    far = [p - 1.5 for p in parent[:9]] + [3.0]
+    assert tool.compare(parent, far, "lower", 0.24)["claim"] is True
+    assert tool.compare(parent, far[:8] + [3.0, 3.0], "lower", 0.24)["claim"] is False
+
+
+def test_ties_count_for_neither_side_and_higher_is_better(tool):
+    m = tool.compare([1.0] * 4, [1.0] * 4, "higher", 0.01)
+    assert (m["change_wins"], m["change_vs_parent"], m["claim"], m["beyond_bound"]) == (
+        0, 0.0, False, False)
+    m = tool.compare([1.0] * 4, [1.0, 0.995, 0.995, 1.0], "higher", 0.01)
+    assert (m["change_wins"], m["beyond_bound"]) == (0, False)
+    assert m["change_vs_parent"] == pytest.approx(-0.0025)
+    m = tool.compare([1.0] * 4, [0.98] * 4, "higher", 0.01)
+    assert m["beyond_bound"] is True
+    assert tool.compare([0.0] * 4, [0.5] * 4, "lower", 0.25)["beyond_bound"] is True
+    assert tool.compare([0.9] * 4, [1.0] * 4, "higher", 0.01)["change_wins"] == 4
+
+
+def test_pairs_alternate_and_stop_at_an_incorrect_run(tool):
+    order = []
+
+    def run(side):
+        order.append(side)
+        return {"correct": True, "metrics": {"wall_s": {"value": len(order)}}}
+
+    runs = tool.run_pairs(run, 3)
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [r["wall_s"]["value"] for r in runs["parent"]] == [1, 4, 5]
+    assert [r["wall_s"]["value"] for r in runs["change"]] == [2, 3, 6]
+
+    def failing(side):
+        order.append(side)
+        correct = len(order) < 3
+        return {"correct": correct, "attempted": 11, "failed": int(not correct), "metrics": {}}
+
+    order.clear()
+    with pytest.raises(RuntimeError, match="pair 2: the change run is not correct"):
+        tool.run_pairs(failing, 10)
+    assert order == ["parent", "change", "change"]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git checkout")
+def test_both_trees_sit_at_paths_of_equal_length(tool, tmp_path):
+    tool.prepare("HEAD", tmp_path)
+    trees = [tmp_path / side for side in tool.SIDES]
+    assert len(str(trees[0])) == len(str(trees[1]))
+    for tree in trees:
+        assert sorted(p.name for p in tree.iterdir()) == ["perfbench", "src"]
+        assert (tree / "perfbench" / "run.py").is_file()
+        assert (tree / "src" / "esqpt" / "cli.py").is_file()
+    assert (trees[1] / "src" / "esqpt" / "quantum.py").read_bytes() == (
+        ROOT / "src" / "esqpt" / "quantum.py").read_bytes()

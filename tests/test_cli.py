@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from esqpt import cli, density, quantum
-from esqpt.io import fmt, write_csv, write_manifest, write_table
+from esqpt.io import _JSON_CHUNK, fmt, write_csv, write_manifest, write_table
 from esqpt.models import ModelParams
+
+from conftest import SQRT2
 
 SQRT2_STR = "1.41421356"
 
@@ -89,6 +91,13 @@ def test_failed_manifest_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         write_manifest(p, "spinodal", {"beta0p": object()}, None, 0.0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spinodal_subcommand_at_a_tiny_beta0p(tmp_path):
+    # beta0'^2 underflows; lambda* takes its beta0' -> 0 limit 2 sqrt(2) / 3
+    out = tmp_path / "spin.csv"
+    assert cli.main(["spinodal", "--beta0p", "1e-200", "-o", str(out)]) == 0
+    assert read_lines(out)[1] == f"1e-200,{fmt(2 * SQRT2 / 3)},2"
 
 
 def test_spinodal_subcommand(tmp_path):
@@ -322,28 +331,42 @@ def pool_config(lambdas, threads):
 
 
 def test_pool_map_parts(monkeypatch, pool_tasks):
+    # one lambda value per task, results in grid order
     asked, mapped = pool_tasks
     usable_cpus(monkeypatch, 4)
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
     calls = []
 
-    def job(part):
-        calls.append(part)
-        return [10 * lam for lam in part]
+    def fn(lam):
+        calls.append((lam, threading.get_ident()))
+        return 10 * lam
 
     cfg = pool_config(grid, 3)
-    assert cli._pool_map(cfg, job) == [10 * lam for lam in grid]
+    assert cli._pool_map(cfg, fn) == [10 * lam for lam in grid]
     assert asked == [("ThreadPoolExecutor", 3)]
-    assert [part.tolist() for part in mapped] == [[lam] for lam in grid]
+    assert [float(lam) for lam in mapped] == grid
     assert (cfg.workers, cli._thread_diagnostics(cfg.workers)["pool"]) == (3, "threads")
 
+    # one worker: the calling thread maps the grid, without the executors' module
     asked.clear()
     mapped.clear()
+    calls.clear()
+    monkeypatch.setitem(sys.modules, "concurrent.futures", None)
     cfg = pool_config(grid, 1)
-    assert cli._pool_map(cfg, job) == [10 * lam for lam in grid]
-    assert calls.pop() is cfg.lambdas
+    assert cli._pool_map(cfg, fn) == [10 * lam for lam in grid]
+    assert calls == [(lam, threading.get_ident()) for lam in grid]
     assert (cfg.workers, cli._thread_diagnostics(cfg.workers)["pool"]) == (1, "serial")
     assert asked == mapped == []
+
+
+def test_spectrum_builds_the_operators_once(tmp_path, monkeypatch):
+    # the lambda-independent operators of one (N, beta0p) serve every lambda
+    monkeypatch.setenv("ESQPT_THREADS", "1")
+    quantum._operators.cache_clear()
+    assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda-start", "0.4",
+                     "--lambda-stop", "2.0", "--lambda-step", "0.4", "--n", "6",
+                     "-o", str(tmp_path / "spec.csv")]) == 0
+    assert quantum._operators.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("cpus, variables, asked", [
@@ -714,6 +737,49 @@ def test_json_format(tmp_path):
     doc = json.loads(out.read_text())
     assert doc[0]["lambda"] == 0.0
     assert doc[0]["e_min"] == pytest.approx(1.0, abs=1e-6)
+
+
+# writes a 200 000-row table as JSON in a fresh process; prints how far the
+# write raised the process's peak resident set (VmHWM, which unlike ru_maxrss
+# is not inherited) over its resident set before, in MB, and whether the
+# bytes are those of json.dump
+JSON_TABLE = """
+import json, sys
+import numpy as np
+from esqpt.io import _jsonable, write_table
+header = ["lambda", "level_index", "energy", "slope", "nd_expect"]
+def rows():
+    return ((np.float64(0.01 * (i // 234)), i % 234, np.float64(i / 7.0), 1.0 / (i + 1), i * 0.5)
+            for i in range(200_000))
+def status_kb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key))
+rss = status_kb("VmRSS:")
+write_table(sys.argv[1], header, rows(), "json")
+grown = (status_kb("VmHWM:") - rss) / 1024
+records = [dict(zip(header, map(_jsonable, row))) for row in rows()]
+with open(sys.argv[1]) as fh:
+    print(grown, fh.read() == json.dumps(records, indent=1) + "\\n")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM")
+def test_json_table_streams_its_records(tmp_path):
+    # the records are encoded a chunk at a time: the table's size does not
+    # raise the peak memory
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", JSON_TABLE, str(tmp_path / "t.json")], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert float(out[0]) < 8.0
+    assert out[1] == "True"
+
+
+@pytest.mark.parametrize("count", [0, 1, _JSON_CHUNK, _JSON_CHUNK + 1, 2 * _JSON_CHUNK + 1])
+def test_json_table_chunks_join_as_one_list(tmp_path, count):
+    rows = [(i, [0.5, {}], None) for i in range(count)]
+    write_table(tmp_path / "t.json", ["a", "b", "c"], rows, "json")
+    records = [dict(zip(["a", "b", "c"], row)) for row in rows]
+    assert (tmp_path / "t.json").read_text() == json.dumps(records, indent=1) + "\n"
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -42,6 +42,18 @@ def test_benchmark_jobs_run_against_the_package(tmp_path):
     assert json.loads(run_job("-", "setup"))["use_numba"] is False
 
 
+def test_traced_spectrum_job_records_every_assembly(tmp_path, monkeypatch):
+    # every lambda's diagonalize and its H assembly are spans, and the table one write
+    monkeypatch.setenv("ESQPT_THREADS", "1")
+    run_job(tmp_path / "t.json", "cli", "spectrum", "--beta0p", "1.7", "--n", "10",
+            "--lambda-start", "0.2", "--lambda-stop", "1.8", "--lambda-step", "0.4",
+            "-o", tmp_path / "spec.csv")
+    names = [span[0] for span in json.loads((tmp_path / "t.json").read_text())["spans"]]
+    assert names.count("quantum.diagonalize") == 5
+    assert names.count("quantum.build_hamiltonian") == 5
+    assert names.count("io.write_table") == 1
+
+
 # the runner's own job command line, environment and seed, and each job's check
 CHECK_JOBS = textwrap.dedent("""
     import json, sys

@@ -1,6 +1,9 @@
 """L=0 basis, Hamiltonian assembly, spectra, slopes, oscillatory density."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from esqpt import density, quantum
 from esqpt.models import ModelParams
 
-from conftest import SQRT2
+from conftest import ROOT, SQRT2
 from oracle import fock
 from oracle.hamiltonian import h_scaled
 
@@ -224,6 +227,34 @@ def test_coupling_slopes_are_one_sided_derivatives():
                 fd = sign * (couplings(lam + sign * d) - couplings(lam)) / d
                 got = ModelParams(1.7, lam).coupling_slopes(side)
                 assert np.abs(np.array(got) - fd).max() < 1e-6
+
+
+# the spectra of a fresh process, as the bytes of each result array
+FRESH_SPECTRA = """
+import sys
+from esqpt import quantum
+from esqpt.models import ModelParams
+for N, beta0p, lam in [(10, 1.3, 0.6), (20, 1.7, 1.0), (10, 1.3, 2.2)]:
+    spec = quantum.diagonalize(ModelParams(beta0p, lam), N)
+    for a in (spec.energies, spec.slopes, spec.nd_expectation):
+        sys.stdout.write(a.tobytes().hex() + "\\n")
+"""
+
+
+def test_memoized_operators_give_the_spectra_of_a_fresh_process():
+    # interleaved (N, beta0p) keys hit and miss the memo; each result is the
+    # one a process with an empty memo computes
+    quantum._operators.cache_clear()
+    got = []
+    for N, beta0p, lam in [(10, 1.3, 0.6), (20, 1.7, 1.0), (10, 1.3, 2.2)]:
+        spec = quantum.diagonalize(ModelParams(beta0p, lam), N)
+        got += [a.tobytes().hex() for a in (spec.energies, spec.slopes, spec.nd_expectation)]
+    info = quantum._operators.cache_info()
+    assert (info.hits, info.misses) == (4, 2)  # two calls per diagonalize
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", FRESH_SPECTRA], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == got
 
 
 def test_nd_expectation_bounds_and_u5_integers():

@@ -582,6 +582,17 @@ def test_spinodal_closed_form():
         stationary.spinodal_points(0.0)
 
 
+def test_spinodal_small_beta0p_limit():
+    # lambda* -> 2 sqrt(2) / 3 as beta0' -> 0, also where beta0'^2 underflows
+    for beta0p in (1e-200, 1e-160, 1e-8):
+        lo, hi = stationary.spinodal_points(beta0p)
+        assert lo == pytest.approx(2.0 * SQRT2 / 3.0, rel=1e-15)
+        assert hi == 2.0
+    lo, hi = stationary.spinodal_points(1e-3)
+    assert lo == pytest.approx(2.0 * SQRT2 / 3.0, rel=1e-6)
+    assert hi == pytest.approx(2.0, rel=1e-6)
+
+
 @pytest.mark.parametrize("beta0p", [0.5, 1.0, SQRT2, 1.7, 2.0, 3.0])
 def test_critical_point_has_two_minima_at_zero_and_the_closed_form_barrier(beta0p):
     # at lambda_c = 1 the gamma = 0 potential sin^2(th) (b cos(th) - sin(th))^2

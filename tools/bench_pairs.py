@@ -1,0 +1,168 @@
+"""Alternating benchmark runs of a parent revision and of this working tree.
+
+    python tools/bench_pairs.py PARENT_REV --workload W [--pairs 10] [--seed S]
+                                [--seconds 20] [--json OUT]
+
+The parent's `src` and `perfbench` (`git archive PARENT_REV`) and copies of
+the working tree's are placed in two sibling temporary directories whose
+paths have the same length: the path length alone moves `setup_rss_mb`.
+Each pair runs `perfbench/run.py --workload W` once on each side, the parent
+first in odd-numbered pairs and the change first in even-numbered ones. A
+run that reports `"correct": false` stops the comparison (exit 1).
+
+For each end-to-end metric of BENCHMARK.json the report gives each side's
+median and exclusive quartiles, the relative change of the medians, the
+pairs the change wins (ties count for neither side; the metric's `better`
+gives the direction), whether a gain claim holds (wins in at least nine
+tenths of the pairs, and a median improvement larger than the parent's
+quartile range) and whether the change is worse than the parent by more
+than the metric's bound, relative to the parent's median. --json writes the
+comparison in the `workloads` shape of BENCH_*.json, each metric with its
+`claim` and `beyond_bound` verdicts. Nothing is written in
+the repository, and the temporary directories are removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TREES = ("src", "perfbench")
+SIDES = ("parent", "change")  # equal lengths: the two trees' paths are as long
+
+
+def quartiles(values):
+    """(q1, q3) by the exclusive method; a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="exclusive")
+    return q1, q3
+
+
+def compare(parent_runs, change_runs, better, bound):
+    """One metric's runs on both sides, paired by position, as in BENCH_*.json,
+    with the claim rule and the bound check."""
+    sign = 1.0 if better == "lower" else -1.0  # > 0 where the change is better
+    parent, change = statistics.median(parent_runs), statistics.median(change_runs)
+    if parent:
+        relative = (change - parent) / abs(parent)
+    else:
+        relative = 0.0 if change == parent else math.copysign(math.inf, change - parent)
+    q1, q3 = quartiles(parent_runs)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent_runs, change_runs))
+    return {
+        "bound": bound,
+        "parent": parent,
+        "parent_iqr": [q1, q3],
+        "parent_runs": list(parent_runs),
+        "change": change,
+        "change_iqr": list(quartiles(change_runs)),
+        "change_runs": list(change_runs),
+        "change_vs_parent": relative,
+        "change_wins": wins,
+        "claim": 10 * wins >= 9 * len(parent_runs) and sign * (parent - change) > q3 - q1,
+        "beyond_bound": sign * relative > bound,
+    }
+
+
+def run_pairs(run, pairs):
+    """{side: [metrics of each run]} over `pairs` pairs of run(side), the parent
+    first in odd-numbered pairs; stops at the first incorrect run."""
+    metrics = {side: [] for side in SIDES}
+    for pair in range(1, pairs + 1):
+        for side in SIDES if pair % 2 else SIDES[::-1]:
+            doc = run(side)
+            if not doc["correct"]:
+                raise RuntimeError(f"pair {pair}: the {side} run is not correct: "
+                                   f"{doc['failed']} of {doc['attempted']} jobs failed")
+            metrics[side].append(doc["metrics"])
+    return metrics
+
+
+def prepare(parent_rev, workdir):
+    """The parent's and the working tree's `src` and `perfbench` under workdir."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", parent_rev,
+                              *TREES], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(workdir / "parent", filter="data")
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".perfbench_run", "*.egg-info")
+    for tree in TREES:
+        shutil.copytree(ROOT / tree, workdir / "change" / tree, ignore=ignore)
+
+
+def run_benchmark(tree, workload, seed, seconds):
+    """One `perfbench/run.py` run in tree; its closing JSON line."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"perfbench/run.py in {tree} exited with {proc.returncode}: "
+                           f"{proc.stderr[-1000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report(comparison, pairs):
+    print(f"{'metric':14s} {'parent median [q1, q3]':>28s} {'change median [q1, q3]':>28s} "
+          f"{'change':>8s} {'wins':>6s} claim beyond-bound")
+    for name, m in comparison.items():
+        sides = ["%.4g [%.4g, %.4g]" % (m[side], *m[f"{side}_iqr"]) for side in SIDES]
+        print(f"{name:14s} {sides[0]:>28s} {sides[1]:>28s} {m['change_vs_parent']:+8.1%} "
+              f"{m['change_wins']:>3d}/{pairs:<2d} {'yes' if m['claim'] else 'no':5s} "
+              f"{'yes' if m['beyond_bound'] else 'no'}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_rev", help="git revision of the parent")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, help="workload seed (default: perfbench's)")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--json", type=Path, help="write the comparison here")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        workdir = Path(tmp)
+        try:
+            prepare(args.parent_rev, workdir)
+
+            def run(side):
+                doc = run_benchmark(workdir / side, args.workload, args.seed, args.seconds)
+                wall = doc["metrics"]["wall_s"]["value"]
+                print(f"{side} wall_s {wall:.4g}", file=sys.stderr)
+                return doc
+
+            runs = run_pairs(run, args.pairs)
+        except (RuntimeError, subprocess.CalledProcessError) as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
+
+    comparison = {
+        m["name"]: compare([r[m["name"]]["value"] for r in runs["parent"]],
+                           [r[m["name"]]["value"] for r in runs["change"]],
+                           m["better"], m["bound"])
+        for m in end_to_end
+    }
+    report(comparison, args.pairs)
+    if args.json:
+        args.json.write_text(json.dumps({"workloads": {args.workload: comparison}}, indent=1)
+                             + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
