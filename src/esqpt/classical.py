@@ -24,7 +24,7 @@ def eval_H(params: ModelParams, pt) -> float:
     """Classical energy at a phase-space point."""
     v = np.asarray(pt, dtype=float)
     _check_inside(v)
-    return float(_kernels.h_eval(v[0], v[1], v[2], v[3], params.beta0p, params.zeta, params.xi))
+    return float(_kernels.h_eval(v[0], v[1], v[2], v[3], params.beta0p, params.couplings))
 
 
 def grad_H(params: ModelParams, pt):
@@ -33,4 +33,4 @@ def grad_H(params: ModelParams, pt):
     if r2 > R0_SQUARED - 1e-12:
         # H_z has sqrt(1 - u) = sqrt(1 - R^2/2), whose derivatives diverge there
         raise ValueError(f"the gradient is singular on the boundary R^2 = 2: R^2 = {r2:.6f}")
-    return _kernels.h_grad(v[0], v[1], v[2], v[3], params.beta0p, params.zeta, params.xi)
+    return _kernels.h_grad(v[0], v[1], v[2], v[3], params.beta0p, params.couplings)

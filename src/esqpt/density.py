@@ -9,7 +9,8 @@ The uniform measure does not depend on lambda, and the classical energy is
 H0 + zeta^2 H_zz + zeta H_z + xi H_xi, the four-part split of N H in
 `quantum` (`_derivs.h_parts`, generated from the one definition of H in
 tools/gen_derivs.py). A scan over lambda therefore draws one sample and
-evaluates the parts once per block; each lambda re-sums them.
+evaluates the parts once per block; each lambda weighs them by its
+`ModelParams.couplings`.
 The sample streams through fixed-size blocks: memory does not grow with the
 number of samples.
 """
@@ -97,12 +98,12 @@ def mc_density_scan(
     Every lambda bins the same `n_samples` phase-space points. The i-th point
     has the i-th direction (four standard normals) of the seed's first child
     stream and the i-th radius variate of its second, so the sample does not
-    depend on how it is cut into blocks. H is linear in (zeta^2, zeta, xi),
-    so each block of `_BLOCK` points gets its lambda-independent parts once
-    (`_derivs.h_parts`) and each lambda costs one four-term sum, a sort and
-    a search of the bin edges, which count as np.histogram does. Each grid is the one a scan of that lambda
-    alone gives, with d rho / dE taken (`density_derivative`); the grids of
-    one scan are correlated.
+    depend on how it is cut into blocks. H is linear in the couplings, so each
+    block of `_BLOCK` points gets its lambda-independent parts once
+    (`_derivs.h_parts`) and each lambda costs one `_kernels.h_combine`, a new
+    array, sorted in place, and a search of the bin edges, which count as
+    np.histogram does. Each grid is the one a scan of that lambda alone gives,
+    with d rho / dE taken (`density_derivative`); the grids of one scan are correlated.
 
     `workers` threads share the blocks; one worker runs in the calling
     thread. Each worker owns its buffers and counts. Under one lock it takes
@@ -145,7 +146,7 @@ def mc_density_scan(
                 radii.random(out=u[:take])
             parts = _derivs.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
             for row, par in zip(below, params):
-                h = _kernels.h_combine(parts, par.zeta, par.xi)
+                h = _kernels.h_combine(parts, par.couplings)
                 h.sort()
                 row += h.searchsorted(cuts)
 

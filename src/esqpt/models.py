@@ -40,8 +40,9 @@ class ModelParams:
 
     @property
     def couplings(self):
-        """(1, zeta^2, zeta, xi), the weights of A, B, C, D in N H (`quantum`)."""
-        return (1.0, self.zeta**2, self.zeta, self.xi)
+        """(1, zeta^2, zeta, xi), the weights of A, B, C, D in N H (`quantum`) and of
+        the parts of the classical H (`_kernels`); zeta^2 is zeta * zeta, correctly rounded."""
+        return (1.0, self.zeta * self.zeta, self.zeta, self.xi)
 
     def coupling_slopes(self, side="left"):
         """d(zeta^2, zeta, xi)/dlambda from the `side` ("left" or "right") of lambda."""

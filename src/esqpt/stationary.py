@@ -93,7 +93,7 @@ def _classify(params, locs):
     and makes the point degenerate where its det is unresolved or its small
     eigenvalue |det| / |large| is below GRAD_TOL: an absolute test, since
     |large| = |a + d| / 2 + hypot((a - d) / 2, b) diverges like 1/s near R^2 = 2."""
-    coup = (params.beta0p, params.zeta, params.xi)
+    coup = (params.beta0p, params.couplings)
     a, b, d, det, resolved = _sigma_blocks(_kernels.h_hess(*locs.T, *coup))
     r = np.where(det < 0, 1, np.where(a < 0, 2, 0)).sum(axis=0)
     large = 0.5 * np.abs(a + d) + np.hypot(0.5 * (a - d), b)
@@ -135,7 +135,7 @@ def _plane_candidates(params):
     DEDUPE_TOL.  The step is the distance to a simple root and half that to a
     double one, so a point stationary at both signs stays.
     """
-    b0, ze, xi = params.beta0p, params.zeta, params.xi
+    b0, (one, z2, ze, xi) = params.beta0p, params.couplings
 
     def roots_x(cubic):  # x = +-sqrt(X) at its roots 0 <= X < INTERIOR_R2
         big_x = _real_roots(cubic(b0, ze, xi))
@@ -144,8 +144,9 @@ def _plane_candidates(params):
 
     axis = np.outer(roots_x(_derivs.trivial_cubic), [1.0, 0.0, 0.0, 0.0])
     with np.errstate(divide="ignore", invalid="ignore"):  # nan: kept, the residual decides
-        step, mirror = (np.abs(_kernels.h_grad(*axis.T, b0, z, xi)[0]
-                               / _kernels.h_hess(*axis.T, b0, z, xi)[:, 0, 0]) for z in (ze, -ze))
+        step, mirror = (np.abs(_kernels.h_grad(*axis.T, b0, coeffs)[0]
+                               / _kernels.h_hess(*axis.T, b0, coeffs)[:, 0, 0])
+                        for coeffs in ((one, z2, ze, xi), (one, z2, -ze, xi)))
         cands = [np.zeros(4), *axis[~(step > 2.0 * mirror + DEDUPE_TOL)]]
     for x in roots_x(_derivs.kinetic_cubic):
         for s in _real_roots(_derivs.ps_cubic(x, b0, ze, xi)):
@@ -168,7 +169,7 @@ def _plane_polish(params, locs):
     is max(|P_x|, |P_s|) = max(|H_x - H_py x / py|, |H_py| 4 s / py) for
     py > 0, and |4 s P_x - x P_s| = 4 s |H_x| for py = 0.
     """
-    coup = (params.beta0p, params.zeta, params.xi)
+    coup = (params.beta0p, params.couplings)
     g = np.asarray(_kernels.h_grad(*locs.T, *coup))
     for _ in range(3):
         a, b, d, det, resolved = (v[0] for v in _sigma_blocks(_kernels.h_hess(*locs.T, *coup)))
@@ -309,7 +310,7 @@ def boundary_extrema(params: ModelParams):
     direction.  The two energies are equal at lambda = 0 and lambda = 3.
     """
     flat = (np.array([1.0, 0.0, 0.0, 0.0]), float(1.0 + params.xi / 2.0))
-    spun = (np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), float(1.0 + params.zeta**2))
+    spun = (np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), float(1.0 + params.couplings[1]))
     lo, hi = sorted((flat, spun), key=lambda d: d[1])
     return [BoundaryExtremum(lo[0], lo[1], "min"), BoundaryExtremum(hi[0], hi[1], "max")]
 

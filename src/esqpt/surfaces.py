@@ -42,9 +42,8 @@ def condensate_energy(params: ModelParams, N, beta, gamma=0.0):
     """Exact finite-N energy per boson pair of the condensate state."""
     if not 0.0 <= beta <= BETA_MAX:
         raise ValueError(f"beta out of range [0, sqrt(2)]: {beta}")
-    v = _kernels.potential(
-        beta * math.cos(gamma), beta * math.sin(gamma), params.beta0p, params.zeta, params.xi
-    )
+    v = _kernels.potential(beta * math.cos(gamma), beta * math.sin(gamma), params.beta0p,
+                           params.couplings)
     return (N - 1) / N * float(v)
 
 
@@ -56,12 +55,12 @@ def _quartic(params: ModelParams, N, N_gamma):
         raise ValueError("N_gamma must be even (K = 0 pair construction)")
     if N_gamma < 0 or N_gamma > N:
         raise ValueError("need 0 <= N_gamma <= N")
-    b, ze, xi = params.beta0p, params.zeta, params.xi
+    b, (_, z2, ze, xi) = params.beta0p, params.couplings
     n, m = N - N_gamma, N_gamma // 2
     v = np.array(_derivs.axial_quartic(b, ze, xi), dtype=float)
-    a, c = 4.0 * b * b, 8.0 * (1.0 + ze * ze)
+    a, c = 4.0 * b * b, 8.0 * (1.0 + z2)
     mixed = np.array([a, 16.0 * ze * b, a + c, 16.0 * ze * b, c])
-    pairs = 4.0 * (1.0 - ze * ze) * m * (m - 1) + 4.0 * (1.0 + ze * ze + xi) * m * m
+    pairs = 4.0 * (1.0 - z2) * m * (m - 1) + 4.0 * (1.0 + z2 + xi) * m * m
     return 2.0 * n * (n - 1) * v + n * m * mixed + pairs * np.array([1.0, 0.0, 2.0, 0.0, 1.0])
 
 

@@ -23,7 +23,7 @@ NEWTON_STEP_CAP = 0.25  # longest step of the batched Newton search
 
 def _newton_polish(params, pts, max_iter):
     """Batched Newton iteration on grad H = 0; returns converged points."""
-    b0, ze, xi = params.beta0p, params.zeta, params.xi
+    b0, coup = params.beta0p, params.couplings
     x = np.asarray(pts, dtype=float).copy()
     alive = np.ones(len(x), dtype=bool)
     done = np.zeros(len(x), dtype=bool)
@@ -32,8 +32,8 @@ def _newton_polish(params, pts, max_iter):
         if not idx.any():
             break
         p = x[idx]
-        g = np.stack(_kernels.h_grad(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi), axis=-1)
-        h = _kernels.h_hess(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, ze, xi)
+        g = np.stack(_kernels.h_grad(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, coup), axis=-1)
+        h = _kernels.h_hess(p[:, 0], p[:, 1], p[:, 2], p[:, 3], b0, coup)
         try:
             step = np.linalg.solve(h, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -55,7 +55,7 @@ def _newton_polish(params, pts, max_iter):
     out = x[done]
     if len(out):
         g = np.stack(
-            _kernels.h_grad(out[:, 0], out[:, 1], out[:, 2], out[:, 3], b0, ze, xi), axis=-1
+            _kernels.h_grad(out[:, 0], out[:, 1], out[:, 2], out[:, 3], b0, coup), axis=-1
         )
         out = out[np.abs(g).max(axis=1) <= GRAD_TOL]
     return out

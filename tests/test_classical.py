@@ -46,7 +46,7 @@ def test_gradient_and_hessian_match_finite_differences(params, rng):
     h = 1e-6
     for pt in interior_points(rng, 8, r_max=1.1):
         g = classical.grad_H(params, pt)
-        hess = _kernels.h_hess(*pt, params.beta0p, params.zeta, params.xi)
+        hess = _kernels.h_hess(*pt, params.beta0p, params.couplings)
         assert hess == pytest.approx(hess.T, abs=1e-12)
         for i in range(4):
             e = np.zeros(4)
@@ -77,7 +77,7 @@ def test_hessian_assembly_matches_stacked(lam, rng):
     # the last case has scalar coordinates and array momenta, halved to stay inside
     mixed = (*pts[0, :2] / 2, *pts.T[2:] / 2)
     for args in (pts[0], pts.T, pts.T.reshape(4, 20, 25), mixed):
-        got = _kernels.h_hess(*args, b0, ze, xi)
+        got = _kernels.h_hess(*args, b0, params.couplings)
         want = stacked_hessian(*args, b0, ze, xi)
         assert got.shape == want.shape == np.broadcast_shapes(*map(np.shape, args)) + (4, 4)
         assert np.array_equal(got, want)
@@ -103,10 +103,19 @@ def test_h_eval_is_the_sum_of_its_parts(lam):
     b0, ze, xi = params.beta0p, params.zeta, params.xi
     rng = np.random.default_rng(15)
     pts = interior_points(rng, 100_000, r_max=math.sqrt(R0_SQUARED)).T
-    got = _kernels.h_eval(*pts, b0, ze, xi)
+    got = _kernels.h_eval(*pts, b0, params.couplings)
     for with_xi in {xi != 0.0, True}:
         parts = _derivs.h_parts(*pts, b0, with_xi)
-        assert np.array_equal(_kernels.h_combine(parts, ze, xi), got)
+        assert np.array_equal(_kernels.h_combine(parts, params.couplings), got)
+        # the sum is a new array, also of one part alone ((1, 0, 0, 0) at
+        # lambda = 0, or dH/dlambda there and on the second branch), and the
+        # parts stay as they were: mc_density_scan sorts the sum in place
+        kept = [None if p is None else p.copy() for p in parts]
+        for coeffs in (params.couplings, (0.0, *params.coupling_slopes())):
+            h = _kernels.h_combine(parts, coeffs)
+            h.sort()
+            assert not any(p is not None and np.shares_memory(h, p) for p in parts)
+            assert all(p is q or np.array_equal(p, q) for p, q in zip(parts, kept))
     want = ungrouped_h(*pts, b0, ze, xi)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -115,17 +124,17 @@ def test_potential_at_origin():
     # V(0) = 0 on the first branch, xi * beta0p^4 / 2 on the second
     for lam in (0.0, 0.5, 1.0):
         params = ModelParams(SQRT2, lam)
-        v0 = _kernels.potential(0.0, 0.0, params.beta0p, params.zeta, params.xi)
+        v0 = _kernels.potential(0.0, 0.0, params.beta0p, params.couplings)
         assert v0 == pytest.approx(0.0, abs=1e-14)
     params = ModelParams(SQRT2, 2.5)
-    v0 = _kernels.potential(0.0, 0.0, params.beta0p, params.zeta, params.xi)
+    v0 = _kernels.potential(0.0, 0.0, params.beta0p, params.couplings)
     assert v0 == pytest.approx(((2.5 - 1.0) / 2.0) * SQRT2**4, abs=1e-12)
 
 
 def test_potential_gamma_symmetry(rng):
     # V is invariant under gamma -> gamma + 2pi/3 (three-fold symmetry)
     params = ModelParams(1.7, 0.8)
-    coup = (params.beta0p, params.zeta, params.xi)
+    coup = (params.beta0p, params.couplings)
     for _ in range(10):
         b = rng.uniform(0, 1.3)
         g = rng.uniform(0, 2 * math.pi)

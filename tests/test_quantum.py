@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esqpt import density, quantum
+from esqpt import _kernels, density, quantum
 from esqpt.models import ModelParams
 
-from conftest import ROOT, SQRT2
+from conftest import ROOT, SQRT2, interior_points
 from oracle import fock
 from oracle.hamiltonian import h_scaled
 
@@ -183,6 +183,18 @@ def test_spectrum_continuous_at_critical_lambda():
     assert np.abs(e_left - e_right).max() < 1e-9
 
 
+@pytest.mark.parametrize("N", [20, 21, 50, 51])
+@pytest.mark.parametrize("b0", [0.5, 1.0, 1.7, 2.5])
+def test_critical_lambda_has_exactly_two_zero_levels(N, b0):
+    # the quantum image of lambda_c = 1, where the classical gamma = 0 minima
+    # at r = 0 and r = b both lie at E = 0: two levels at zero, for even and
+    # odd N, and a gap of order 1 above them
+    e = quantum.diagonalize(ModelParams(b0, 1.0), N).energies
+    assert np.sum(np.abs(e) < 1e-9) == 2
+    assert np.abs(e[:2]).max() < 1e-9
+    assert e[2] > 0.25
+
+
 # -- slopes and expectations -------------------------------------------------
 
 
@@ -216,9 +228,19 @@ def test_slopes_differ_across_critical_point():
 
 
 def test_coupling_slopes_are_one_sided_derivatives():
+    # zeta^2 is zeta * zeta, correctly rounded, where pow is not
+    assert ModelParams(1.7, 6e-05).couplings[1] == 6e-05 * 6e-05
+
     def couplings(lam):
-        p = ModelParams(1.7, lam)
-        return np.array([p.zeta**2, p.zeta, p.xi])
+        return np.array(ModelParams(1.7, lam).couplings[1:])
+
+    # the classical kernels weighed by (0, *slopes) are dH/dlambda and its
+    # gradient: the one-sided difference is off by d H_zz <= d on the first
+    # branch (|grad H_zz| <= 4 d) and by rounding alone on the second
+    pts = interior_points(np.random.default_rng(31), 200).T
+
+    def h_and_grad(lam, coeffs):
+        return (_kernels.h_eval(*pts, 1.7, coeffs), _kernels.h_grad(*pts, 1.7, coeffs))
 
     d = 1e-7
     for lam in (0.0, 0.4, 1.0, 2.3):
@@ -227,6 +249,11 @@ def test_coupling_slopes_are_one_sided_derivatives():
                 fd = sign * (couplings(lam + sign * d) - couplings(lam)) / d
                 got = ModelParams(1.7, lam).coupling_slopes(side)
                 assert np.abs(np.array(got) - fd).max() < 1e-6
+                moved, here = (h_and_grad(v, ModelParams(1.7, v).couplings)
+                               for v in (lam + sign * d, lam))
+                dh = h_and_grad(lam, (0.0, *got))
+                for a, b, c in zip(moved, here, dh):
+                    assert np.abs(sign * (a - b) / d - c).max() < 1e-6
 
 
 # the spectra of a fresh process, as the bytes of each result array

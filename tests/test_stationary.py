@@ -54,6 +54,31 @@ def test_census_points_are_stationary():
         assert np.abs(grad_H(params, sp.location * (1 - 1e-15))).max() < 1e-8
 
 
+@pytest.mark.parametrize("beta0p", [1.2, 1.7, 2.5])
+def test_dH_dlambda_at_each_census_point_is_the_slope_of_its_energy(beta0p):
+    # the envelope theorem: grad H = 0 at a point, so dE/dlambda along it is
+    # dH/dlambda there, the kernels weighed by (0, *coupling_slopes).  A
+    # non-degenerate point moves by O(d) over a central step of 2 d; the
+    # difference is off by d^2 |d^3 E / dlambda^3| / 6 and by eps |E| / d
+    d = 1e-5
+    for lam in (0.3, 0.7, 1.5, 2.2):
+        params = ModelParams(beta0p, lam)
+        pts = [sp for sp in stationary.find_stationary_points(params)
+               if sp.index_r != "degenerate"]
+        assert pts
+        locs = np.array([sp.location for sp in pts])
+        slope = _kernels.h_eval(*locs.T, beta0p, (0.0, *params.coupling_slopes()))
+        ends = []
+        for v in (lam - d, lam + d):
+            moved = stationary.find_stationary_points(ModelParams(beta0p, v))
+            near = np.linalg.norm(np.array([sp.location for sp in moved])[:, None] - locs, axis=2)
+            assert near.min(axis=0).max() < 1e-3
+            ends.append([moved[i] for i in near.argmin(axis=0)])
+        for sp, lo, hi, want in zip(pts, *ends, slope):
+            assert lo.index_r == hi.index_r == sp.index_r
+            assert abs((hi.energy - lo.energy) / (2.0 * d) - want) < 1e-6, (lam, sp)
+
+
 def dedupe_loop(points, tol=1e-6):
     """The O(n^2) dedupe that the batched one replaced, kept as its oracle."""
     kept = []
@@ -140,10 +165,10 @@ def test_exact_census_contains_the_multistart():
             locs = np.array([sp.location for sp in exact])
             flat = [sp.energy for sp in exact if sp.index_r == "degenerate"]
             for loc in locs:
-                grad = _kernels.h_grad(*loc, params.beta0p, params.zeta, params.xi)
+                grad = _kernels.h_grad(*loc, params.beta0p, params.couplings)
                 if np.abs(grad).max() > stationary.GRAD_TOL:
                     not_stationary.append((beta0p, lam, loc))
-            coup = (params.beta0p, params.zeta, params.xi)
+            coup = (params.beta0p, params.couplings)
             for loc in multistart_census(params, 3000):
                 if np.linalg.norm(locs - loc, axis=1).min() <= 1e-6:
                     continue
@@ -214,7 +239,7 @@ def test_census_polish_keeps_every_point_and_adds_none(beta0p, lam, count):
     pts = stationary.find_stationary_points(params)
     assert len(pts) == count
     for sp in pts:
-        grad = _kernels.h_grad(*sp.location, beta0p, params.zeta, params.xi)
+        grad = _kernels.h_grad(*sp.location, beta0p, params.couplings)
         assert np.abs(grad).max() <= 1e-8
 
 
@@ -312,7 +337,7 @@ def test_census_keeps_the_axis_points_stationary_at_both_signs_of_zeta(lam, coun
     # the census places it only to ~2e-6, the accuracy of a triple root
     beta0p, x0 = math.sqrt(3.0), math.sqrt(1.5)
     params = ModelParams(beta0p, lam)
-    coup = (beta0p, params.zeta, params.xi)
+    coup = (beta0p, params.couplings)
     pts = stationary.find_stationary_points(params)
     assert len(pts) == count
     locs = np.array([sp.location for sp in pts])
@@ -344,9 +369,9 @@ def test_census_at_zero_lambda_is_the_origin_and_the_flat_sphere(beta0p):
     # every point of the sphere is stationary at the same energy
     dirs = np.random.default_rng(5).standard_normal((50, 4))
     on_sphere = math.sqrt(r2) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    grad = _kernels.h_grad(*on_sphere.T, beta0p, 0.0, 0.0)
+    grad = _kernels.h_grad(*on_sphere.T, beta0p, params.couplings)
     assert np.abs(grad).max() <= stationary.GRAD_TOL
-    energies = _kernels.h_eval(*on_sphere.T, beta0p, 0.0, 0.0)
+    energies = _kernels.h_eval(*on_sphere.T, beta0p, params.couplings)
     assert np.abs(energies - sphere.energy).max() < 1e-12
 
 
@@ -431,7 +456,7 @@ def test_plane_hessian_does_not_couple_the_sigma_blocks(beta0p):
     for lam in CENSUS_GRID_LAMBDA:
         params = ModelParams(beta0p, lam)
         for sp in stationary._plane_census(params):
-            h = _kernels.h_hess(*sp.location, beta0p, params.zeta, params.xi)
+            h = _kernels.h_hess(*sp.location, beta0p, params.couplings)
             assert np.all(h[np.ix_([0, 3], [1, 2])] == 0.0)
 
 
@@ -551,7 +576,7 @@ def test_newton_singular_member_takes_its_own_step():
     # makes the batched solve raise for any batch that holds the origin
     params = ModelParams(SQRT2, 4.0 / 3.0)
     origin, regular = np.zeros(4), np.array([0.9, 0.1, 0.0, 0.2])
-    h0 = _kernels.h_hess(*origin, params.beta0p, params.zeta, params.xi)
+    h0 = _kernels.h_hess(*origin, params.beta0p, params.couplings)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(h0, np.ones(4))
     (alone,) = _newton_polish(params, regular[None], max_iter=200)
@@ -611,7 +636,7 @@ def has_axial_minimum(beta0p, lam):
     """A local minimum of the gamma = 0 kernel potential on 0 < beta < sqrt(1.5)."""
     beta = np.linspace(1e-4, math.sqrt(1.5), 40_001)
     params = ModelParams(beta0p, lam)
-    v = _kernels.potential(beta, 0.0, params.beta0p, params.zeta, params.xi)
+    v = _kernels.potential(beta, 0.0, params.beta0p, params.couplings)
     dv = np.diff(v)
     return bool(np.any((dv[:-1] < 0) & (dv[1:] > 0)))
 
@@ -632,7 +657,7 @@ def test_antispinodal_origin_hessian_sign_change(beta0p):
 
     def min_eig(lam):
         params = ModelParams(beta0p, lam)
-        hess = _kernels.h_hess(0.0, 0.0, 0.0, 0.0, beta0p, params.zeta, params.xi)
+        hess = _kernels.h_hess(0.0, 0.0, 0.0, 0.0, beta0p, params.couplings)
         return np.linalg.eigvalsh(hess).min()
 
     assert min_eig(lam_ss - 1e-6) > 0
@@ -669,7 +694,7 @@ def test_boundary_extrema_bound_the_kernel(beta0p):
         assert [e.kind for e in ext] == ["min", "max"]
         lo, hi = ext[0].energy, ext[1].energy
         assert (lo, hi) == stationary.boundary_minmax(params)
-        e = _kernels.h_eval(*(r * dirs.T), beta0p, params.zeta, params.xi)
+        e = _kernels.h_eval(*(r * dirs.T), beta0p, params.couplings)
         assert e.min() >= lo - 1e-6
         assert e.max() <= hi + 1e-6
         for x in ext:

@@ -16,6 +16,11 @@ largest location and energy differences between each row and its nearest
 counterpart of the same (r, branch).  For both trees it counts the rows with
 max |grad H| > 1e-9, and lists those that have no such row within 1e-6 in
 the same case of the other tree.  It writes no file.
+
+The child takes max |grad H| from `classical.grad_H(params, location)`, a
+call whose signature both trees share; census rows lie at R^2 < INTERIOR_R2,
+inside grad_H's boundary refusal.  When `classical` is folded into other
+modules, this call must move with it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ CHILD = """
 import json, sys
 import numpy as np
 import esqpt
-from esqpt import _kernels
+from esqpt.classical import grad_H
 from esqpt.models import ModelParams
 from esqpt.stationary import find_stationary_points
 
@@ -49,7 +54,7 @@ rows = []
 for i, (beta0p, lam) in enumerate(json.load(sys.stdin)):
     params = ModelParams(beta0p, lam)
     for sp in find_stationary_points(params):
-        grad = _kernels.h_grad(*sp.location, beta0p, params.zeta, params.xi)
+        grad = grad_H(params, sp.location)
         r = -1 if sp.index_r == "degenerate" else sp.index_r
         rows.append([i, *sp.location, sp.energy, r, sp.branch == "kinetic", np.abs(grad).max()])
 print(esqpt.__file__, file=sys.stderr)
