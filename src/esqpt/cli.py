@@ -330,7 +330,8 @@ def run_excited_surfaces(cfg):
 
 def run_spinodal(cfg):
     lo, hi = stationary.spinodal_points(cfg.beta0p)
-    return ["beta0p", "spinodal", "antispinodal"], [(cfg.beta0p, lo, hi)]
+    barrier = stationary.critical_barrier(cfg.beta0p)
+    return ["beta0p", "spinodal", "antispinodal", "barrier"], [(cfg.beta0p, lo, hi, barrier)]
 
 
 # subcommand: (runner, help line, options it reads besides COMMON)
@@ -350,7 +351,8 @@ COMMANDS = {
     "excited-surfaces": (run_excited_surfaces,
                          "excited energy surfaces and their stationary points",
                          LAMBDA + ("n", "n-gamma", "n-beta")),
-    "spinodal": (run_spinodal, "spinodal and antispinodal lambda values", ()),
+    "spinodal": (run_spinodal, "spinodal and antispinodal lambda values, and the "
+                 "barrier at lambda = 1", ()),
 }
 
 

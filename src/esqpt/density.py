@@ -162,7 +162,8 @@ def mc_density_scan(
     width = edges[1] - edges[0]
     p = counts / n_samples
     rho = dim * p / width
-    err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
+    # binomial error of max(k, 1) counts: an empty bin carries one count's weight
+    err = dim * np.sqrt(np.maximum(counts, 1) / n_samples * (1 - p) / n_samples) / width
     grids = [
         DensityGrid(edges, r, e, int(n_samples), par, int(ref_N),
                     n_outside=int(n_samples - row.sum()))

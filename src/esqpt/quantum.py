@@ -13,8 +13,9 @@ phases chosen +1 (k = tau / 3, G = [d+ d+]^(2), W = sum_mu G_mu d_mu):
     <n+1, tau+3|W|n, tau>^2  2(k+1)^2 / [7(2k+1)(2k+3)] (n-tau)(n+tau+5)(n+tau+7)
     <n+1, tau-3|W|n, tau>^2  2k^2 / [7(2k-1)(2k+1)] (n-tau+2)(n-tau+4)(n+tau+3)
 
-N H = A + zeta^2 B + zeta C + xi D with four sparse operators built once per
-(N, beta0p) (`_operators`); `_assemble` weighs them by `ModelParams.couplings`
+N H = A + zeta^2 B + zeta C + xi D with four sparse operators built, with the
+n_d labels, once per (N, beta0p) (`_operators`, the one memo); `_assemble`
+weighs them by `ModelParams.couplings`
 for H and by (0, `ModelParams.coupling_slopes`) for dH/dlambda.
 Spectra are exact for N <= N_CAP_DEFAULT = 200 (basis dimension 3434).
 """
@@ -66,78 +67,55 @@ def check_boson_number(N):
 # parameter-independent operators
 
 
-@dataclass(frozen=True)
-class ChainBlocks:
-    """L=0 states with n_d <= n_max and the parameter-independent operators on them.
-
-    `pdag` and `w` hold the nonzero elements as (target rows, source columns,
-    values); `q2` is the diagonal of sum_mu G_mu G_mu+.
-    """
-
-    nd: np.ndarray
-    tau: np.ndarray
-    q2: np.ndarray
-    pdag: tuple  # <n+2, tau|P+|n, tau>
-    w: tuple  # <n+1, tau +- 3|W|n, tau>
-
-
-@lru_cache(maxsize=4)
 def chain_blocks(n_max):
-    """Parameter-independent operators on the L=0 states with n_d <= n_max."""
+    """(n_d, tau) arrays of the L=0 states with n_d <= n_max, in basis order."""
     states = [(n, 3 * a) for n in range(n_max + 1) for _, a in sector_labels(n)]
     nd, tau = np.array(states, dtype=np.int64).reshape(-1, 2).T
-    q2 = (2.0 / 7.0) * (nd * (nd - 2) + tau * (tau + 3))
-    # the states of d-number n start at offset[n], with a = tau/3 = n mod 2, n mod 2 + 2, ...
-    offset = np.searchsorted(nd, np.arange(n_max + 1))
-
-    def pairs(dn, da):
-        """(rows, cols) of every state pair (n, a) -> (n + dn, a + da), by source."""
-        n, a = nd + dn, tau // 3 + da
-        cols = np.flatnonzero((a >= 0) & (3 * a <= n) & (n <= n_max))
-        n, a = n[cols], a[cols]
-        return offset[n] + (a - n % 2) // 2, cols
-
-    rows, cols = pairs(2, 0)
-    n, t = nd[cols], tau[cols]
-    pdag = (rows, cols, np.sqrt((n - t + 2.0) * (n + t + 5)))
-
-    up_rows, up_cols = pairs(1, 1)
-    n, t = nd[up_cols], tau[up_cols]
-    k = t // 3
-    up = 2.0 * (k + 1) ** 2 / (7 * (2 * k + 1) * (2 * k + 3)) * (n - t) * (n + t + 5) * (n + t + 7)
-    down_rows, down_cols = pairs(1, -1)
-    n, t = nd[down_cols], tau[down_cols]
-    k = t // 3
-    down = 2.0 * k**2 / (7 * (2 * k - 1) * (2 * k + 1)) * (n - t + 2) * (n - t + 4) * (n + t + 3)
-    w = (
-        np.concatenate([up_rows, down_rows]),
-        np.concatenate([up_cols, down_cols]),
-        np.sqrt(np.concatenate([up, down])),
-    )
-    return ChainBlocks(nd, tau, q2, pdag, w)
+    return nd, tau
 
 
 @lru_cache(maxsize=4)
 def _operators(N, beta0p):
-    """A, B, C, D with N H = A + zeta^2 B + zeta C + xi D on the N-boson L=0 space.
+    """n_d labels and A, B, C, D with N H = A + zeta^2 B + zeta C + xi D on the
+    N-boson L=0 space, as (nd, (A, B, C, D)).
 
     Each operator is (rows, cols, values) listing every nonzero element once,
     both triangles included, so that a scatter-add assembles it exactly.
-    Memoized like `chain_blocks`; no caller writes to the shared arrays.
+    The memo shares every array among its callers, so each is read-only.
     """
     check_boson_number(N)
-    ch = chain_blocks(N)
-    n = ch.nd
+    n, tau = chain_blocks(N)
+    # the states of d-number m start at offset[m], with a = tau/3 = m mod 2, m mod 2 + 2, ...
+    offset = np.searchsorted(n, np.arange(N + 1))
+
+    def pairs(dn, da):
+        """(rows, cols) of every state pair (n, a) -> (n + dn, a + da), by
+        source, and the source's (n_d, tau)."""
+        m, a = n + dn, tau // 3 + da
+        cols = np.flatnonzero((a >= 0) & (3 * a <= m) & (m <= N))
+        m, a = m[cols], a[cols]
+        return offset[m] + (a - m % 2) // 2, cols, n[cols], tau[cols]
+
     diag = np.arange(len(n))
     a = (diag, diag, 2.0 * n * (n - 1) + 2.0 * beta0p**2 * (N - n) * n)
-    b = (diag, diag, -2.0 * n * (n - 1) + 7.0 * ch.q2)
+    q2 = (2.0 / 7.0) * (n * (n - 2) + tau * (tau + 3))  # sum_mu G_mu G_mu+
+    b = (diag, diag, -2.0 * n * (n - 1) + 7.0 * q2)
 
-    rows, cols, w = ch.w
-    cw = math.sqrt(14.0) * beta0p * np.sqrt(N - n[cols]) * w
+    # C = sqrt(14) beta0p (s+ W + W+ s), W: (n, tau) -> (n + 1, tau +- 3)
+    up_rows, up_cols, m, t = pairs(1, 1)
+    k = t // 3
+    up = 2.0 * (k + 1) ** 2 / (7 * (2 * k + 1) * (2 * k + 3)) * (m - t) * (m + t + 5) * (m + t + 7)
+    down_rows, down_cols, m, t = pairs(1, -1)
+    k = t // 3
+    down = 2.0 * k**2 / (7 * (2 * k - 1) * (2 * k + 1)) * (m - t + 2) * (m - t + 4) * (m + t + 3)
+    rows, cols = np.concatenate([up_rows, down_rows]), np.concatenate([up_cols, down_cols])
+    cw = math.sqrt(14.0) * beta0p * np.sqrt(N - n[cols]) * np.sqrt(np.concatenate([up, down]))
     c = (np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([cw, cw]))
 
-    # D = S+ S with S = P - beta0p^2 s s from the N- to the (N-2)-boson space
-    rows, cols, p = ch.pdag
+    # D = S+ S with S = P - beta0p^2 s s from the N- to the (N-2)-boson space,
+    # P+: (n, tau) -> (n + 2, tau)
+    rows, cols, m, t = pairs(2, 0)
+    p = np.sqrt((m - t + 2.0) * (m + t + 5))
     ss = beta0p**2 * np.sqrt((N - n) * np.maximum(N - n - 1, 0))
     dd = ss**2
     dd[rows] += p**2
@@ -147,7 +125,9 @@ def _operators(N, beta0p):
         np.concatenate([diag, cols, rows]),
         np.concatenate([dd, off, off]),
     )
-    return a, b, c, d
+    for array in (n, *a, *b, *c, *d):
+        array.flags.writeable = False
+    return n, (a, b, c, d)
 
 
 def _assemble(coeffs, operators):
@@ -166,7 +146,7 @@ def _assemble(coeffs, operators):
 
 def build_hamiltonian(params: ModelParams, N):
     """Dense symmetric H(lambda, beta0p) in the L=0 basis: `_operators` weighed by `couplings`."""
-    return _assemble(params.couplings, _operators(N, params.beta0p)) / N
+    return _assemble(params.couplings, _operators(N, params.beta0p)[1]) / N
 
 
 @dataclass
@@ -202,7 +182,8 @@ def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
     levels continue into, whatever basis `eigh` returned.
     """
     evals, evecs = np.linalg.eigh(build_hamiltonian(params, N))
-    dh = _assemble((0.0, *params.coupling_slopes(side)), _operators(N, params.beta0p)) / N
+    nd, operators = _operators(N, params.beta0p)
+    dh = _assemble((0.0, *params.coupling_slopes(side)), operators) / N
     dh_v = dh @ evecs
     slopes = np.einsum("ij,ij->j", evecs, dh_v)
     tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
@@ -212,7 +193,7 @@ def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
             v = evecs[:, lo:hi]
             slopes[lo:hi], u = np.linalg.eigh(v.T @ dh_v[:, lo:hi])
             evecs[:, lo:hi] = v @ u
-    nd_exp = np.einsum("ij,i,ij->j", evecs, chain_blocks(N).nd, evecs)
+    nd_exp = np.einsum("ij,i,ij->j", evecs, nd, evecs)
     return SpectrumResult(params, N, evals, slopes, nd_exp)
 
 

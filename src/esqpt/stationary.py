@@ -278,7 +278,13 @@ def spinodal_points(beta0p):
     Its Hessian eigenvalues are b^2 [1 - xi (1 + b^2)] in the coordinates and
     b^2 [1 + xi (1 - b^2)] in the momenta; the first vanishes first, at
     xi = 1 / (1 + b^2).  At the critical lambda_c = 1 both gamma = 0 minima,
-    r = 0 and r = b, lie at E = 0, with the barrier E_b = (sqrt(1 + b^2) - 1)^2 / 4.
+    r = 0 and r = b, lie at E = 0, with the barrier `critical_barrier`
+    between them.
+
+    Two lines of beta0p are special: b^2 = 2, above which the lambda = 0
+    census is a sphere of stationary points and, up to b^2 = 3, the
+    near-boundary minimum exists (the SU(3) point lambda = 2 lies on b^2 = 2);
+    and b^2 = 3, from which on lambda_star = 0.
     """
     ModelParams(beta0p, 0.0)  # rejects beta0p <= 0
     b2 = beta0p * beta0p
@@ -287,6 +293,17 @@ def spinodal_points(beta0p):
         sigma = 3.0 / (3.0 + math.sqrt(9.0 + 3.0 * b2 * (2.0 - b2)))
         lam_star = (1.0 + (2.0 - b2) * sigma) / (math.sqrt(sigma) * (3.0 - sigma * b2))
     return lam_star, 1.0 + 1.0 / (1.0 + b2)
+
+
+def critical_barrier(beta0p):
+    """E_b = (sqrt(1 + b^2) - 1)^2 / 4 between the two E = 0 minima at lambda_c = 1.
+
+    The gamma = 0 axis saddle between r = 0 and r = b, b = beta0p.  Written as
+    (b^2 / (1 + hypot(1, b)))^2 / 4, free of the cancellation in
+    sqrt(1 + b^2) - 1 at small b.
+    """
+    ModelParams(beta0p, 0.0)  # rejects beta0p <= 0
+    return (beta0p * beta0p / (1.0 + math.hypot(1.0, beta0p))) ** 2 / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +355,14 @@ def boundary_exponent(k_list, m_exponent):
     dirs = 2 * DEGREES_OF_FREEDOM - 1
     if len(k_list) != dirs:
         raise ValueError(f"expected {dirs} transverse powers, got {len(k_list)}")
-    inv_sum = Fraction(0)
+    inv_sum = Fraction(0)  # sum of 1/K over the directions
     for k in k_list:
         if k == math.inf:
             continue
         if k < 2:
             raise ValueError(f"transverse powers must be >= 2, got {k}")
-        inv_sum += Fraction(1, int(k)) if float(k).is_integer() else Fraction(1) / Fraction(k)
-    mean_inv = inv_sum / dirs  # 1/K averaged over directions
-    i_val = dirs * mean_inv + Fraction(1) / Fraction(m_exponent) - 1
+        inv_sum += 1 / Fraction(k)
+    i_val = inv_sum + 1 / Fraction(m_exponent) - 1
     is_int = i_val.denominator == 1
     verdict = "discontinuous" if is_int else "divergent"
     order = int(math.ceil(i_val))

@@ -2,6 +2,7 @@
 runs, and the two trees it compares. No benchmark runs here."""
 
 import importlib.util
+import json
 
 import pytest
 
@@ -86,6 +87,32 @@ def test_pairs_alternate_and_stop_at_an_incorrect_run(tool):
     with pytest.raises(RuntimeError, match="pair 2: the change run is not correct"):
         tool.run_pairs(failing, 10)
     assert order == ["parent", "change", "change"]
+
+
+def test_each_workload_runs_its_pairs_in_turn_on_trees_prepared_once(tool, tmp_path,
+                                                                     monkeypatch):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    prepared, ran = [], []
+    monkeypatch.setattr(tool, "prepare", lambda rev, workdir: prepared.append(rev))
+
+    def run_benchmark(tree, workload, seed, seconds):
+        ran.append((tree.name, workload))
+        return {"correct": True, "metrics": {name: {"value": len(ran)} for name in names}}
+
+    monkeypatch.setattr(tool, "run_benchmark", run_benchmark)
+    out = tmp_path / "pairs.json"
+    assert tool.main(["HEAD", "--workload", "spectra", "--workload", "density-map",
+                      "--pairs", "2", "--json", str(out)]) == 0
+    assert prepared == ["HEAD"]
+    order = ["parent", "change", "change", "parent"]
+    assert ran == [(side, w) for w in ("spectra", "density-map") for side in order]
+    workloads = json.loads(out.read_text())["workloads"]
+    assert list(workloads) == ["spectra", "density-map"]
+    for comparison, first in zip(workloads.values(), (1, 5)):
+        assert list(comparison) == names
+        for m in comparison.values():
+            assert m["parent_runs"] == [first, first + 3]
+            assert m["change_runs"] == [first + 1, first + 2]
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git checkout")

@@ -97,7 +97,7 @@ def test_spinodal_subcommand_at_a_tiny_beta0p(tmp_path):
     # beta0'^2 underflows; lambda* takes its beta0' -> 0 limit 2 sqrt(2) / 3
     out = tmp_path / "spin.csv"
     assert cli.main(["spinodal", "--beta0p", "1e-200", "-o", str(out)]) == 0
-    assert read_lines(out)[1] == f"1e-200,{fmt(2 * SQRT2 / 3)},2"
+    assert read_lines(out)[1] == f"1e-200,{fmt(2 * SQRT2 / 3)},2,0"
 
 
 def test_spinodal_subcommand(tmp_path):
@@ -105,10 +105,12 @@ def test_spinodal_subcommand(tmp_path):
     code = cli.main(["spinodal", "--beta0p", SQRT2_STR, "-o", str(out)])
     assert code == 0
     header, row = read_lines(out)
-    assert header == "beta0p,spinodal,antispinodal"
-    _, lo, hi = row.split(",")
+    assert header == "beta0p,spinodal,antispinodal,barrier"
+    _, lo, hi, barrier = row.split(",")
     assert float(lo) == pytest.approx(0.707, abs=5e-3)
     assert float(hi) == pytest.approx(1.333, abs=5e-3)
+    b = float(SQRT2_STR)
+    assert float(barrier) == pytest.approx((math.sqrt(1.0 + b * b) - 1.0) ** 2 / 4.0, rel=1e-9)
     manifest = json.loads((tmp_path / "spin.csv.manifest.json").read_text())
     assert manifest["command"] == "spinodal"
     assert manifest["seed"] == 0
@@ -360,13 +362,17 @@ def test_pool_map_parts(monkeypatch, pool_tasks):
 
 
 def test_spectrum_builds_the_operators_once(tmp_path, monkeypatch):
-    # the lambda-independent operators of one (N, beta0p) serve every lambda
+    # the lambda-independent operators and labels of one (N, beta0p) serve every lambda
     monkeypatch.setenv("ESQPT_THREADS", "1")
     quantum._operators.cache_clear()
+    labelled = []
+    chain_blocks = quantum.chain_blocks
+    monkeypatch.setattr(quantum, "chain_blocks", lambda n: labelled.append(n) or chain_blocks(n))
     assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda-start", "0.4",
                      "--lambda-stop", "2.0", "--lambda-step", "0.4", "--n", "6",
                      "-o", str(tmp_path / "spec.csv")]) == 0
     assert quantum._operators.cache_info().misses == 1
+    assert labelled == [6]
 
 
 @pytest.mark.parametrize("cpus, variables, asked", [

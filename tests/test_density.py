@@ -66,7 +66,7 @@ def _oracle_mc_density(params, n_samples, seed):
     width = edges[1] - edges[0]
     p = counts / n_samples
     rho = dim * p / width
-    err = dim * np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples**2) / n_samples) / width
+    err = dim * np.sqrt(np.maximum(counts, 1) / n_samples * (1 - p) / n_samples) / width
     return rho, err, n_samples - counts.sum()
 
 
@@ -198,10 +198,7 @@ def test_n_outside_counts_samples_off_the_window():
 def test_mc_density_at_zero_lambda_matches_the_exact_counting_function(beta0p, seed):
     # at lambda = 0, H depends on R alone and F(E) = P(H <= E) is exact
     # (oracle.level_density).  Bins expected to hold fewer than 5 samples are
-    # left out: an empty bin reports a zero error however many samples it
-    # should hold (at beta0p = 1.7, 2e6 samples and seeds 1 and 3, the bin
-    # (-0.0087, 0.0017) is empty where 0.67 are expected), which the density
-    # errors of empty bins are still to mend
+    # left to the test of sparse bins below
     n = 1_000_000
     grid = density.mc_density(ModelParams(beta0p, 0.0), n_samples=n, seed=seed)
     cdf = zero_lambda_cdf(beta0p, grid.e_edges)
@@ -218,6 +215,19 @@ def test_mc_density_at_zero_lambda_matches_the_exact_counting_function(beta0p, s
     assert abs(grid.n_outside / n - outside) <= 4.0 * math.sqrt(outside * (1.0 - outside) / n)
     sigma = quantum.basis_dimension(grid.ref_N) * np.sqrt(p * (1.0 - p) / n) / grid.binwidth
     assert np.median(grid.mc_error[used] / sigma[used]) == pytest.approx(1.0, abs=0.01)
+
+
+def test_mc_density_of_sparse_bins_lies_within_its_errors_of_the_exact_density():
+    # a bin expected to hold fewer than 5 samples carries the binomial error of
+    # max(k, 1) counts; at beta0p = 1.7, 2e6 samples and seed 1 the bin
+    # (-0.0087, 0.0017) is empty where 0.67 samples are expected
+    n = 2_000_000
+    grid = density.mc_density(ModelParams(1.7, 0.0), n_samples=n, seed=1)
+    p = np.diff(zero_lambda_cdf(1.7, grid.e_edges))
+    rho = quantum.basis_dimension(grid.ref_N) * p / grid.binwidth
+    sparse = n * p < 5.0
+    assert np.any(sparse & (p > 0.0) & (grid.rho == 0.0))
+    assert np.all(np.abs(grid.rho - rho)[sparse] <= 5.0 * grid.mc_error[sparse])
 
 
 def test_mc_error_scaling():

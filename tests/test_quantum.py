@@ -50,27 +50,27 @@ def test_sector_labels_partition(n):
 
 
 def test_basis_states_sorted_unique():
-    ch = quantum.chain_blocks(12)
-    states = list(zip(ch.nd.tolist(), ch.tau.tolist()))
+    nd, tau = quantum.chain_blocks(12)
+    states = list(zip(nd.tolist(), tau.tolist()))
     assert len(states) == quantum.basis_dimension(12)
     assert len(set(states)) == len(states)
     # by n_d, then by ascending tau
     assert states == sorted(states)
     for n, tau in states:
         assert tau % 3 == 0 and (n - tau) % 2 == 0 and tau <= n
-    # each operator lists every pair its selection rule allows exactly once, target
-    # row from source column: P+ (n, tau) -> (n + 2, tau), W (n, tau) -> (n + 1, tau +- 3)
+    # the nonzero off-diagonal elements of D and C are every pair, in both
+    # triangles, that the selection rule of P+ (n, tau) -> (n + 2, tau) and of
+    # W (n, tau) -> (n + 1, tau +- 3) allows, each listed once
+    _, (_, _, c, d) = quantum._operators(12, 1.7)
     rules = {
-        "pdag": lambda n, t, n2, t2: n2 == n + 2 and t2 == t,
-        "w": lambda n, t, n2, t2: n2 == n + 1 and abs(t2 - t) == 3,
+        "D": (d, lambda n, t, n2, t2: n2 == n + 2 and t2 == t),
+        "C": (c, lambda n, t, n2, t2: n2 == n + 1 and abs(t2 - t) == 3),
     }
-    for name, allowed in rules.items():
-        rows, cols, _ = getattr(ch, name)
-        got = [(int(r), int(c)) for r, c in zip(rows, cols)]
-        assert all(allowed(*states[c], *states[r]) for r, c in got)
+    for name, ((rows, cols, vals), allowed) in rules.items():
+        got = sorted((int(r), int(c)) for r, c, v in zip(rows, cols, vals) if r != c and v != 0.0)
         want = [(i, j) for i, s2 in enumerate(states) for j, s in enumerate(states)
-                if allowed(*s, *s2)]
-        assert sorted(got) == want
+                if allowed(*s, *s2) or allowed(*s2, *s)]
+        assert got == want, name
 
 
 # -- Hamiltonian vs Fock oracle ---------------------------------------------
@@ -282,6 +282,13 @@ def test_memoized_operators_give_the_spectra_of_a_fresh_process():
     out = subprocess.run([sys.executable, "-c", FRESH_SPECTRA], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == got
+
+
+def test_memoized_operators_are_read_only():
+    nd, operators = quantum._operators(6, 1.7)
+    for array in (nd, *(a for op in operators for a in op)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_nd_expectation_bounds_and_u5_integers():

@@ -605,14 +605,18 @@ def test_spinodal_closed_form():
         assert stationary.spinodal_points(beta0p)[0] == 0.0
     with pytest.raises(ValueError):
         stationary.spinodal_points(0.0)
+    with pytest.raises(ValueError):
+        stationary.critical_barrier(0.0)
 
 
 def test_spinodal_small_beta0p_limit():
-    # lambda* -> 2 sqrt(2) / 3 as beta0' -> 0, also where beta0'^2 underflows
+    # lambda* -> 2 sqrt(2) / 3 as beta0' -> 0, also where beta0'^2 underflows;
+    # the barrier E_b -> b^4 / 16, where sqrt(1 + b^2) - 1 rounds to 0
     for beta0p in (1e-200, 1e-160, 1e-8):
         lo, hi = stationary.spinodal_points(beta0p)
         assert lo == pytest.approx(2.0 * SQRT2 / 3.0, rel=1e-15)
         assert hi == 2.0
+        assert stationary.critical_barrier(beta0p) == pytest.approx(beta0p**4 / 16.0, rel=1e-14)
     lo, hi = stationary.spinodal_points(1e-3)
     assert lo == pytest.approx(2.0 * SQRT2 / 3.0, rel=1e-6)
     assert hi == pytest.approx(2.0, rel=1e-6)
@@ -623,13 +627,15 @@ def test_critical_point_has_two_minima_at_zero_and_the_closed_form_barrier(beta0
     # at lambda_c = 1 the gamma = 0 potential sin^2(th) (b cos(th) - sin(th))^2
     # has its minima th = 0 and tan(th) = b at E = 0, and between them the
     # axis saddle at E_b = (sqrt(1 + b^2) - 1)^2 / 4
+    barrier = stationary.critical_barrier(beta0p)
+    assert barrier == pytest.approx((math.sqrt(1.0 + beta0p**2) - 1.0) ** 2 / 4.0, rel=1e-14)
     trivial = [sp for sp in stationary._plane_census(ModelParams(beta0p, 1.0))
                if sp.branch == "trivial_momentum"]
     minima = [sp for sp in trivial if sp.index_r == 0]
     (saddle,) = [sp for sp in trivial if sp.index_r == 1]
     assert len(minima) == 2
     assert all(abs(sp.energy) <= 1e-12 for sp in minima)
-    assert abs(saddle.energy - (math.sqrt(1.0 + beta0p**2) - 1.0) ** 2 / 4.0) <= 1e-12
+    assert abs(saddle.energy - barrier) <= 1e-12
 
 
 def has_axial_minimum(beta0p, lam):

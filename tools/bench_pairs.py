@@ -1,30 +1,32 @@
 """Alternating benchmark runs of a parent revision and of this working tree.
 
-    python tools/bench_pairs.py PARENT_REV --workload W [--pairs 10] [--seed S]
-                                [--seconds 20] [--json OUT]
+    python tools/bench_pairs.py PARENT_REV --workload W [--workload W2 ...]
+                                [--pairs 10] [--seed S] [--seconds 20] [--json OUT]
 
 The parent's `src` and `perfbench` (`git archive PARENT_REV`) and copies of
-the working tree's are placed in two sibling temporary directories whose
+the working tree's are placed once in two sibling temporary directories whose
 paths have the same length: the path length alone moves `setup_rss_mb`.
-Each pair runs `perfbench/run.py --workload W` once on each side, the parent
-first in odd-numbered pairs and the change first in even-numbered ones. A
-run that reports `"correct": false` stops the comparison (exit 1).
+The workloads run in turn, each its `--pairs` pairs. Each pair runs
+`perfbench/run.py --workload W` once on each side, the parent first in
+odd-numbered pairs and the change first in even-numbered ones. A run that
+reports `"correct": false` stops the comparison (exit 1).
 
-For each end-to-end metric of BENCHMARK.json the report gives each side's
-median and exclusive quartiles, the relative change of the medians, the
-pairs the change wins (ties count for neither side; the metric's `better`
-gives the direction), whether a gain claim holds (wins in at least nine
-tenths of the pairs, and a median improvement larger than the parent's
-quartile range) and whether the change is worse than the parent by more
-than the metric's bound, relative to the parent's median. --json writes the
-comparison in the `workloads` shape of BENCH_*.json, each metric with its
-`claim` and `beyond_bound` verdicts. Nothing is written in
-the repository, and the temporary directories are removed at the end.
+For each workload and each end-to-end metric of BENCHMARK.json the report
+gives each side's median and exclusive quartiles, the relative change of the
+medians, the pairs the change wins (ties count for neither side; the
+metric's `better` gives the direction), whether a gain claim holds (wins in
+at least nine tenths of the pairs, and a median improvement larger than the
+parent's quartile range) and whether the change is worse than the parent by
+more than the metric's bound, relative to the parent's median. --json writes
+the comparison of every workload in the `workloads` shape of BENCH_*.json,
+each metric with its `claim` and `beyond_bound` verdicts. Nothing is written
+in the repository, and the temporary directories are removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -112,7 +114,8 @@ def run_benchmark(tree, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def report(comparison, pairs):
+def report(workload, comparison, pairs):
+    print(workload)
     print(f"{'metric':14s} {'parent median [q1, q3]':>28s} {'change median [q1, q3]':>28s} "
           f"{'change':>8s} {'wins':>6s} claim beyond-bound")
     for name, m in comparison.items():
@@ -125,7 +128,8 @@ def report(comparison, pairs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_rev", help="git revision of the parent")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload to compare; repeat for more")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, help="workload seed (default: perfbench's)")
     ap.add_argument("--seconds", type=float, default=20.0)
@@ -135,32 +139,37 @@ def main(argv=None):
         ap.error("--pairs must be at least 1")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
+    runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         workdir = Path(tmp)
         try:
             prepare(args.parent_rev, workdir)
 
-            def run(side):
-                doc = run_benchmark(workdir / side, args.workload, args.seed, args.seconds)
+            def run(workload, side):
+                doc = run_benchmark(workdir / side, workload, args.seed, args.seconds)
                 wall = doc["metrics"]["wall_s"]["value"]
-                print(f"{side} wall_s {wall:.4g}", file=sys.stderr)
+                print(f"{workload} {side} wall_s {wall:.4g}", file=sys.stderr)
                 return doc
 
-            runs = run_pairs(run, args.pairs)
+            for workload in args.workload:
+                runs[workload] = run_pairs(functools.partial(run, workload), args.pairs)
         except (RuntimeError, subprocess.CalledProcessError) as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1
 
-    comparison = {
-        m["name"]: compare([r[m["name"]]["value"] for r in runs["parent"]],
-                           [r[m["name"]]["value"] for r in runs["change"]],
-                           m["better"], m["bound"])
-        for m in end_to_end
+    workloads = {
+        workload: {
+            m["name"]: compare([r[m["name"]]["value"] for r in sides["parent"]],
+                               [r[m["name"]]["value"] for r in sides["change"]],
+                               m["better"], m["bound"])
+            for m in end_to_end
+        }
+        for workload, sides in runs.items()
     }
-    report(comparison, args.pairs)
+    for workload, comparison in workloads.items():
+        report(workload, comparison, args.pairs)
     if args.json:
-        args.json.write_text(json.dumps({"workloads": {args.workload: comparison}}, indent=1)
-                             + "\n")
+        args.json.write_text(json.dumps({"workloads": workloads}, indent=1) + "\n")
     return 0
 
 
