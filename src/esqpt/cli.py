@@ -134,7 +134,9 @@ def _lambda_grid(args):
         raise ValueError("lambda step must be positive")
     if stop < start:
         raise ValueError("lambda range is empty")
-    n = int(round((stop - start) / step)) + 1
+    # the most values that do not pass stop; the 1e-9 keeps a step that divides
+    # the range, such as 0.02 into 3.2, from losing its last value to rounding
+    n = math.floor((stop - start) / step + 1e-9) + 1
     # each value is the number the CSV prints, not start + step * i, which
     # can miss it in the last bit (0.7000000000000001 for 0.7)
     grid = np.array([float(fmt(v)) for v in start + step * np.arange(n)])

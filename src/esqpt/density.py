@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _derivs, _kernels
 from .models import R0_SQUARED, ModelParams
-from .quantum import basis_dimension
+from .quantum import basis_dimension, gaussian_spectral_density
 
 DEFAULT_BINS = 300
 DEFAULT_E_RANGE = (-0.05, 3.05)
@@ -300,20 +300,6 @@ class FlowGrid:
     rho: np.ndarray  # smoothed quantum level density
     jbar: np.ndarray  # smoothed level flow
     phibar: np.ndarray  # velocity field jbar / rho
-
-
-def gaussian_spectral_density(energies, centers, width, weights=None):
-    """Sum of unit-area Gaussians at `energies`, optionally weighted; `width`
-    is one width for all levels or an array of one width per level."""
-    if weights is None:
-        weights = np.ones_like(energies)
-    widths = np.broadcast_to(width, np.shape(energies))
-    out = np.zeros_like(centers, dtype=float)
-    with np.errstate(over="ignore"):  # a tiny width: exp(-inf) = 0 is exact
-        for e, s, w in zip(energies, widths, weights):
-            norm = 1.0 / (s * math.sqrt(2 * math.pi))
-            out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
-    return out
 
 
 def smoothed_flow(spectrum, width=0.05, bins=DEFAULT_BINS):

@@ -46,6 +46,8 @@ class ModelParams:
 
     def coupling_slopes(self, side="left"):
         """d(zeta^2, zeta, xi)/dlambda from the `side` ("left" or "right") of lambda."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if self.lam < LAMBDA_CRITICAL or (self.lam == LAMBDA_CRITICAL and side == "left"):
             return (2.0 * self.zeta, 1.0, 0.0)
         return (0.0, 0.0, 1.0)

@@ -3,8 +3,9 @@
 The L = 0 states of N s/d bosons are labelled by the U(5) > O(5) quantum
 numbers (n_d, tau): at d-boson number n the seniorities are
 tau in {n, n-2, ...} with tau = 0 (mod 3), one state each (Arima & Iachello,
-Ann. Phys. 99 (1976) 253).  States are ordered by n_d, then by ascending tau,
-so (n, a = tau/3) sits at index offset[n] + (a - n mod 2)/2.
+Ann. Phys. 99 (1976) 253): a = tau/3 runs over n mod 2, n mod 2 + 2, ... up
+to n/3.  States are ordered by n_d, then by ascending tau, so (n, a) sits at
+index offset[n] + (a - n mod 2)/2.
 Every parameter-independent operator is analytic in (n_d, tau), with all
 phases chosen +1 (k = tau / 3, G = [d+ d+]^(2), W = sum_mu G_mu d_mu):
 
@@ -41,13 +42,9 @@ OSC_SIGMA_MAX = 0.1
 # labels and dimensions
 
 
-def sector_labels(n):
-    """(k, a) with 2k + 3a = n, ordered by increasing a; the state has tau = 3a."""
-    return [((n - 3 * a) // 2, a) for a in range(0, n // 3 + 1) if (n - 3 * a) % 2 == 0]
-
-
 def sector_size(n):
-    return len(sector_labels(n))
+    """Number of L=0 states with n_d = n."""
+    return len(range(n % 2, n // 3 + 1, 2))
 
 
 def basis_dimension(N):
@@ -69,7 +66,7 @@ def check_boson_number(N):
 
 def chain_blocks(n_max):
     """(n_d, tau) arrays of the L=0 states with n_d <= n_max, in basis order."""
-    states = [(n, 3 * a) for n in range(n_max + 1) for _, a in sector_labels(n)]
+    states = [(n, 3 * a) for n in range(n_max + 1) for a in range(n % 2, n // 3 + 1, 2)]
     nd, tau = np.array(states, dtype=np.int64).reshape(-1, 2).T
     return nd, tau
 
@@ -197,6 +194,20 @@ def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
     return SpectrumResult(params, N, evals, slopes, nd_exp)
 
 
+def gaussian_spectral_density(energies, centers, width, weights=None):
+    """Sum of unit-area Gaussians at `energies`, optionally weighted; `width`
+    is one width for all levels or an array of one width per level."""
+    if weights is None:
+        weights = np.ones_like(energies)
+    widths = np.broadcast_to(width, np.shape(energies))
+    out = np.zeros_like(centers, dtype=float)
+    with np.errstate(over="ignore"):  # a tiny width: exp(-inf) = 0 is exact
+        for e, s, w in zip(energies, widths, weights):
+            norm = 1.0 / (s * math.sqrt(2 * math.pi))
+            out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
+    return out
+
+
 def oscillatory_density(params: ModelParams, N, grid):
     """Oscillatory part of the level density on a DensityGrid's bins.
 
@@ -205,8 +216,6 @@ def oscillatory_density(params: ModelParams, N, grid):
     the level's energy (at most OSC_SIGMA_MAX), keeping it below the local
     mean spacing.
     """
-    from .density import gaussian_spectral_density  # density imports quantum
-
     eps = diagonalize(params, N).epsilon
     rho_at = np.interp(eps, grid.e_centers, grid.rho)
     sigma = np.where(

@@ -220,8 +220,8 @@ def test_acceptance_08_continuity_equation(announce):
         mid = quantum.diagonalize(ModelParams(SQRT2, lam), N)
         flow = density.smoothed_flow(mid, width=width)
         centers = flow.e_centers
-        rho_lo = density.gaussian_spectral_density(lo.epsilon, centers, width)
-        rho_hi = density.gaussian_spectral_density(hi.epsilon, centers, width)
+        rho_lo = quantum.gaussian_spectral_density(lo.epsilon, centers, width)
+        rho_hi = quantum.gaussian_spectral_density(hi.epsilon, centers, width)
         drho_dlam = (rho_hi - rho_lo) / (2 * delta)
         dj_de = np.gradient(flow.jbar, centers)
         residual = np.abs(drho_dlam + dj_de).max()

@@ -126,3 +126,41 @@ def test_both_trees_sit_at_paths_of_equal_length(tool, tmp_path):
         assert (tree / "src" / "esqpt" / "cli.py").is_file()
     assert (trees[1] / "src" / "esqpt" / "quantum.py").read_bytes() == (
         ROOT / "src" / "esqpt" / "quantum.py").read_bytes()
+
+
+# spectra setup_s of a parent whose quartile range is 40% of its median
+SETUP = [0.157, 0.334, 0.19, 0.27, 0.2, 0.25, 0.18, 0.29, 0.21, 0.23]
+
+
+def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved(tool, tmp_path, monkeypatch,
+                                                                  capsys):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(tool, "prepare", lambda rev, workdir: None)
+
+    def stub(change_setup):
+        runs = {side: iter(values) for side, values in zip(tool.SIDES, (SETUP, change_setup))}
+
+        def run_benchmark(tree, workload, seed, seconds):
+            metrics = {name: {"value": 1.0} for name in names}
+            metrics["setup_s"]["value"] = next(runs[tree.name])
+            return {"correct": True, "metrics": metrics}
+        return run_benchmark
+
+    out = tmp_path / "pairs.json"
+    argv = ["HEAD", "--workload", "spectra", "--json", str(out)]
+    # 10% worse: inside the 0.25 bound, but the parent's own spread is wider than it
+    monkeypatch.setattr(tool, "run_benchmark", stub([1.1 * v for v in SETUP]))
+    assert tool.main(argv) == 0
+    m = json.loads(out.read_text())["workloads"]["spectra"]
+    assert (m["setup_s"]["beyond_bound"], m["setup_s"]["unresolved"]) == (False, True)
+    assert [m[name]["unresolved"] for name in names if name != "setup_s"] == [False] * 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-2:] == ["beyond-bound", "unresolved"]
+    setup_line = next(line for line in lines if line.startswith("setup_s"))
+    assert setup_line.split()[-3:] == ["no", "no", "yes"]
+    # every change run below every parent run resolves it, whatever the spread
+    monkeypatch.setattr(tool, "run_benchmark", stub([0.15] * 10))
+    assert tool.main(argv) == 0
+    m = json.loads(out.read_text())["workloads"]["spectra"]["setup_s"]
+    assert (m["change_wins"], m["unresolved"]) == (10, False)
+    assert tool.compare([0.0, 0.0, 1.0], [0.0] * 3, "lower", 0.25)["unresolved"] is True

@@ -193,6 +193,22 @@ def test_lambda_grid_values_are_their_printed_numbers():
     assert grid.tolist() == [0.4, 0.8, 1.2, 1.6, 2.0]
 
 
+def lambda_grid(*flags):
+    return cli.make_config(["boundary", "--beta0p", "1.7", *flags]).lambdas.tolist()
+
+
+def test_lambda_grid_stops_at_the_last_step_that_does_not_pass_lambda_stop():
+    # 0.35 does not divide [0, 1]: 1.05 would be on the second branch
+    assert lambda_grid("--lambda-stop", "1", "--lambda-step", "0.35") == [0.0, 0.35, 0.7]
+    assert lambda_grid("--lambda-step", "0.3")[-1] == 3.0
+    # a step that divides the range keeps its last value (the benchmark grids)
+    assert len(lambda_grid()) == 321
+    assert len(lambda_grid("--lambda-step", "0.02")) == 161
+    assert lambda_grid("--lambda-start", "0.1", "--lambda-stop", "2.9",
+                       "--lambda-step", "0.4") == [0.1, 0.5, 0.9, 1.3, 1.7, 2.1, 2.5, 2.9]
+    assert lambda_grid("--lambda-step", "0.8") == [0.0, 0.8, 1.6, 2.4, 3.2]
+
+
 def test_phase_diagram_and_density_cut_compute_at_the_printed_lambda(tmp_path, monkeypatch):
     monkeypatch.delenv("ESQPT_THREADS", raising=False)
     computed = []

@@ -281,7 +281,7 @@ def test_phase_diagram_shapes():
 def test_gaussian_spectral_density_normalization():
     centers = np.linspace(-1, 2, 600)
     e = np.array([0.0, 0.5, 0.9])
-    rho = density.gaussian_spectral_density(e, centers, 0.05)
+    rho = quantum.gaussian_spectral_density(e, centers, 0.05)
     total = np.trapezoid(rho, centers)
     assert total == pytest.approx(len(e), rel=1e-6)
 

@@ -8,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from esqpt import _kernels, density, quantum
 from esqpt.models import ModelParams
@@ -40,28 +38,23 @@ def test_basis_dimension_matches_mscheme_oracle():
         assert quantum.basis_dimension(n) == fock.l0_dimension(n)
 
 
-@settings(deadline=None, max_examples=30)
-@given(n=st.integers(0, 40))
-def test_sector_labels_partition(n):
-    labels = quantum.sector_labels(n)
-    assert len(set(labels)) == len(labels)
-    for k, a in labels:
-        assert 2 * k + 3 * a == n and k >= 0 and a >= 0
-
-
-def test_basis_states_sorted_unique():
-    nd, tau = quantum.chain_blocks(12)
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 12, 40])
+def test_basis_states_sorted_unique(N):
+    nd, tau = quantum.chain_blocks(N)
     states = list(zip(nd.tolist(), tau.tolist()))
-    assert len(states) == quantum.basis_dimension(12)
-    assert len(set(states)) == len(states)
+    assert len(states) == quantum.basis_dimension(N)
+    # every (n_d, tau) with tau = 0 (mod 3) in {n_d, n_d - 2, ..., 0 or 1} once,
     # by n_d, then by ascending tau
-    assert states == sorted(states)
-    for n, tau in states:
-        assert tau % 3 == 0 and (n - tau) % 2 == 0 and tau <= n
+    assert states == [(n, t) for n in range(N + 1) for t in range(n + 1)
+                      if t % 3 == 0 and (n - t) % 2 == 0]
+    sizes = np.bincount(nd, minlength=N + 1).tolist()
+    assert [quantum.sector_size(n) for n in range(N + 1)] == sizes
+    if N == 0:
+        return  # no Hamiltonian below one boson
     # the nonzero off-diagonal elements of D and C are every pair, in both
     # triangles, that the selection rule of P+ (n, tau) -> (n + 2, tau) and of
     # W (n, tau) -> (n + 1, tau +- 3) allows, each listed once
-    _, (_, _, c, d) = quantum._operators(12, 1.7)
+    _, (_, _, c, d) = quantum._operators(N, 1.7)
     rules = {
         "D": (d, lambda n, t, n2, t2: n2 == n + 2 and t2 == t),
         "C": (c, lambda n, t, n2, t2: n2 == n + 1 and abs(t2 - t) == 3),
@@ -254,6 +247,13 @@ def test_coupling_slopes_are_one_sided_derivatives():
                 dh = h_and_grad(lam, (0.0, *got))
                 for a, b, c in zip(moved, here, dh):
                     assert np.abs(sign * (a - b) / d - c).max() < 1e-6
+
+
+def test_an_unknown_side_is_an_error():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'Left'"):
+        ModelParams(1.7, 1.0).coupling_slopes("Left")
+    with pytest.raises(ValueError, match="got 'Left'"):
+        quantum.diagonalize(ModelParams(1.7, 1.0), 5, side="Left")
 
 
 # the spectra of a fresh process, as the bytes of each result array

@@ -17,10 +17,14 @@ medians, the pairs the change wins (ties count for neither side; the
 metric's `better` gives the direction), whether a gain claim holds (wins in
 at least nine tenths of the pairs, and a median improvement larger than the
 parent's quartile range) and whether the change is worse than the parent by
-more than the metric's bound, relative to the parent's median. --json writes
-the comparison of every workload in the `workloads` shape of BENCH_*.json,
-each metric with its `claim` and `beyond_bound` verdicts. Nothing is written
-in the repository, and the temporary directories are removed at the end.
+more than the metric's bound, relative to the parent's median. A metric is
+`unresolved` when the parent's quartile range, relative to its median, is
+wider than the bound, unless every run of the change beats every run of the
+parent: the bound cannot then tell the change from the parent's own spread.
+--json writes the comparison of every workload in the `workloads` shape of
+BENCH_*.json, each metric with its `claim`, `beyond_bound` and `unresolved`
+verdicts. Nothing is written in the repository, and the temporary
+directories are removed at the end.
 """
 
 from __future__ import annotations
@@ -56,11 +60,13 @@ def compare(parent_runs, change_runs, better, bound):
     with the claim rule and the bound check."""
     sign = 1.0 if better == "lower" else -1.0  # > 0 where the change is better
     parent, change = statistics.median(parent_runs), statistics.median(change_runs)
+    q1, q3 = quartiles(parent_runs)
     if parent:
         relative = (change - parent) / abs(parent)
+        spread = (q3 - q1) / abs(parent)
     else:
         relative = 0.0 if change == parent else math.copysign(math.inf, change - parent)
-    q1, q3 = quartiles(parent_runs)
+        spread = 0.0 if q3 == q1 else math.inf
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent_runs, change_runs))
     return {
         "bound": bound,
@@ -74,6 +80,8 @@ def compare(parent_runs, change_runs, better, bound):
         "change_wins": wins,
         "claim": 10 * wins >= 9 * len(parent_runs) and sign * (parent - change) > q3 - q1,
         "beyond_bound": sign * relative > bound,
+        "unresolved": spread > bound and not all(
+            sign * (p - c) > 0 for p in parent_runs for c in change_runs),
     }
 
 
@@ -117,12 +125,12 @@ def run_benchmark(tree, workload, seed, seconds):
 def report(workload, comparison, pairs):
     print(workload)
     print(f"{'metric':14s} {'parent median [q1, q3]':>28s} {'change median [q1, q3]':>28s} "
-          f"{'change':>8s} {'wins':>6s} claim beyond-bound")
+          f"{'change':>8s} {'wins':>6s} claim beyond-bound unresolved")
     for name, m in comparison.items():
         sides = ["%.4g [%.4g, %.4g]" % (m[side], *m[f"{side}_iqr"]) for side in SIDES]
         print(f"{name:14s} {sides[0]:>28s} {sides[1]:>28s} {m['change_vs_parent']:+8.1%} "
               f"{m['change_wins']:>3d}/{pairs:<2d} {'yes' if m['claim'] else 'no':5s} "
-              f"{'yes' if m['beyond_bound'] else 'no'}")
+              f"{'yes' if m['beyond_bound'] else 'no':12s} {'yes' if m['unresolved'] else 'no'}")
 
 
 def main(argv=None):
