@@ -134,14 +134,19 @@ def _lambda_grid(args):
         raise ValueError("lambda step must be positive")
     if stop < start:
         raise ValueError("lambda range is empty")
-    # the most values that do not pass stop; the 1e-9 keeps a step that divides
-    # the range, such as 0.02 into 3.2, from losing its last value to rounding
-    n = math.floor((stop - start) / step + 1e-9) + 1
+    below_digits = f"lambda step {step:g} is below the output's 12 significant digits"
+    # the steps that do not pass stop; the 1e-9 keeps a step that divides the
+    # range, such as 0.02 into 3.2, from losing its last value to rounding
+    steps = (stop - start) / step + 1e-9
+    # a step under 1e-12 of the largest value, below its 12-digit resolution,
+    # is refused before its grid is built
+    if not math.isfinite(steps) or (steps >= 1 and step < 1e-12 * max(abs(start), abs(stop))):
+        raise ValueError(below_digits)
     # each value is the number the CSV prints, not start + step * i, which
     # can miss it in the last bit (0.7000000000000001 for 0.7)
-    grid = np.array([float(fmt(v)) for v in start + step * np.arange(n)])
+    grid = np.array([float(fmt(v)) for v in start + step * np.arange(math.floor(steps) + 1)])
     if np.any(np.diff(grid) <= 0):
-        raise ValueError(f"lambda step {step:g} is below the output's 12 significant digits")
+        raise ValueError(below_digits)
     return grid
 
 

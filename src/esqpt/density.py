@@ -317,8 +317,7 @@ def smoothed_flow(spectrum, width=0.05, bins=DEFAULT_BINS):
         raise ValueError(f"bins must be positive, got {bins}")
     edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    rho = gaussian_spectral_density(spectrum.epsilon, centers, width)
-    jbar = gaussian_spectral_density(spectrum.epsilon, centers, width,
-                                     weights=spectrum.epsilon_slopes)
+    weights = [np.ones_like(spectrum.epsilon_slopes), spectrum.epsilon_slopes]
+    rho, jbar = gaussian_spectral_density(spectrum.epsilon, centers, width, weights)
     phibar = np.where(rho > 1e-10, jbar / np.maximum(rho, 1e-300), 0.0)
     return FlowGrid(centers, rho, jbar, phibar)

@@ -183,29 +183,28 @@ def diagonalize(params: ModelParams, N, side="left") -> SpectrumResult:
     dh = _assemble((0.0, *params.coupling_slopes(side)), operators) / N
     dh_v = dh @ evecs
     slopes = np.einsum("ij,ij->j", evecs, dh_v)
-    tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
-    edges = np.flatnonzero(np.diff(evals) > tol[1:]) + 1
-    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(evals)]):
-        if hi - lo > 1:
-            v = evecs[:, lo:hi]
-            slopes[lo:hi], u = np.linalg.eigh(v.T @ dh_v[:, lo:hi])
-            evecs[:, lo:hi] = v @ u
+    # level i + 1 joins level i's cluster; joins lo..hi - 1 make levels lo..hi one cluster
+    joined = np.diff(evals) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(evals[1:]))
+    for lo, hi in np.flatnonzero(np.diff(joined, prepend=False, append=False)).reshape(-1, 2):
+        v = evecs[:, lo:hi + 1]
+        slopes[lo:hi + 1], u = np.linalg.eigh(v.T @ dh_v[:, lo:hi + 1])
+        evecs[:, lo:hi + 1] = v @ u
     nd_exp = np.einsum("ij,i,ij->j", evecs, nd, evecs)
     return SpectrumResult(params, N, evals, slopes, nd_exp)
 
 
 def gaussian_spectral_density(energies, centers, width, weights=None):
-    """Sum of unit-area Gaussians at `energies`, optionally weighted; `width`
-    is one width for all levels or an array of one width per level."""
-    if weights is None:
-        weights = np.ones_like(energies)
-    widths = np.broadcast_to(width, np.shape(energies))
-    out = np.zeros_like(centers, dtype=float)
+    """Sum of unit-area Gaussians at `energies` on the 1-D `centers`: `width` is one
+    width or one per level, `weights` one weight per level or a (k, levels) stack."""
+    e = np.asarray(energies)[:, None]  # levels down, centers across
+    s = np.broadcast_to(width, np.shape(energies))[:, None]
+    w = np.ones_like(e) if weights is None else np.asarray(weights)[..., None]
+    terms = np.zeros((*w.shape[:-2], len(e) + 1, len(centers)))  # a zero row, then the levels
     with np.errstate(over="ignore"):  # a tiny width: exp(-inf) = 0 is exact
-        for e, s, w in zip(energies, widths, weights):
-            norm = 1.0 / (s * math.sqrt(2 * math.pi))
-            out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
-    return out
+        norm = 1.0 / (s * math.sqrt(2 * math.pi))
+        terms[..., 1:, :] = w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
+    # added one level at a time, as a loop would (np.sum pairs them up at one center)
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
 
 def oscillatory_density(params: ModelParams, N, grid):

@@ -3,6 +3,7 @@ runs, and the two trees it compares. No benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 
 import pytest
 
@@ -97,7 +98,8 @@ def test_each_workload_runs_its_pairs_in_turn_on_trees_prepared_once(tool, tmp_p
 
     def run_benchmark(tree, workload, seed, seconds):
         ran.append((tree.name, workload))
-        return {"correct": True, "metrics": {name: {"value": len(ran)} for name in names}}
+        return {"correct": True, "metrics": {name: {"value": len(ran)} for name in names},
+                "jobs": {}}
 
     monkeypatch.setattr(tool, "run_benchmark", run_benchmark)
     out = tmp_path / "pairs.json"
@@ -143,7 +145,7 @@ def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved(tool, tmp_path
         def run_benchmark(tree, workload, seed, seconds):
             metrics = {name: {"value": 1.0} for name in names}
             metrics["setup_s"]["value"] = next(runs[tree.name])
-            return {"correct": True, "metrics": metrics}
+            return {"correct": True, "metrics": metrics, "jobs": {}}
         return run_benchmark
 
     out = tmp_path / "pairs.json"
@@ -164,3 +166,58 @@ def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved(tool, tmp_path
     m = json.loads(out.read_text())["workloads"]["spectra"]["setup_s"]
     assert (m["change_wins"], m["unresolved"]) == (10, False)
     assert tool.compare([0.0, 0.0, 1.0], [0.0] * 3, "lower", 0.25)["unresolved"] is True
+
+
+# the job lines of one perfbench/run.py run of two passes, as it prints them
+RUN_OUTPUT = """\
+job spectrum           wall {w1:8.3f} s  cpu    2.400 s  rss    60.1 MB  ok
+job flow               wall    0.300 s  cpu    0.310 s  rss    50.0 MB  ok
+job spectrum           wall {w2:8.3f} s  cpu    2.600 s  rss    60.2 MB  ok
+    a problem line of a job is indented
+job flow               wall    0.500 s  cpu    0.330 s  rss    50.0 MB  ok
+metric wall_s = 2.5 s
+environment {{}}
+{{"correct": true, "attempted": 4, "failed": 0, "metrics": {{}}}}
+"""
+
+
+def test_each_job_of_a_workload_gets_its_median_times_per_side(tool, tmp_path, monkeypatch,
+                                                               capsys):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(tool, "prepare", lambda rev, workdir: None)
+    # spectrum: the parent's passes take 2.0 and 2.2 s, the change's 1.0 and 1.2 s
+    walls = {"parent": (2.0, 2.2), "change": (1.0, 1.2)}
+
+    def run(argv, cwd, capture_output, text):
+        w1, w2 = walls[cwd.name]
+        return subprocess.CompletedProcess(argv, 0, RUN_OUTPUT.format(w1=w1, w2=w2), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    doc = tool.run_benchmark(tmp_path / "parent", "spectra", None, 20)
+    assert doc["jobs"] == {"spectrum": [(2.0, 2.4), (2.2, 2.6)], "flow": [(0.3, 0.31), (0.5, 0.33)]}
+
+    metrics = {name: {"value": 1.0} for name in names}
+    real_run_benchmark = tool.run_benchmark
+
+    def run_benchmark(tree, workload, seed, seconds):
+        doc = real_run_benchmark(tree, workload, seed, seconds)
+        doc["metrics"] = metrics
+        return doc
+
+    monkeypatch.setattr(tool, "run_benchmark", run_benchmark)
+    out = tmp_path / "pairs.json"
+    assert tool.main(["HEAD", "--workload", "spectra", "--pairs", "2", "--json", str(out)]) == 0
+    jobs = json.loads(out.read_text())["jobs"]["spectra"]
+    assert list(jobs) == ["spectrum", "flow"]
+    # the median over every pass of every run of a side
+    assert jobs["spectrum"]["wall_s"] == pytest.approx(
+        {"parent": 2.1, "change": 1.1, "change_vs_parent": 1.1 / 2.1 - 1})
+    assert jobs["spectrum"]["cpu_s"] == pytest.approx(
+        {"parent": 2.5, "change": 2.5, "change_vs_parent": 0.0})
+    assert jobs["flow"]["wall_s"] == pytest.approx(
+        {"parent": 0.4, "change": 0.4, "change_vs_parent": 0.0})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[8].split() == ["job", "parent", "wall", "change", "wall", "change",
+                                "parent", "cpu", "change", "cpu", "change"]
+    assert lines[9].split() == ["spectrum", "2.100", "1.100", "-47.6%",
+                                "2.500", "2.500", "+0.0%"]

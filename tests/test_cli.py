@@ -236,6 +236,20 @@ def test_lambda_step_below_the_printed_digits_is_a_domain_error(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", ["5e-324", "1e-300", "1e-13"])
+def test_a_lambda_step_far_below_the_printed_digits_is_refused_before_its_grid(
+        tmp_path, capsys, step):
+    # the grid would hold 1e13 values or more (or an infinite count)
+    assert cli.main(["boundary", "--beta0p", "1.7", "--lambda-stop", "1", "--lambda-step", step,
+                     "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"esqpt: domain error: lambda step {float(step):g} is below the output's "
+        "12 significant digits\n")
+    assert list(tmp_path.iterdir()) == []
+    # a grid of one value takes any step
+    assert lambda_grid("--lambda-start", "1", "--lambda-stop", "1", "--lambda-step", step) == [1.0]
+
+
 def usable_cpus(monkeypatch, n):
     """Let this process run on n CPUs, as cli counts them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

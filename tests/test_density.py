@@ -286,6 +286,24 @@ def test_gaussian_spectral_density_normalization():
     assert total == pytest.approx(len(e), rel=1e-6)
 
 
+def test_smoothed_flow_takes_rho_and_jbar_from_one_gaussian_sum(monkeypatch):
+    spec = quantum.diagonalize(ModelParams(SQRT2, 0.5), 30)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return quantum.gaussian_spectral_density(*args, **kwargs)
+
+    monkeypatch.setattr(density, "gaussian_spectral_density", recording)
+    flow = density.smoothed_flow(spec, width=0.05)
+    assert len(calls) == 1
+    # the same bits as two sums, of the levels and of their slopes
+    rho = quantum.gaussian_spectral_density(spec.epsilon, flow.e_centers, 0.05)
+    jbar = quantum.gaussian_spectral_density(spec.epsilon, flow.e_centers, 0.05,
+                                             spec.epsilon_slopes)
+    assert np.array_equal(flow.rho, rho) and np.array_equal(flow.jbar, jbar)
+
+
 def test_smoothed_flow_basic():
     spec = quantum.diagonalize(ModelParams(SQRT2, 0.5), 30)
     flow = density.smoothed_flow(spec, width=0.05)

@@ -306,6 +306,104 @@ def test_epsilon_scaling():
     assert np.allclose(spec.excitation, spec.energies - spec.energies[0])
 
 
+def diagonalize_by_level_loop(params, N, side):
+    """Oracle: `diagonalize` with the cluster search of its earlier form, a walk
+    over every level that rotates the eigenvectors of each run of two or more."""
+    evals, evecs = np.linalg.eigh(quantum.build_hamiltonian(params, N))
+    nd, operators = quantum._operators(N, params.beta0p)
+    dh_v = quantum._assemble((0.0, *params.coupling_slopes(side)), operators) / N @ evecs
+    slopes = np.einsum("ij,ij->j", evecs, dh_v)
+    tol = quantum.DEGENERACY_TOL * np.maximum(1.0, np.abs(evals))
+    edges = np.flatnonzero(np.diff(evals) > tol[1:]) + 1
+    sizes = []
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(evals)]):
+        sizes.append(hi - lo)
+        if hi - lo > 1:
+            v = evecs[:, lo:hi]
+            slopes[lo:hi], u = np.linalg.eigh(v.T @ dh_v[:, lo:hi])
+            evecs[:, lo:hi] = v @ u
+    return evals, slopes, np.einsum("ij,i,ij->j", evecs, nd, evecs), max(sizes)
+
+
+@pytest.mark.parametrize("lam, side, largest", [
+    # U(5): a cluster per n_d of sector_size(n_d) <= 9 levels, and at beta0p = sqrt(2)
+    # n_d = 49 and 50 share N E = 198 n_d - 2 n_d^2: one cluster of 8 + 9
+    (0.0, "left", 17),
+    (0.5, "left", 1), (1.0, "left", 2), (1.0, "right", 2), (1.5, "right", 1),
+])
+def test_diagonalize_rotates_the_degenerate_clusters_as_a_loop_over_levels_does(lam, side,
+                                                                                largest):
+    params = ModelParams(SQRT2, lam)
+    spec = quantum.diagonalize(params, 50, side=side)
+    *want, biggest = diagonalize_by_level_loop(params, 50, side)
+    assert biggest == largest
+    for got, expected in zip((spec.energies, spec.slopes, spec.nd_expectation), want):
+        assert np.array_equal(got, expected)
+
+
+# -- Gaussian level sums -----------------------------------------------------
+
+
+def gaussian_sum_by_level_loop(energies, centers, width, weights=None):
+    """Oracle: the Gaussian level sum of its earlier form, one level at a time."""
+    if weights is None:
+        weights = np.ones_like(energies)
+    widths = np.broadcast_to(width, np.shape(energies))
+    out = np.zeros_like(centers, dtype=float)
+    with np.errstate(over="ignore"):
+        for e, s, w in zip(energies, widths, weights):
+            norm = 1.0 / (s * math.sqrt(2 * math.pi))
+            out += w * norm * np.exp(-0.5 * ((centers - e) / s) ** 2)
+    return out
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_gaussian_sum_equals_the_loop_over_levels_bit_for_bit(lam, monkeypatch):
+    params = ModelParams(SQRT2, lam)
+    spec = quantum.diagonalize(params, 50)
+    eps, slopes = spec.epsilon, spec.epsilon_slopes
+    assert slopes.min() < 0 < slopes.max()
+    edges = np.linspace(*density.DEFAULT_E_RANGE, density.DEFAULT_BINS + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    gauss = quantum.gaussian_spectral_density
+    for cs in (centers, centers[150:151]):  # one center: a plain sum would pair the terms
+        for width, weights in [(0.05, None), (0.05, slopes), (1e-300, None), (1e-300, slopes)]:
+            assert same_bits(gauss(eps, cs, width, weights),
+                             gaussian_sum_by_level_loop(eps, cs, width, weights))
+        # a (2, levels) stack gives the two one-row sums
+        stack = gauss(eps, cs, 0.05, np.stack([np.ones_like(slopes), slopes]))
+        assert stack.shape == (2, len(cs))
+        assert same_bits(stack[0], gauss(eps, cs, 0.05))
+        assert same_bits(stack[1], gauss(eps, cs, 0.05, slopes))
+    # far above the spectrum every term underflows to a zero signed as its weight;
+    # the sum starts from +0.0, as the loop's does
+    far = np.array([1.0, 50.0])
+    negative_first = np.where(np.arange(len(eps)) == 0, -1.0, slopes)
+    for weights in (-np.ones_like(eps), negative_first):
+        got = gauss(eps, far, 0.05, weights)
+        assert same_bits(got, gaussian_sum_by_level_loop(eps, far, 0.05, weights))
+        assert got[1] == 0.0 and not np.signbit(got[1])
+
+    # oscillatory_density's per-level widths
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return gauss(*args)
+
+    monkeypatch.setattr(quantum, "gaussian_spectral_density", recording)
+    grid = density.mc_density(params, n_samples=20_000, seed=5)
+    tilde = quantum.oscillatory_density(params, 50, grid)
+    (args,) = calls
+    assert np.ptp(args[2]) > 0  # one width per level
+    assert same_bits(tilde, gaussian_sum_by_level_loop(*args) - grid.rho)
+
+
 # -- oscillatory density -----------------------------------------------------
 
 

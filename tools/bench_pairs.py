@@ -21,10 +21,14 @@ more than the metric's bound, relative to the parent's median. A metric is
 `unresolved` when the parent's quartile range, relative to its median, is
 wider than the bound, unless every run of the change beats every run of the
 parent: the bound cannot then tell the change from the parent's own spread.
+The report then attributes each workload's change to its jobs: from the
+`job NAME wall W s cpu C s` lines that `perfbench/run.py` prints, one per
+job of each pass, it gives each job's median wall and CPU time over all the
+runs of a side, and the relative change of the medians.
 --json writes the comparison of every workload in the `workloads` shape of
 BENCH_*.json, each metric with its `claim`, `beyond_bound` and `unresolved`
-verdicts. Nothing is written in the repository, and the temporary
-directories are removed at the end.
+verdicts, and the job medians under `jobs`. Nothing is written in the
+repository, and the temporary directories are removed at the end.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import functools
 import io
 import json
 import math
+import re
 import shutil
 import statistics
 import subprocess
@@ -45,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "perfbench")
 SIDES = ("parent", "change")  # equal lengths: the two trees' paths are as long
+JOB_LINE = re.compile(r"job (\S+) +wall +(\S+) s +cpu +(\S+) s")
 
 
 def quartiles(values):
@@ -55,18 +61,21 @@ def quartiles(values):
     return q1, q3
 
 
+def relative(parent, change):
+    """(change - parent) / |parent|, signed infinity from a zero parent."""
+    if parent:
+        return (change - parent) / abs(parent)
+    return 0.0 if change == parent else math.copysign(math.inf, change - parent)
+
+
 def compare(parent_runs, change_runs, better, bound):
     """One metric's runs on both sides, paired by position, as in BENCH_*.json,
     with the claim rule and the bound check."""
     sign = 1.0 if better == "lower" else -1.0  # > 0 where the change is better
     parent, change = statistics.median(parent_runs), statistics.median(change_runs)
     q1, q3 = quartiles(parent_runs)
-    if parent:
-        relative = (change - parent) / abs(parent)
-        spread = (q3 - q1) / abs(parent)
-    else:
-        relative = 0.0 if change == parent else math.copysign(math.inf, change - parent)
-        spread = 0.0 if q3 == q1 else math.inf
+    change_vs_parent = relative(parent, change)
+    spread = (q3 - q1) / abs(parent) if parent else 0.0 if q3 == q1 else math.inf
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent_runs, change_runs))
     return {
         "bound": bound,
@@ -76,13 +85,37 @@ def compare(parent_runs, change_runs, better, bound):
         "change": change,
         "change_iqr": list(quartiles(change_runs)),
         "change_runs": list(change_runs),
-        "change_vs_parent": relative,
+        "change_vs_parent": change_vs_parent,
         "change_wins": wins,
         "claim": 10 * wins >= 9 * len(parent_runs) and sign * (parent - change) > q3 - q1,
-        "beyond_bound": sign * relative > bound,
+        "beyond_bound": sign * change_vs_parent > bound,
         "unresolved": spread > bound and not all(
             sign * (p - c) > 0 for p in parent_runs for c in change_runs),
     }
+
+
+def job_times(stdout):
+    """{job: [(wall_s, cpu_s) of each pass]} from the job lines of a run's output."""
+    jobs = {}
+    for match in map(JOB_LINE.match, stdout.splitlines()):
+        if match:
+            jobs.setdefault(match[1], []).append((float(match[2]), float(match[3])))
+    return jobs
+
+
+def compare_jobs(parent_jobs, change_jobs):
+    """{job: {wall_s, cpu_s: {parent, change, change_vs_parent}}} of the median
+    times of each job that both sides ran, in the parent's order."""
+    out = {}
+    for job, parent_times in parent_jobs.items():
+        if job in change_jobs:
+            out[job] = {}
+            for i, name in enumerate(("wall_s", "cpu_s")):
+                parent, change = (statistics.median(t[i] for t in times)
+                                  for times in (parent_times, change_jobs[job]))
+                out[job][name] = {"parent": parent, "change": change,
+                                  "change_vs_parent": relative(parent, change)}
+    return out
 
 
 def run_pairs(run, pairs):
@@ -119,10 +152,12 @@ def run_benchmark(tree, workload, seed, seconds):
     if proc.returncode:
         raise RuntimeError(f"perfbench/run.py in {tree} exited with {proc.returncode}: "
                            f"{proc.stderr[-1000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    doc["jobs"] = job_times(proc.stdout)
+    return doc
 
 
-def report(workload, comparison, pairs):
+def report(workload, comparison, pairs, jobs):
     print(workload)
     print(f"{'metric':14s} {'parent median [q1, q3]':>28s} {'change median [q1, q3]':>28s} "
           f"{'change':>8s} {'wins':>6s} claim beyond-bound unresolved")
@@ -131,6 +166,12 @@ def report(workload, comparison, pairs):
         print(f"{name:14s} {sides[0]:>28s} {sides[1]:>28s} {m['change_vs_parent']:+8.1%} "
               f"{m['change_wins']:>3d}/{pairs:<2d} {'yes' if m['claim'] else 'no':5s} "
               f"{'yes' if m['beyond_bound'] else 'no':12s} {'yes' if m['unresolved'] else 'no'}")
+    print(f"{'job':18s} {'parent wall':>12s} {'change wall':>12s} {'change':>8s} "
+          f"{'parent cpu':>12s} {'change cpu':>12s} {'change':>8s}")
+    for job, times in jobs.items():
+        print(f"{job:18s} " + " ".join(
+            f"{t['parent']:12.3f} {t['change']:12.3f} {t['change_vs_parent']:+8.1%}"
+            for t in (times["wall_s"], times["cpu_s"])))
 
 
 def main(argv=None):
@@ -148,6 +189,7 @@ def main(argv=None):
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = {}
+    jobs = {workload: {side: {} for side in SIDES} for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         workdir = Path(tmp)
         try:
@@ -155,6 +197,8 @@ def main(argv=None):
 
             def run(workload, side):
                 doc = run_benchmark(workdir / side, workload, args.seed, args.seconds)
+                for job, times in doc["jobs"].items():
+                    jobs[workload][side].setdefault(job, []).extend(times)
                 wall = doc["metrics"]["wall_s"]["value"]
                 print(f"{workload} {side} wall_s {wall:.4g}", file=sys.stderr)
                 return doc
@@ -174,10 +218,11 @@ def main(argv=None):
         }
         for workload, sides in runs.items()
     }
+    jobs = {workload: compare_jobs(*sides.values()) for workload, sides in jobs.items()}
     for workload, comparison in workloads.items():
-        report(workload, comparison, args.pairs)
+        report(workload, comparison, args.pairs, jobs[workload])
     if args.json:
-        args.json.write_text(json.dumps({"workloads": workloads}, indent=1) + "\n")
+        args.json.write_text(json.dumps({"workloads": workloads, "jobs": jobs}, indent=1) + "\n")
     return 0
 
 
