@@ -2,13 +2,16 @@
 
 Every subcommand writes a data table plus a JSON manifest recording inputs,
 seed, package versions, and wall time.  Each subcommand declares only the
-options it reads (the `COMMANDS` table).  Options may come from flags and/or a
-plain-text key=value config file, whose keys are the flag names without `--`
-(`_` and `-` are interchangeable); flags override the file, and the file goes
-through the same parser as the flags.  A runner whose results are arrays
-computes them, then hands the writer rows made as they are written, so its
-table is never held as row tuples.  Exit codes: 0 success, 2 domain error,
-3 numerical failure, 64 usage error, 74 I/O error.
+options it reads (the `COMMANDS` table).  A grid command takes one `--lambda`
+or the grid flags; `density-cut`, `flow` and `oscillatory` take only
+`--lambda` and need it, and `density-cut` is `phase-diagram` at that one
+value.  Options may come from flags and/or a plain-text key=value config
+file, whose keys are the flag names without `--` (`_` and `-` are
+interchangeable); flags override the file, and the file goes through the
+same parser as the flags.  A runner whose results are arrays computes them,
+then hands the writer rows made as they are written, so its table is never
+held as row tuples.  Exit codes: 0 success, 2 domain error, 3 numerical
+failure, 64 usage error, 74 I/O error.
 
 Threads: BLAS runs on one thread, and a job's thread pool has at most one
 worker per usable CPU and per task (`_pool_width`): by default one thread per
@@ -70,8 +73,8 @@ OPTIONS = {
     "output": dict(help="output data file (default <command>.<format>)"),
     "format": dict(choices=("csv", "json"), default="csv",
                    help="table format (default %(default)s)"),
-    "lambda": dict(dest="lam", type=float, help="single control-parameter value; "
-                   "replaces the lambda grid"),
+    "lambda": dict(dest="lam", type=float, help="one control-parameter value (on a grid "
+                   "command it replaces the grid)"),
     "lambda-start": dict(type=float, default=0.0, help="lambda grid start (default %(default)s)"),
     "lambda-stop": dict(type=float, default=3.2, help="lambda grid stop (default %(default)s)"),
     "lambda-step": dict(type=float, default=0.01, help="lambda grid step (default %(default)s)"),
@@ -126,6 +129,8 @@ def _read_config_file(path, options, parser):
 def _lambda_grid(args):
     if args.lam is not None:
         return np.array([args.lam])
+    if "lambda-start" not in COMMANDS[args.command][2]:
+        raise ValueError(f"{args.command} needs a --lambda value")
     start, stop, step = args.lambda_start, args.lambda_stop, args.lambda_step
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"lambda grid bounds and step must be finite, got "
@@ -148,12 +153,6 @@ def _lambda_grid(args):
     if np.any(np.diff(grid) <= 0):
         raise ValueError(below_digits)
     return grid
-
-
-def _single_lambda(cfg):
-    if len(cfg.lambdas) != 1:
-        raise ValueError(f"{cfg.command} needs a single --lambda value")
-    return float(cfg.lambdas[0])
 
 
 def _threads_from_env():
@@ -254,11 +253,6 @@ def run_phase_diagram(cfg):
     return DENSITY_HEADER, _Rows(len(grids) * cfg.e_bins, rows)
 
 
-def run_density_cut(cfg):
-    _single_lambda(cfg)
-    return run_phase_diagram(cfg)
-
-
 def run_stationary(cfg):
     if cfg.n_seeds < 1:
         raise ValueError("n_seeds must be a positive integer")
@@ -298,7 +292,7 @@ def run_spectrum(cfg):
 
 
 def run_flow(cfg):
-    lam = _single_lambda(cfg)
+    lam = float(cfg.lambdas[0])
     spec = quantum.diagonalize(ModelParams(cfg.beta0p, lam), cfg.N)
     grid = density.smoothed_flow(spec, width=cfg.width, bins=cfg.e_bins)
     rows = ((lam, e, r, j, p)
@@ -307,7 +301,7 @@ def run_flow(cfg):
 
 
 def run_oscillatory(cfg):
-    lam = _single_lambda(cfg)
+    lam = float(cfg.lambdas[0])
     quantum.check_boson_number(cfg.N)
     params = ModelParams(cfg.beta0p, lam)
     grid = density.mc_density(params, n_samples=cfg.n_samples, seed=cfg.seed,
@@ -345,16 +339,16 @@ def run_spinodal(cfg):
 COMMANDS = {
     "phase-diagram": (run_phase_diagram, "d rho/dE matrix over a (lambda, E) grid",
                       LAMBDA + ("n-samples", "e-bins", "ref-n")),
-    "density-cut": (run_density_cut, "smoothed level density and derivative at one lambda",
-                    LAMBDA + ("n-samples", "e-bins", "ref-n")),
+    "density-cut": (run_phase_diagram, "smoothed level density and derivative at one lambda",
+                    ("lambda", "n-samples", "e-bins", "ref-n")),
     "stationary": (run_stationary, "stationary-point census over lambda",
                    LAMBDA + ("n-seeds",)),
     "boundary": (run_boundary, "boundary energy minimum and maximum over lambda", LAMBDA),
     "spectrum": (run_spectrum, "quantum spectrum with slopes and <n_d>", LAMBDA + ("n",)),
     "flow": (run_flow, "smoothed level density, flow, and velocity field",
-             LAMBDA + ("n", "width", "e-bins")),
+             ("lambda", "n", "width", "e-bins")),
     "oscillatory": (run_oscillatory, "oscillatory part of the level density",
-                    LAMBDA + ("n", "n-samples", "e-bins")),
+                    ("lambda", "n", "n-samples", "e-bins")),
     "excited-surfaces": (run_excited_surfaces,
                          "excited energy surfaces and their stationary points",
                          LAMBDA + ("n", "n-gamma", "n-beta")),

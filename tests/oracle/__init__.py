@@ -1,5 +1,6 @@
 """Test-only oracles: the s/d boson operator algebra, a brute-force Fock space,
-and the 4-D multistart stationary-point census.
+the 4-D multistart stationary-point census, the exact spectrum on the SU(3)
+line, and the exact lambda = 0 level-counting function.
 
 Independent of the closed forms in `esqpt`: the Hamiltonian is built here as a
 normal-ordered operator from its pair operators, and spectra, coherent-state

@@ -172,7 +172,7 @@ def reference_energies(params):
 
 
 def test_acceptance_06_singularity_consistency(announce):
-    failures = []
+    failures, empty = [], []
     n_features = 0
     for beta0p, lams in CUTS.items():
         for lam in lams:
@@ -181,6 +181,8 @@ def test_acceptance_06_singularity_consistency(announce):
             feats = density.detect_singularities(grid)
             refs = reference_energies(params)
             edges = grid.e_edges
+            if not feats:
+                empty.append((beta0p, lam))
             for f in feats:
                 n_features += 1
                 fbin = np.searchsorted(edges, f.e_center) - 1
@@ -190,8 +192,10 @@ def test_acceptance_06_singularity_consistency(announce):
                 )
                 if not matched:
                     failures.append((beta0p, lam, round(f.e_center, 3), f.kind))
-    announce(6, "density/census singularity consistency", not failures,
-             f"{n_features} features over 8 cuts, unmatched: {failures}")
+    # a cut without features would pass the matching vacuously
+    announce(6, "density/census singularity consistency", not failures and not empty,
+             f"{n_features} features over 8 cuts, unmatched: {failures}, "
+             f"cuts without features: {empty}")
 
 
 # -- 7 ----------------------------------------------------------------------

@@ -934,6 +934,25 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["density-cut", "flow", "oscillatory"])
+def test_single_lambda_commands_take_one_lambda_and_no_grid(tmp_path, capsys, command):
+    help_text = cli.build_parser().commands[command].format_help()
+    assert "--lambda " in help_text and "--lambda-" not in help_text
+    out = tmp_path / "x.csv"
+    for flag in ("--lambda-start", "--lambda-stop", "--lambda-step"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--beta0p", "1.7", "--lambda", "0.5", flag, "0.1",
+                      "-o", str(out)])
+        assert exc.value.code == 64
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+    # no --lambda from the flags or the config file
+    cfgfile = tmp_path / "job.cfg"
+    cfgfile.write_text("beta0p = 1.7\n")
+    assert cli.main([command, "--config", str(cfgfile), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"esqpt: domain error: {command} needs a --lambda value\n"
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfgfile = tmp_path / "job.cfg"
     cfgfile.write_text("beta0p = 1.7\nlambda = 0.2\nn_sample = 1000\n")

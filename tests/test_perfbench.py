@@ -75,3 +75,33 @@ def test_classical_scan_census_jobs_pass_the_benchmark_checks(tmp_path):
     jobs = ["stationary", "stationary-l0", "trace-borderlines"]
     out = run_python("-c", CHECK_JOBS, tmp_path, *jobs, cwd=ROOT / "perfbench")
     assert json.loads(out) == {job: [] for job in jobs}
+
+
+# every CLI job's command line, as the runner builds it, through the esqpt parser
+PARSE_JOBS = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    import run, workloads
+    from esqpt import cli
+    parsed = {}
+    for jobs in workloads.WORKLOADS.values():
+        for job in jobs:
+            if job.kind == "cli":
+                argv = run.job_argv(job, run.DEFAULT_SEED, Path(sys.argv[1]), "-")
+                assert argv[3] == "cli", argv  # job.py TRACE_FILE cli ARGS...
+                try:
+                    parsed[job.name] = sorted(cli.make_config(argv[4:]).inputs)
+                except SystemExit as exc:
+                    parsed[job.name] = f"exit {exc.code}"
+    print(json.dumps(parsed))
+""")
+
+
+def test_every_benchmark_command_line_parses(tmp_path):
+    # a CLI change that drops a flag the benchmark passes fails here, not in its run
+    parsed = json.loads(run_python("-c", PARSE_JOBS, tmp_path, cwd=ROOT / "perfbench"))
+    assert len(parsed) == 10  # all but the trace-borderlines library call
+    refused = {name: v for name, v in parsed.items() if isinstance(v, str)}
+    assert refused == {}
+    for name in ("density-cut", "flow", "oscillatory"):
+        assert {"lambda_start", "lambda_stop", "lambda_count"} <= set(parsed[name])

@@ -15,6 +15,7 @@ from esqpt.models import ModelParams
 from conftest import ROOT, SQRT2, interior_points
 from oracle import fock
 from oracle.hamiltonian import h_scaled
+from oracle.su3 import SU3_LINE, su3_levels
 
 
 def fock_l0_spectrum(params, N):
@@ -151,6 +152,15 @@ def test_u5_small_spectra():
     assert np.allclose(
         quantum.diagonalize(ModelParams(SQRT2, 0.0), 2).energies, [0, 2], atol=1e-10
     )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 10, 20, 21, 50, 100])
+def test_su3_line_spectrum_is_the_casimir_formula(N):
+    # N E = C2(2N, 0) - C2(2N - 4k - 6m, 2k) over 2k + 3m <= N; at N = 1 one level, 0
+    want = su3_levels(N)
+    got = N * quantum.diagonalize(ModelParams(*SU3_LINE), N).energies
+    assert len(got) == len(want)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_zero_modes():

@@ -14,6 +14,7 @@ from esqpt.models import ModelParams
 
 from conftest import SQRT2
 from oracle.multistart import _newton_polish, ball_seeds, multistart_census
+from oracle.su3 import SU3_LINE
 
 
 def by_location(points, loc, tol=1e-6):
@@ -21,6 +22,17 @@ def by_location(points, loc, tol=1e-6):
         if np.abs(sp.location - np.asarray(loc)).max() < tol:
             return sp
     raise AssertionError(f"no stationary point at {loc}")
+
+
+def test_su3_line_census_sits_at_the_casimir_energies():
+    # the SU(3) energies 0, 3/2 and 2 of the classical limit; every critical
+    # point but the deformed minimum at 0 lies on a degenerate manifold
+    pts = stationary.find_stationary_points(ModelParams(*SU3_LINE))
+    for sp in pts:
+        assert min(abs(sp.energy - e) for e in (0.0, 1.5, 2.0)) < 1e-12
+    isolated = [sp for sp in pts if sp.index_r != "degenerate"]
+    assert isolated and {sp.index_r for sp in isolated} == {0}
+    assert max(abs(sp.energy) for sp in isolated) < 1e-12
 
 
 def test_census_spherical_phase():
