@@ -8,10 +8,10 @@ or the grid flags; `density-cut`, `flow` and `oscillatory` take only
 value.  Options may come from flags and/or a plain-text key=value config
 file, whose keys are the flag names without `--` (`_` and `-` are
 interchangeable); flags override the file, and the file goes through the
-same parser as the flags.  A runner whose results are arrays computes them,
-then hands the writer rows made as they are written, so its table is never
-held as row tuples.  Exit codes: 0 success, 2 domain error, 3 numerical
-failure, 64 usage error, 74 I/O error.
+same parser as the flags.  A runner returns its header and an `io.Table`:
+the arrays it computed, one block per lambda with the lambda column a
+broadcast view, or one block of its few rows' columns.  Exit codes: 0
+success, 2 domain error, 3 numerical failure, 64 usage error, 74 I/O error.
 
 Threads: BLAS runs on one thread, and a job's thread pool has at most one
 worker per usable CPU and per task (`_pool_width`): by default one thread per
@@ -45,7 +45,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
 import numpy as np
 
 from . import density, quantum, stationary, surfaces
-from .io import fmt, write_manifest, write_table
+from .io import Table, fmt, write_manifest, write_table
 from .models import ModelParams
 
 
@@ -205,24 +205,6 @@ def _density_workers(cfg):
     return _pool_width(cfg, -(-cfg.n_samples // density._BLOCK))
 
 
-DENSITY_HEADER = ["lambda", "e_center", "rho", "drho_dE", "mc_error"]
-
-
-class _Rows:
-    """A table's rows, made one at a time as the writer takes them: iterable
-    once, and sized like a list (`len` is the row count)."""
-
-    def __init__(self, count, rows):
-        self._count = count
-        self._rows = iter(rows)
-
-    def __len__(self):
-        return self._count
-
-    def __iter__(self):
-        return self._rows
-
-
 def _report_coverage(cfg, grids):
     """Record MC coverage for the manifest; warn when samples left the window."""
     coverage = [1.0 - g.n_outside / g.n_samples for g in grids]
@@ -248,9 +230,9 @@ def run_phase_diagram(cfg):
                                     seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.ref_N,
                                     workers=_density_workers(cfg))
     _report_coverage(cfg, grids)
-    rows = ((lam, e, r, d, err) for lam, grid in zip(cfg.lambdas, grids)
-            for e, r, d, err in zip(grid.e_centers, grid.rho, grid.drho_dE, grid.mc_error))
-    return DENSITY_HEADER, _Rows(len(grids) * cfg.e_bins, rows)
+    return ["lambda", "e_center", "rho", "drho_dE", "mc_error"], Table(*[
+        (np.broadcast_to(lam, cfg.e_bins), g.e_centers, g.rho, g.drho_dE, g.mc_error)
+        for lam, g in zip(cfg.lambdas, grids)])
 
 
 def run_stationary(cfg):
@@ -260,23 +242,17 @@ def run_stationary(cfg):
     # rows per singularity class (i)-(v) and degenerate rows, over all lambdas
     census = dict.fromkeys([*stationary.SINGULARITY_CLASS.values(), "degenerate"], 0)
     for lam in cfg.lambdas:
-        pts = stationary.find_stationary_points(ModelParams(cfg.beta0p, float(lam)))
-        for sp in pts:
-            x, y, px, py = sp.location
-            rows.append(
-                (lam, x, y, px, py, sp.energy, sp.index_r, sp.branch, sp.singularity_class)
-            )
+        for sp in stationary.find_stationary_points(ModelParams(cfg.beta0p, float(lam))):
+            rows.append((lam, *sp.location, sp.energy, sp.index_r, sp.branch, sp.singularity_class))
             census[sp.singularity_class] += 1
     cfg.diagnostics["census"] = census
-    return ["lambda", "x", "y", "px", "py", "energy", "r", "branch", "class"], rows
+    return ["lambda", "x", "y", "px", "py", "energy", "r", "branch", "class"], Table(list(zip(*rows)))
 
 
 def run_boundary(cfg):
-    rows = []
-    for lam in cfg.lambdas:
-        lo, hi = stationary.boundary_minmax(ModelParams(cfg.beta0p, float(lam)))
-        rows.append((lam, lo, hi))
-    return ["lambda", "e_min", "e_max"], rows
+    lo, hi = np.array([stationary.boundary_extrema(ModelParams(cfg.beta0p, float(lam)))
+                       for lam in cfg.lambdas]).T
+    return ["lambda", "e_min", "e_max"], Table((cfg.lambdas, lo, hi))
 
 
 def run_spectrum(cfg):
@@ -284,20 +260,18 @@ def run_spectrum(cfg):
         return quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
 
     spectra = _pool_map(cfg, solve)
-    rows = ((lam, i, e, s, nd) for lam, spec in zip(cfg.lambdas, spectra)
-            for i, (e, s, nd) in enumerate(zip(spec.energies, spec.slopes,
-                                               spec.nd_expectation)))
-    return (["lambda", "level_index", "energy", "slope", "nd_expect"],
-            _Rows(sum(len(spec.energies) for spec in spectra), rows))
+    levels = np.arange(len(spectra[0].energies))
+    return ["lambda", "level_index", "energy", "slope", "nd_expect"], Table(*[
+        (np.broadcast_to(lam, len(levels)), levels, s.energies, s.slopes, s.nd_expectation)
+        for lam, s in zip(cfg.lambdas, spectra)])
 
 
 def run_flow(cfg):
     lam = float(cfg.lambdas[0])
     spec = quantum.diagonalize(ModelParams(cfg.beta0p, lam), cfg.N)
     grid = density.smoothed_flow(spec, width=cfg.width, bins=cfg.e_bins)
-    rows = ((lam, e, r, j, p)
-            for e, r, j, p in zip(grid.e_centers, grid.rho, grid.jbar, grid.phibar))
-    return ["lambda", "e_center", "rho", "jbar", "phibar"], _Rows(len(grid.rho), rows)
+    return ["lambda", "e_center", "rho", "jbar", "phibar"], Table(
+        (np.broadcast_to(lam, len(grid.rho)), grid.e_centers, grid.rho, grid.jbar, grid.phibar))
 
 
 def run_oscillatory(cfg):
@@ -307,32 +281,35 @@ def run_oscillatory(cfg):
     grid = density.mc_density(params, n_samples=cfg.n_samples, seed=cfg.seed,
                               bins=cfg.e_bins, ref_N=cfg.N, workers=_density_workers(cfg))
     tilde = quantum.oscillatory_density(params, cfg.N, grid)
-    rows = ((lam, e, t) for e, t in zip(grid.e_centers, tilde))
-    return ["lambda", "e_center", "rho_osc"], _Rows(len(tilde), rows)
+    return ["lambda", "e_center", "rho_osc"], Table(
+        (np.broadcast_to(lam, len(tilde)), grid.e_centers, tilde))
 
 
 def run_excited_surfaces(cfg):
     if cfg.n_beta < 1:
         raise ValueError(f"n_beta must be a positive integer, got {cfg.n_beta}")
     betas = np.linspace(0.0, surfaces.BETA_MAX - 1e-9, cfg.n_beta)
-    rows, spt_rows = [], []
+    blocks, spt_rows = [], []
     for lam in cfg.lambdas:
         params = ModelParams(cfg.beta0p, float(lam))
         for ng in cfg.n_gamma:
             energies = surfaces.excited_energy(params, cfg.N, ng, betas)
-            rows.extend((lam, ng, b, e) for b, e in zip(betas, energies))
+            blocks.append((np.broadcast_to(lam, len(betas)), np.broadcast_to(ng, len(betas)),
+                           betas, energies))
             for sp in surfaces.surface_stationary_points(params, cfg.N, ng):
                 spt_rows.append((lam, ng, sp.beta, sp.energy, sp.kind))
     stem, ext = os.path.splitext(cfg.output)
     cfg.side_tables.append((stem + "_stationary" + ext,
-                            ["lambda", "n_gamma", "beta_star", "e_star", "kind"], spt_rows))
-    return ["lambda", "n_gamma", "beta", "energy"], rows
+                            ["lambda", "n_gamma", "beta_star", "e_star", "kind"],
+                            Table(list(zip(*spt_rows)))))
+    return ["lambda", "n_gamma", "beta", "energy"], Table(*blocks)
 
 
 def run_spinodal(cfg):
     lo, hi = stationary.spinodal_points(cfg.beta0p)
     barrier = stationary.critical_barrier(cfg.beta0p)
-    return ["beta0p", "spinodal", "antispinodal", "barrier"], [(cfg.beta0p, lo, hi, barrier)]
+    return (["beta0p", "spinodal", "antispinodal", "barrier"],
+            Table([[cfg.beta0p], [lo], [hi], [barrier]]))
 
 
 # subcommand: (runner, help line, options it reads besides COMMON)
@@ -442,6 +419,10 @@ def run(cfg):
 def main(argv=None):
     try:
         return run(make_config(argv))
+    # first: np.linalg.LinAlgError is a ValueError
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+        print(f"esqpt: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"esqpt: domain error: {exc}", file=sys.stderr)
         return 2
@@ -449,9 +430,6 @@ def main(argv=None):
         # sizes too large to allocate are bad parameter values too
         print(f"esqpt: domain error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"esqpt: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"esqpt: i/o error: {exc}", file=sys.stderr)
         return 74

@@ -1,7 +1,9 @@
 """Deterministic CSV/JSON artifact writers with reproducibility manifests.
 
-Every data file is written with a fixed numeric format and '\n' line endings
-so that repeated runs with the same configuration and seed are byte-identical;
+A table reaches the writers as a `Table`, blocks of equal-length columns
+(numpy arrays or sequences).  Every data file is written with a fixed numeric
+format, fmt's text through one '%' code per column, and '\n' line endings so
+that repeated runs with the same configuration and seed are byte-identical;
 the accompanying manifest records the exact inputs, seed, package versions,
 and wall time needed to re-run the job. Each file is written to a temporary
 file in the same directory and renamed onto its path, so a failed write
@@ -47,50 +49,78 @@ def _atomic_open(path):
             os.remove(tmp)
 
 
-_JSON_CHUNK = 1024  # records per json.dumps call of write_json_records
-
-# fmt's text of a value, as a '%' code, by the value's exact type
-_CODES = {float: "%.12g", np.float64: "%.12g", int: "%d", np.int64: "%d", str: "%s"}
+_CHUNK = 1024  # rows per '%' call of write_csv and per json.dumps call of write_json_records
 
 
-def _csv_lines(rows):
-    """Each row as fmt's text, through one '%' line per tuple of exact value
-    types; a row with any other type (bool, None, np.float32, ...) takes fmt
-    per value."""
-    lines = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        line = lines.get(types)
-        if line is None:
-            codes = [_CODES.get(t) for t in types]
-            line = lines[types] = "" if None in codes else ",".join(codes) + "\n"
-        yield line % tuple(row) if line else ",".join(map(fmt, row)) + "\n"
+class Table:
+    """Rows as blocks of equal-length columns, each a numpy array or a sequence.
+
+    `len` is the row count; iterating gives the rows in order, a numpy
+    column's values as Python scalars.
+    """
+
+    def __init__(self, *blocks):
+        for block in blocks:
+            if len(set(map(len, block))) > 1:
+                raise ValueError("the columns of a table block differ in length")
+        self.blocks = blocks
+
+    def __len__(self):
+        return sum(len(block[0]) for block in self.blocks if block)
+
+    def __iter__(self):
+        for block in self.blocks:
+            for columns in _chunks(block):
+                yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                 for c in columns))
 
 
-def write_csv(path, header, rows):
-    """Single header row, '.'-decimal numbers, '\n' line endings."""
+def _chunks(block):
+    """A block's columns, sliced _CHUNK rows at a time."""
+    for start in range(0, len(block[0]) if block else 0, _CHUNK):
+        yield [column[start:start + _CHUNK] for column in block]
+
+
+def _code(column):
+    """The '%' code that prints a column as fmt does: %.12g for a float array,
+    %d for an integer array, and %s of fmt's text for anything else."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    return {"f": "%.12g", "i": "%d", "u": "%d"}.get(kind, "%s")
+
+
+def write_csv(path, header, table):
+    """Single header row, '.'-decimal numbers, '\n' line endings; a block's
+    rows go through one '%' line of its columns' codes, _CHUNK rows per call."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_csv_lines(rows))
+        for block in table.blocks:
+            codes = [_code(column) for column in block]
+            line = ",".join(codes) + "\n"
+            for columns in _chunks(block):
+                values = [list(map(fmt, c)) if code == "%s" else c.tolist()
+                          for code, c in zip(codes, columns)]
+                fh.write(line * len(values[0])
+                         % tuple(itertools.chain.from_iterable(zip(*values))))
 
 
-def write_json_records(path, header, rows):
+def write_json_records(path, header, table):
     """The same table as a list of JSON objects (format = json option), in the
-    bytes of json.dump(records, indent=1), encoded _JSON_CHUNK records at a time."""
-    records = ({key: _jsonable(value) for key, value in zip(header, row)} for row in rows)
+    bytes of json.dump(records, indent=1), encoded _CHUNK records at a time."""
+    records = ({key: _jsonable(value) for key, value in zip(header, row)} for row in table)
     with _atomic_open(path) as fh:
         sep = "[\n"
-        while chunk := list(itertools.islice(records, _JSON_CHUNK)):
+        while chunk := list(itertools.islice(records, _CHUNK)):
             fh.write(sep + json.dumps(chunk, indent=1)[2:-2])  # without "[\n" and "\n]"
             sep = ",\n"
         fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
-def write_table(path, header, rows, fmt_kind="csv"):
+def write_table(path, header, table, fmt_kind="csv"):
+    """A Table as CSV, or as JSON records when fmt_kind is "json"."""
     if fmt_kind == "json":
-        write_json_records(path, header, rows)
+        write_json_records(path, header, table)
     else:
-        write_csv(path, header, rows)
+        write_csv(path, header, table)
 
 
 def manifest_path(data_path):

@@ -310,32 +310,18 @@ def critical_barrier(beta0p):
 # boundary analysis
 
 
-@dataclass(frozen=True)
-class BoundaryExtremum:
-    direction: np.ndarray  # unit 4-vector; location is sqrt(2) * direction
-    energy: float
-    kind: str  # min | max
-
-
 def boundary_extrema(params: ModelParams):
-    """Minimum and maximum of the boundary-restricted energy, in closed form.
+    """(E_min, E_max) of the boundary-restricted energy, in closed form.
 
     On the boundary u = 1 the sqrt(1 - u) term vanishes and
     p_beta^2 + w^2 = 1 - p_gamma^2, so E = 1 + xi/2 + (zeta^2 - xi/2) p_gamma^2
     with p_gamma^2 in [0, 1], independent of beta0p.  The extrema are the
-    manifolds p_gamma = 0 and |p_gamma| = 1; each is represented by one
-    direction.  The two energies are equal at lambda = 0 and lambda = 3.
+    manifolds p_gamma = 0, through sqrt(2) (1, 0, 0, 0), with E = 1 + xi/2,
+    and |p_gamma| = 1, through (1, 0, 0, 1), with E = 1 + zeta^2.  The two
+    energies are equal at lambda = 0 and lambda = 3.
     """
-    flat = (np.array([1.0, 0.0, 0.0, 0.0]), float(1.0 + params.xi / 2.0))
-    spun = (np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), float(1.0 + params.couplings[1]))
-    lo, hi = sorted((flat, spun), key=lambda d: d[1])
-    return [BoundaryExtremum(lo[0], lo[1], "min"), BoundaryExtremum(hi[0], hi[1], "max")]
-
-
-def boundary_minmax(params: ModelParams):
-    """(min, max) of the boundary-restricted energy."""
-    lo, hi = boundary_extrema(params)
-    return lo.energy, hi.energy
+    flat, spun = 1.0 + params.xi / 2.0, 1.0 + params.couplings[1]
+    return min(flat, spun), max(flat, spun)
 
 
 def boundary_exponent(k_list, m_exponent):
@@ -439,7 +425,7 @@ def trace_borderlines(beta0p, lambda_grid, n_seeds=6000, seed=1234, include_boun
     if include_boundary:
         mins, maxs = [], []
         for lam in lambda_grid:
-            lo, hi = boundary_minmax(ModelParams(beta0p, lam))
+            lo, hi = boundary_extrema(ModelParams(beta0p, lam))
             mins.append(lo)
             maxs.append(hi)
         out.append(CriticalBorderline(list(lambda_grid), mins, None, "boundary"))

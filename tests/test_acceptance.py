@@ -67,7 +67,7 @@ def test_acceptance_02_boundary_energies(announce):
     worst = 0.0
     for beta0p in (SQRT2, 1.7):
         for lam in np.arange(0.0, 3.2001, 0.05):
-            lo, hi = stationary.boundary_minmax(ModelParams(beta0p, float(lam)))
+            lo, hi = stationary.boundary_extrema(ModelParams(beta0p, float(lam)))
             want_lo, want_hi = closed_form_boundary(float(lam))
             worst = max(worst, abs(lo - want_lo), abs(hi - want_hi))
     announce(2, "boundary energy extrema", worst < 1e-6, f"max dev {worst:.2e}")
@@ -165,7 +165,7 @@ def reference_energies(params):
             refs.append((sp.energy, ANY_KIND))
         else:
             refs.append((sp.energy, FEATURE_KINDS[sp.index_r]))
-    lo, hi = stationary.boundary_minmax(params)
+    lo, hi = stationary.boundary_extrema(params)
     refs.append((lo, ANY_KIND))
     refs.append((hi, ANY_KIND))
     return refs

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from esqpt import cli, density, quantum
-from esqpt.io import _JSON_CHUNK, fmt, write_csv, write_manifest, write_table
+from esqpt.io import _CHUNK, Table, fmt, write_csv, write_manifest, write_table
 from esqpt.models import ModelParams
 
 from conftest import SQRT2
@@ -42,26 +42,47 @@ def test_fmt():
 
 def test_write_csv_newlines(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(p, ["a", "b"], [(1, 2.5), (3, "z")])
+    write_csv(p, ["a", "b"], Table((np.array([1, 3]), [2.5, "z"])))
     assert p.read_bytes() == b"a,b\n1,2.5\n3,z\n"
 
 
 def test_write_csv_matches_fmt_bytes(tmp_path):
-    values = [True, np.bool_(False), 7, -3, np.int64(12), np.float32(0.1),
+    values = [True, np.bool_(False), 7, -3, np.int64(12), 10**20, np.float32(0.1),
               np.float32(float("nan")), 0.1, 1.0 / 3.0, -2.5e-17, 1e300, 4.0,
               np.float64(2.0 / 3.0), np.float64(-0.0), float("nan"),
-              float("inf"), np.float64("-inf"), "first", ""]
-    # rows of float, np.float64, int, np.int64 and str only take the cached
-    # '%' line of their type tuple; the others take fmt per value
-    plain = [7, -3, np.int64(-12), 10**20, 0.1, 1.0 / 3.0, -2.5e-17, 1e300, 4.0,
-             np.float64(2.0 / 3.0), np.float64(-0.0), float("nan"), float("inf"),
-             np.float64("-inf"), "first", "", "50%"]
-    rows = [values, values[::-1], [np.float64(1e-5), 123456789012345.0, "x"],
-            plain, plain[::-1], plain[::-1], [np.int64(2**62), 1e-300, "%d"], []]
+              float("inf"), np.float64("-inf"), "first", "", "50%", "%d"]
+    n = len(values)
+    floats = np.array([0.1, 1.0 / 3.0, -2.5e-17, 1e300, 1e-300, 4.0, -0.0, float("nan"),
+                       float("inf"), -float("inf"), 123456789012345.0] * 2)[:n]
+    singles = np.array([0.1, -0.0, float("nan"), float("inf"), 1.0 / 3.0] * n, np.float32)[:n]
+    # float arrays print through %.12g, integer arrays through %d, and bool,
+    # object and string arrays and plain sequences through fmt
+    arrays = [floats, singles, np.arange(-3, n - 3) * 2**40,
+              np.arange(n, dtype=np.uint8), np.arange(n) % 3 == 0,
+              np.array([10**20] + [0.5] * (n - 1)), np.array(["50%", "%d", "x"] * n)[:n]]
+    blocks = [(values, *arrays, values[::-1]),
+              (arrays[2], values[::-1], *arrays[::-1], floats),
+              [[]] * 3,
+              (),
+              # more rows than one '%' call takes
+              (np.repeat(floats, 100), (values * 100)[::-1])]
     p = tmp_path / "t.csv"
-    write_csv(p, ["h1", "h2"], rows)
+    write_csv(p, ["h1", "h2"], Table(*blocks))
+    rows = [row for block in blocks for row in zip(*block)]
+    assert len(rows) > 2 * _CHUNK
     expected = "h1,h2\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
     assert p.read_bytes() == expected.encode()
+
+
+def test_table_is_its_blocks_rows():
+    table = Table((np.array([0.5, 1.5]), np.arange(2), ["a", np.float64(2.5)]), [[]] * 3,
+                  (np.broadcast_to(0.25, 1), np.array([7]), [None]))
+    assert len(table) == 3
+    rows = list(table)
+    assert rows == [(0.5, 0, "a"), (1.5, 1, 2.5), (0.25, 7, None)]
+    assert [type(v) for v in rows[0][:2]] == [float, int]
+    with pytest.raises(ValueError, match="differ in length"):
+        Table((np.arange(3), [1, 2]))
 
 
 class Unprintable:
@@ -73,15 +94,15 @@ class Unprintable:
 def test_failed_write_leaves_no_data_file(tmp_path, fmt_kind):
     p = tmp_path / "t.csv"
     with pytest.raises((RuntimeError, TypeError)):
-        write_table(p, ["a"], [(1,), (Unprintable(),)], fmt_kind)
+        write_table(p, ["a"], Table([[1, Unprintable()]]), fmt_kind)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path):
     p = tmp_path / "t.csv"
-    write_table(p, ["a"], [(1,)])
+    write_table(p, ["a"], Table([[1]]))
     with pytest.raises(RuntimeError):
-        write_table(p, ["a"], [(2,), (Unprintable(),)])
+        write_table(p, ["a"], Table([[2, Unprintable()]]))
     assert p.read_bytes() == b"a\n1\n"
     assert list(tmp_path.iterdir()) == [p]
 
@@ -775,25 +796,24 @@ def test_json_format(tmp_path):
     assert doc[0]["e_min"] == pytest.approx(1.0, abs=1e-6)
 
 
-# writes a 200 000-row table as JSON in a fresh process; prints how far the
-# write raised the process's peak resident set (VmHWM, which unlike ru_maxrss
-# is not inherited) over its resident set before, in MB, and whether the
-# bytes are those of json.dump
+# writes a 200 000-row table of arrays as JSON in a fresh process; prints how
+# far the write raised the process's peak resident set (VmHWM, which unlike
+# ru_maxrss is not inherited) over its resident set before, in MB, and whether
+# the bytes are those of json.dump
 JSON_TABLE = """
 import json, sys
 import numpy as np
-from esqpt.io import _jsonable, write_table
+from esqpt.io import Table, _jsonable, write_table
 header = ["lambda", "level_index", "energy", "slope", "nd_expect"]
-def rows():
-    return ((np.float64(0.01 * (i // 234)), i % 234, np.float64(i / 7.0), 1.0 / (i + 1), i * 0.5)
-            for i in range(200_000))
+i = np.arange(200_000)
+table = Table((0.01 * (i // 234), i % 234, i / 7.0, 1.0 / (i + 1), i * 0.5))
 def status_kb(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(key))
 rss = status_kb("VmRSS:")
-write_table(sys.argv[1], header, rows(), "json")
+write_table(sys.argv[1], header, table, "json")
 grown = (status_kb("VmHWM:") - rss) / 1024
-records = [dict(zip(header, map(_jsonable, row))) for row in rows()]
+records = [dict(zip(header, map(_jsonable, row))) for row in table]
 with open(sys.argv[1]) as fh:
     print(grown, fh.read() == json.dumps(records, indent=1) + "\\n")
 """
@@ -810,11 +830,11 @@ def test_json_table_streams_its_records(tmp_path):
     assert out[1] == "True"
 
 
-@pytest.mark.parametrize("count", [0, 1, _JSON_CHUNK, _JSON_CHUNK + 1, 2 * _JSON_CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
 def test_json_table_chunks_join_as_one_list(tmp_path, count):
-    rows = [(i, [0.5, {}], None) for i in range(count)]
-    write_table(tmp_path / "t.json", ["a", "b", "c"], rows, "json")
-    records = [dict(zip(["a", "b", "c"], row)) for row in rows]
+    table = Table((np.arange(count), [[0.5, {}]] * count, [None] * count))
+    write_table(tmp_path / "t.json", ["a", "b", "c"], table, "json")
+    records = [{"a": i, "b": [0.5, {}], "c": None} for i in range(count)]
     assert (tmp_path / "t.json").read_text() == json.dumps(records, indent=1) + "\n"
 
 
@@ -919,6 +939,30 @@ def test_non_finite_parameters_are_domain_errors(tmp_path, capsys, beta0p, lam, 
     err = capsys.readouterr().err
     assert err.startswith("esqpt: domain error: ") and "finite" in err
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "flow"])
+def test_an_overflowing_hamiltonian_is_a_domain_error(tmp_path, capsys, command):
+    # lambda = 1e308 is finite, but its couplings overflow H: refused before
+    # eigh, without numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--beta0p", "1.7", "--lambda", "1e308", "--n", "4",
+                         "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "esqpt: domain error: H is not finite at lambda = 1e+308\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_eigensolve_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, but exits 3, not 2
+    def eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda", "0.5", "--n", "4",
+                     "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "esqpt: numerical failure: Eigenvalues did not converge\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,6 +12,7 @@ from esqpt.models import ModelParams
 
 from conftest import SQRT2
 from oracle.level_density import zero_lambda_cdf
+from oracle.su3 import SU3_LINE, su3_cdf
 
 
 def test_density_support_u5_limit():
@@ -201,7 +202,21 @@ def test_mc_density_at_zero_lambda_matches_the_exact_counting_function(beta0p, s
     # left to the test of sparse bins below
     n = 1_000_000
     grid = density.mc_density(ModelParams(beta0p, 0.0), n_samples=n, seed=seed)
-    cdf = zero_lambda_cdf(beta0p, grid.e_edges)
+    assert_counts_follow(grid, zero_lambda_cdf(beta0p, grid.e_edges), n)
+
+
+def test_mc_density_on_the_su3_line_matches_the_exact_counting_function():
+    # at (sqrt(2), 2) the L = 0 states fill the SU(3) label triangle
+    # uniformly, which gives F(E) in closed form (oracle.su3)
+    n = 1_000_000
+    grid = density.mc_density(ModelParams(*SU3_LINE), n_samples=n, seed=0)
+    assert_counts_follow(grid, su3_cdf(grid.e_edges), n)
+
+
+def assert_counts_follow(grid, cdf, n):
+    """The bin counts of n samples against the counting function at the bin
+    edges: a chi-square over the bins expected to hold 5 samples or more, the
+    samples outside the window, and the median of the errors."""
     p = np.diff(cdf)
     expected = n * p
     counts = np.rint(grid.rho * grid.binwidth * n / quantum.basis_dimension(grid.ref_N))

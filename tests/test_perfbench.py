@@ -54,6 +54,25 @@ def test_traced_spectrum_job_records_every_assembly(tmp_path, monkeypatch):
     assert names.count("io.write_table") == 1
 
 
+def test_traced_table_rows_are_the_data_lines_written(tmp_path):
+    # io.write_table.rows is the len of the table each runner hands the writer
+    jobs = {
+        "phase-diagram": ("--beta0p", "1.7", "--lambda-start", "0.4", "--lambda-stop", "0.8",
+                          "--lambda-step", "0.2", "--n-samples", "20000"),
+        "spectrum": ("--beta0p", "1.7", "--n", "10", "--lambda-start", "0.2",
+                     "--lambda-stop", "1.8", "--lambda-step", "0.4"),
+    }
+    lines = {}
+    for command, args in jobs.items():
+        out, trace = tmp_path / f"{command}.csv", tmp_path / f"{command}.json"
+        run_job(trace, "cli", command, *args, "-o", out)
+        lines[command] = len(out.read_text().splitlines()) - 1  # less the header
+        rows = [span[5]["rows"] for span in json.loads(trace.read_text())["spans"]
+                if span[0] == "io.write_table"]
+        assert rows == [lines[command]]
+    assert lines["phase-diagram"] == 3 * 300
+
+
 # the runner's own job command line, environment and seed, and each job's check
 CHECK_JOBS = textwrap.dedent("""
     import json, sys

@@ -693,7 +693,7 @@ def boundary_closed_form(lam):
 @pytest.mark.parametrize("beta0p", [SQRT2, 1.7])
 def test_boundary_minmax_closed_form(beta0p):
     for lam in (0.0, 0.5, 1.4, 2.0, 2.9, 3.2):
-        lo, hi = stationary.boundary_minmax(ModelParams(beta0p, lam))
+        lo, hi = stationary.boundary_extrema(ModelParams(beta0p, lam))
         want_lo, want_hi = boundary_closed_form(lam)
         assert lo == pytest.approx(want_lo, abs=1e-6)
         assert hi == pytest.approx(want_hi, abs=1e-6)
@@ -708,17 +708,16 @@ def test_boundary_extrema_bound_the_kernel(beta0p):
     r = math.sqrt(2.0)
     for lam in (0.0, 0.3, 1.0, 1.4, 2.2, 3.0, 3.2, 5.0):
         params = ModelParams(beta0p, lam)
-        ext = stationary.boundary_extrema(params)
-        assert [e.kind for e in ext] == ["min", "max"]
-        lo, hi = ext[0].energy, ext[1].energy
-        assert (lo, hi) == stationary.boundary_minmax(params)
+        lo, hi = stationary.boundary_extrema(params)
+        assert lo <= hi
         e = _kernels.h_eval(*(r * dirs.T), beta0p, params.couplings)
         assert e.min() >= lo - 1e-6
         assert e.max() <= hi + 1e-6
-        for x in ext:
-            assert np.linalg.norm(x.direction) == pytest.approx(1.0, abs=1e-15)
-            assert classical.eval_H(params, r * x.direction) == pytest.approx(x.energy, abs=1e-6)
-    lo, hi = stationary.boundary_minmax(ModelParams(beta0p, 3.0))
+        # attained on the boundary: p_gamma = 0 at sqrt(2) (1, 0, 0, 0), |p_gamma| = 1
+        # at (1, 0, 0, 1)
+        flat, spun = (classical.eval_H(params, x) for x in ([r, 0, 0, 0], [1, 0, 0, 1]))
+        assert sorted((flat, spun)) == pytest.approx([lo, hi], abs=1e-6)
+    lo, hi = stationary.boundary_extrema(ModelParams(beta0p, 3.0))
     assert lo == hi == 2.0
 
 
