@@ -372,6 +372,10 @@ def make_config(argv=None):
         args.lambdas = _lambda_grid(args)
         inputs.update(lambda_start=float(args.lambdas[0]), lambda_stop=float(args.lambdas[-1]),
                       lambda_count=len(args.lambdas))
+    # refuse parameters outside the domain before any work; its lambda range is
+    # an interval, so the grid's ends decide it for every value
+    for lam in (args.lambdas[0], args.lambdas[-1]) if "lambda" in options else (0.0,):
+        ModelParams(args.beta0p, float(lam))
     args.inputs = inputs
     args.threads = _threads_from_env()
     # what the run found, for the manifest, and the (path, header, rows) of

@@ -6,6 +6,17 @@ lambda to the two couplings of the Hamiltonian: zeta = lambda on [0, 1]
 the second branch), weighed by `couplings`. `LAMBDA_CRITICAL` = 1 separates
 the branches, where their derivative `coupling_slopes` is one-sided. The
 classical phase space is the 4-ball x^2 + y^2 + px^2 + py^2 <= `R0_SQUARED`.
+
+The parameter domain is beta0p > 0 and lambda >= 0, both finite, with an
+energy scale S = (1 + xi) max(1, beta0p)^4 (`energy_scale`) of at most
+`SCALE_MAX` = 1e60. S bounds every term of H, whose parts are quartic in
+beta0p and linear in xi. The highest-degree formula computed from the
+couplings, `_derivs.kinetic_cubic`, has degree 12 in beta0p and 4 in xi, and
+beta0p^12 xi^4 <= S^4; so at the bound every generated coefficient stays
+below about 1e243 and N H below about 4e64 at N <= 200, far inside the float
+range. Outside the domain `ModelParams` raises one ValueError, so no formula
+of the couplings overflows; the excited surfaces, which also grow with N,
+bound N themselves (`surfaces.COEFF_MAX`).
 """
 
 from __future__ import annotations
@@ -15,11 +26,13 @@ from dataclasses import dataclass
 
 LAMBDA_CRITICAL = 1.0
 R0_SQUARED = 2.0
+SCALE_MAX = 1e60
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Control parameters of the interpolating Hamiltonian."""
+    """Control parameters of the interpolating Hamiltonian: finite beta0p > 0
+    and lambda >= 0 whose `energy_scale` is at most `SCALE_MAX`."""
 
     beta0p: float
     lam: float
@@ -29,6 +42,17 @@ class ModelParams:
             raise ValueError(f"beta0p must be positive and finite, got {self.beta0p}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be non-negative and finite, got {self.lam}")
+        if self.energy_scale > SCALE_MAX:
+            raise ValueError(
+                f"beta0p = {self.beta0p:.12g} and lambda = {self.lam:.12g} give an energy scale "
+                f"(1 + xi) max(1, beta0p)^4 above {SCALE_MAX:g}")
+
+    @property
+    def energy_scale(self):
+        """S = (1 + xi) max(1, beta0p)^4, in float products, which give inf past
+        the float range where ** would raise OverflowError."""
+        b = max(1.0, self.beta0p)
+        return (1.0 + self.xi) * (b * b) * (b * b)
 
     @property
     def zeta(self):

@@ -143,11 +143,7 @@ def _assemble(coeffs, operators):
 
 def build_hamiltonian(params: ModelParams, N):
     """Dense symmetric H(lambda, beta0p) in the L=0 basis: `_operators` weighed by `couplings`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _assemble(params.couplings, _operators(N, params.beta0p)[1]) / N
-    if not np.isfinite(h).all():
-        raise ValueError(f"H is not finite at lambda = {params.lam:g}")
-    return h
+    return _assemble(params.couplings, _operators(N, params.beta0p)[1]) / N
 
 
 @dataclass

@@ -33,9 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _derivs, _kernels
-from .models import R0_SQUARED, ModelParams
+from .models import R0_SQUARED, SCALE_MAX, ModelParams
 
 BETA_MAX = math.sqrt(R0_SQUARED)
+# the quartic's coefficients are at most 16 N^2 S (S = `ModelParams.energy_scale`);
+# N is refused where that passes SCALE_MAX^4, the ceiling of the generated
+# formulas at the edge of the parameter domain
+COEFF_MAX = SCALE_MAX**4
 
 
 def condensate_energy(params: ModelParams, N, beta, gamma=0.0):
@@ -51,6 +55,11 @@ def _quartic(params: ModelParams, N, N_gamma):
     """Coefficients (f_0, ..., f_4) of 2 N^2 E = sum_j f_j s^(4-j) d^j."""
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
+    n_max = math.sqrt(COEFF_MAX / (16.0 * params.energy_scale))
+    if N > n_max:
+        raise ValueError(f"N = {N} is above {n_max:.3g}, past which the excited surfaces "
+                         f"at beta0p = {params.beta0p:.12g}, lambda = {params.lam:.12g} "
+                         f"leave the float range")
     if N_gamma % 2 != 0:
         raise ValueError("N_gamma must be even (K = 0 pair construction)")
     if N_gamma < 0 or N_gamma > N:

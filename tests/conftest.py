@@ -7,6 +7,9 @@ import pytest
 
 SQRT2 = math.sqrt(2.0)
 ROOT = Path(__file__).resolve().parent.parent
+# (beta0p, lambda) at the edge of the parameter domain: energy scales of 1e60,
+# 1e60 - 6e44, 1.62e58 and 1e60 against models.SCALE_MAX = 1e60
+DOMAIN_CORNERS = [(1.0, 1e60), (9.999999999999999e14, 0.5), (3e14, 2.0), (1e10, 1e20)]
 
 
 @pytest.fixture(scope="session")

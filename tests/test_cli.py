@@ -18,7 +18,7 @@ from esqpt import cli, density, quantum
 from esqpt.io import _CHUNK, Table, fmt, write_csv, write_manifest, write_table
 from esqpt.models import ModelParams
 
-from conftest import SQRT2
+from conftest import DOMAIN_CORNERS, SQRT2
 
 SQRT2_STR = "1.41421356"
 
@@ -891,6 +891,9 @@ def test_exit_codes(tmp_path):
     # an infinite width flattens every Gaussian to 0
     (["flow", "--lambda", "0.5", "--n", "10", "--width", "inf"], "width must be finite, got inf"),
     (["flow", "--lambda", "0.5", "--n", "10", "--width", "nan"], "width must be finite, got nan"),
+    (["excited-surfaces", "--lambda", "0.5", "--n", str(10**160)],
+     f"N = {10**160} is above 8.65e+118, past which the excited surfaces at beta0p = 1.7, "
+     "lambda = 0.5 leave the float range"),
 ])
 def test_exit_codes_for_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -942,16 +945,46 @@ def test_non_finite_parameters_are_domain_errors(tmp_path, capsys, beta0p, lam, 
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["spectrum", "flow"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
 def test_an_overflowing_hamiltonian_is_a_domain_error(tmp_path, capsys, command):
-    # lambda = 1e308 is finite, but its couplings overflow H: refused before
-    # eigh, without numpy's overflow warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main([command, "--beta0p", "1.7", "--lambda", "1e308", "--n", "4",
-                         "-o", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err == "esqpt: domain error: H is not finite at lambda = 1e+308\n"
-    assert list(tmp_path.iterdir()) == []
+    # finite parameters whose energy scale would overflow the formulas: refused
+    # by ModelParams before any work, without a numpy warning
+    takes_lambda = "lambda" in cli.COMMANDS[command][2]
+    for beta0p, lam in [(1.7, 1e308), (1e200, 0.5)] if takes_lambda else [(1e200, 0.0)]:
+        argv = [command, "--beta0p", str(beta0p), "-o", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + (["--lambda", str(lam)] if takes_lambda else [])) == 2
+        assert capsys.readouterr().err == (
+            f"esqpt: domain error: beta0p = {beta0p:g} and lambda = {lam:g} give an energy "
+            f"scale (1 + xi) max(1, beta0p)^4 above 1e+60\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+# small sizes: at the domain's edge only the scale of the values matters
+CORNER_ARGS = {
+    "phase-diagram": ["--n-samples", "2000"],
+    "density-cut": ["--n-samples", "2000"],
+    "spectrum": ["--n", "20"],
+    "flow": ["--n", "20"],
+    "oscillatory": ["--n", "20", "--n-samples", "2000"],
+    "excited-surfaces": ["--n", "1000000", "--n-beta", "20"],
+}
+
+
+@pytest.mark.parametrize("beta0p, lam", DOMAIN_CORNERS)
+def test_every_command_runs_clean_at_the_edge_of_the_parameter_domain(tmp_path, capsys,
+                                                                       beta0p, lam):
+    for command, (_, _, options) in cli.COMMANDS.items():
+        argv = [command, "--beta0p", repr(beta0p), "-o", str(tmp_path / f"{command}.csv"),
+                *CORNER_ARGS.get(command, [])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + (["--lambda", repr(lam)] if "lambda" in options else [])) == 0
+        err = capsys.readouterr().err
+        # the density commands' energies lie far above the Monte-Carlo window
+        assert err == "" or (command in ("phase-diagram", "density-cut")
+                             and err.startswith("esqpt: warning: ") and err.count("\n") == 1)
 
 
 def test_a_failed_eigensolve_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -1,20 +1,57 @@
 """The committed generated module matches its sympy generator, the generator's
 axial quartic is the parts of H on the gamma = 0 axis, and the emitted kernel
-`_derivs.h_parts` matches the generator's definition of the parts."""
+`_derivs.h_parts` matches the generator's definition of the parts, and every
+generated formula stays finite on the whole parameter domain."""
 
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from esqpt import _derivs
+from esqpt.models import SCALE_MAX, ModelParams
 
-from conftest import ROOT, SQRT2, interior_points
+from conftest import DOMAIN_CORNERS, ROOT, SQRT2, interior_points
 
 
 def test_derivs_module_is_regenerated_byte_identically(gen):
     assert gen.derivs_source() == (ROOT / "src" / "esqpt" / "_derivs.py").read_text()
+
+
+@pytest.mark.parametrize("beta0p, lam", DOMAIN_CORNERS)
+def test_generated_formulas_stay_finite_at_the_edge_of_the_parameter_domain(beta0p, lam):
+    # kinetic_cubic, of degree 12 in beta0p and 4 in xi, reaches ~S^4 here: a
+    # generator change that raises a degree overflows here first
+    params = ModelParams(beta0p, lam)
+    assert 0.01 * SCALE_MAX < params.energy_scale <= SCALE_MAX
+    b0, (_, _, ze, xi) = params.beta0p, params.couplings
+    x, y, px, py = interior_points(np.random.default_rng(38), 1000).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [*_derivs.h_parts(x, y, px, py, b0, True)]
+        for fn in (_derivs.grad_parts, _derivs.hess_parts):
+            values += [v for part in fn(x, y, px, py, b0, True) for v in part]
+        values += [*_derivs.kinetic_cubic(b0, ze, xi), *_derivs.trivial_cubic(b0, ze, xi),
+                   *_derivs.ps_cubic(np.linspace(-1, 1, 101) * (SQRT2 - 1e-9), b0, ze, xi),
+                   *_derivs.axial_quartic(b0, ze, xi)]
+    assert all(np.isfinite(v).all() for v in values)
+
+
+@pytest.mark.parametrize("beta0p, lam", [
+    (1.7, 1e308), (1e200, 0.5), (1e300, 1e300), (1.0, 1.001e60), (1.001e10, 1e20),
+    # 1e15^4 rounds to one ulp above 1e60
+    (1e15, 0.5),
+])
+def test_parameters_past_the_energy_scale_bound_are_refused(beta0p, lam):
+    message = (f"beta0p = {beta0p:.12g} and lambda = {lam:.12g} give an energy scale "
+               f"(1 + xi) max(1, beta0p)^4 above 1e+60")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelParams(beta0p, lam)
 
 
 def ball_and_boundary_points(n_ball=100_000):

@@ -154,7 +154,7 @@ def test_u5_small_spectra():
     )
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 7, 10, 20, 21, 50, 100])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 10, 20, 21, 50, 100, 200])
 def test_su3_line_spectrum_is_the_casimir_formula(N):
     # N E = C2(2N, 0) - C2(2N - 4k - 6m, 2k) over 2k + 3m <= N; at N = 1 one level, 0
     want = su3_levels(N)

@@ -1,6 +1,7 @@
 """Coherent-state condensate energies and excited surfaces vs Fock oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,20 @@ def test_origin_slope_closed_form(beta0p, lam, N, n_gamma):
     assert (-3 * e0 + 4 * e1 - e2) / (2 * h) == pytest.approx(want, abs=1e-8)
     origin = surfaces.surface_stationary_points(params, N, n_gamma)[0]
     assert origin.beta == 0.0 and origin.kind.endswith("min")
+
+
+@pytest.mark.parametrize("beta0p, lam, n_clean, n_refused", [
+    (1.7, 0.5, 10**118, 10**119), (1.0, 1e60, 10**89, 10**90), (1e10, 1e20, 10**89, 10**90),
+])
+def test_an_n_past_the_float_range_is_refused(beta0p, lam, n_clean, n_refused):
+    # the quartic's coefficients grow as N^2 times the energy scale; each
+    # n_clean is a tenth of the n_refused past the bound
+    params = ModelParams(beta0p, lam)
+    betas = np.linspace(0.0, surfaces.BETA_MAX - 1e-9, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ng in (0, 2, n_clean // 2, n_clean):
+            assert np.isfinite(surfaces.excited_energy(params, n_clean, ng, betas)).all()
+            assert surfaces.surface_stationary_points(params, n_clean, ng)
+        with pytest.raises(ValueError, match=f"N = {n_refused} is above"):
+            surfaces.excited_energy(params, n_refused, 0, betas)
