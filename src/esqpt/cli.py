@@ -7,8 +7,8 @@ or the grid flags; `density-cut`, `flow` and `oscillatory` take only
 `--lambda` and need it, and `density-cut` is `phase-diagram` at that one
 value.  Options may come from flags and/or a plain-text key=value config
 file, whose keys are the flag names without `--` (`_` and `-` are
-interchangeable); flags override the file, and the file goes through the
-same parser as the flags.  A runner returns its header and an `io.Table`:
+interchangeable); its lines become flags ahead of the command line's, which
+override them.  A runner returns its header and an `io.Table`:
 the arrays it computed, one block per lambda with the lambda column a
 broadcast view, or one block of its few rows' columns.  Exit codes: 0
 success, 2 domain error, 3 numerical failure, 64 usage error, 74 I/O error.
@@ -102,14 +102,12 @@ def _dest(option):
     return OPTIONS[option].get("dest", option.replace("-", "_"))
 
 
-def _read_config_file(path, options, parser):
-    """Plain-text key=value lines ('#' starts a comment) as defaults by dest.
-
-    Values stay strings, so the parser converts them exactly like flags; a
-    key that names no option of the command is a usage error.
-    """
-    dests = {opt.replace("-", "_"): _dest(opt) for opt in options if opt != "config"}
-    values = {}
+def _config_flags(path, options, parser):
+    """Plain-text key=value lines ('#' starts a comment) as the `--key=value`
+    flags they name, for the parser to read like the command line's; a key
+    that names no option of the command is a usage error."""
+    flags = {opt.replace("-", "_"): "--" + opt for opt in options if opt != "config"}
+    argv = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -119,11 +117,11 @@ def _read_config_file(path, options, parser):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            dest = dests.get(key.replace("-", "_"))
-            if dest is None:
+            flag = flags.get(key.replace("-", "_"))
+            if flag is None:
                 parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-            values[dest] = val.strip()
-    return values
+            argv.append(f"{flag}={val.strip()}")
+    return argv
 
 
 def _lambda_grid(args):
@@ -260,6 +258,7 @@ def run_spectrum(cfg):
         return quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
 
     spectra = _pool_map(cfg, solve)
+    cfg.diagnostics["basis_dimension"] = quantum.basis_dimension(cfg.N)
     levels = np.arange(len(spectra[0].energies))
     return ["lambda", "level_index", "energy", "slope", "nd_expect"], Table(*[
         (np.broadcast_to(lam, len(levels)), levels, s.energies, s.slopes, s.nd_expectation)
@@ -269,6 +268,7 @@ def run_spectrum(cfg):
 def run_flow(cfg):
     lam = float(cfg.lambdas[0])
     spec = quantum.diagonalize(ModelParams(cfg.beta0p, lam), cfg.N)
+    cfg.diagnostics["basis_dimension"] = quantum.basis_dimension(cfg.N)
     grid = density.smoothed_flow(spec, width=cfg.width, bins=cfg.e_bins)
     return ["lambda", "e_center", "rho", "jbar", "phibar"], Table(
         (np.broadcast_to(lam, len(grid.rho)), grid.e_centers, grid.rho, grid.jbar, grid.phibar))
@@ -277,9 +277,11 @@ def run_flow(cfg):
 def run_oscillatory(cfg):
     lam = float(cfg.lambdas[0])
     quantum.check_boson_number(cfg.N)
+    cfg.diagnostics["basis_dimension"] = quantum.basis_dimension(cfg.N)
     params = ModelParams(cfg.beta0p, lam)
     grid = density.mc_density(params, n_samples=cfg.n_samples, seed=cfg.seed,
                               bins=cfg.e_bins, ref_N=cfg.N, workers=_density_workers(cfg))
+    _report_coverage(cfg, [grid])
     tilde = quantum.oscillatory_density(params, cfg.N, grid)
     return ["lambda", "e_center", "rho_osc"], Table(
         (np.broadcast_to(lam, len(tilde)), grid.e_centers, tilde))
@@ -354,16 +356,16 @@ def build_parser():
 def make_config(argv=None):
     """Parsed namespace of one job: flags over config-file values over defaults."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     options = COMMON + COMMANDS[args.command][2]
     if args.config:
-        sub = parser.commands[args.command]
-        sub.set_defaults(**_read_config_file(args.config, options, sub))
+        # the file's flags go before the command line's, which override them
+        at = argv.index(args.command) + 1
+        argv[at:at] = _config_flags(args.config, options, parser.commands[args.command])
         args = parser.parse_args(argv)
     if args.beta0p is None:
         raise ValueError("beta0p is required (flag --beta0p or config file)")
-    if args.format not in ("csv", "json"):
-        raise ValueError(f"unknown format: {args.format}")
     if args.output is None:
         args.output = f"{args.command}.{args.format}"
     inputs = {_dest(opt): getattr(args, _dest(opt))

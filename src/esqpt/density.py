@@ -37,20 +37,20 @@ DETECT_N_SIGMA = 5.0
 DETECT_WINDOW = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityGrid:
-    """A Monte-Carlo level density on fixed energy bins; `mc_density_scan`
-    sets d rho / dE and its error on every grid (`density_derivative`)."""
+    """A Monte-Carlo level density on fixed energy bins, with d rho / dE and
+    its error (`density_derivative`)."""
 
     e_edges: np.ndarray
     rho: np.ndarray
     mc_error: np.ndarray
+    drho_dE: np.ndarray
+    drho_error: np.ndarray
     n_samples: int
     params: ModelParams
     ref_N: int
-    n_outside: int = 0  # samples whose energy falls outside the window
-    drho_dE: np.ndarray | None = None
-    drho_error: np.ndarray | None = None
+    n_outside: int  # samples whose energy falls outside the window
 
     @property
     def e_centers(self):
@@ -164,14 +164,11 @@ def mc_density_scan(
     rho = dim * p / width
     # binomial error of max(k, 1) counts: an empty bin carries one count's weight
     err = dim * np.sqrt(np.maximum(counts, 1) / n_samples * (1 - p) / n_samples) / width
-    grids = [
-        DensityGrid(edges, r, e, int(n_samples), par, int(ref_N),
-                    n_outside=int(n_samples - row.sum()))
+    return [
+        DensityGrid(edges, r, e, *density_derivative(r, e, width), int(n_samples), par,
+                    int(ref_N), int(n_samples - row.sum()))
         for r, e, row, par in zip(rho, err, counts, params)
     ]
-    for grid in grids:
-        density_derivative(grid)
-    return grids
 
 
 def mc_density(
@@ -187,20 +184,16 @@ def mc_density(
                            workers)[0]
 
 
-def density_derivative(grid: DensityGrid):
-    """Central-difference d rho / dE after Gaussian smoothing over PRESMOOTH_BINS."""
+def density_derivative(rho, mc_error, binwidth):
+    """(d rho / dE, its error) on bins of `binwidth`: central differences after
+    Gaussian smoothing over PRESMOOTH_BINS."""
     kernel = _gauss_kernel(PRESMOOTH_BINS)
-    rho = _smooth(grid.rho, kernel)
     # variance shrinks by the sum of squared kernel weights
-    err = _smooth(grid.mc_error, kernel) * math.sqrt(float(np.sum(kernel**2)))
-    w = grid.binwidth
-    d = np.gradient(rho, w)
-    derr = np.sqrt(np.roll(err, -1) ** 2 + np.roll(err, 1) ** 2) / (2 * w)
+    err = _smooth(mc_error, kernel) * math.sqrt(float(np.sum(kernel**2)))
+    derr = np.sqrt(np.roll(err, -1) ** 2 + np.roll(err, 1) ** 2) / (2 * binwidth)
     derr[0] = derr[1]
     derr[-1] = derr[-2]
-    grid.drho_dE = d
-    grid.drho_error = derr
-    return d
+    return np.gradient(_smooth(rho, kernel), binwidth), derr
 
 
 def _gauss_kernel(sigma):

@@ -53,11 +53,8 @@ _CHUNK = 1024  # rows per '%' call of write_csv and per json.dumps call of write
 
 
 class Table:
-    """Rows as blocks of equal-length columns, each a numpy array or a sequence.
-
-    `len` is the row count; iterating gives the rows in order, a numpy
-    column's values as Python scalars.
-    """
+    """Rows as blocks of equal-length columns, each a numpy array or a sequence;
+    `len` is the row count."""
 
     def __init__(self, *blocks):
         for block in blocks:
@@ -67,12 +64,6 @@ class Table:
 
     def __len__(self):
         return sum(len(block[0]) for block in self.blocks if block)
-
-    def __iter__(self):
-        for block in self.blocks:
-            for columns in _chunks(block):
-                yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                                 for c in columns))
 
 
 def _chunks(block):
@@ -105,13 +96,16 @@ def write_csv(path, header, table):
 
 def write_json_records(path, header, table):
     """The same table as a list of JSON objects (format = json option), in the
-    bytes of json.dump(records, indent=1), encoded _CHUNK records at a time."""
-    records = ({key: _jsonable(value) for key, value in zip(header, row)} for row in table)
+    bytes of json.dump(records, indent=1); a block's records are encoded
+    _CHUNK at a time, whose items json.dumps joins by ",\n" as the chunks are."""
     with _atomic_open(path) as fh:
         sep = "[\n"
-        while chunk := list(itertools.islice(records, _CHUNK)):
-            fh.write(sep + json.dumps(chunk, indent=1)[2:-2])  # without "[\n" and "\n]"
-            sep = ",\n"
+        for block in table.blocks:
+            for columns in _chunks(block):
+                rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+                chunk = [dict(zip(header, map(_jsonable, row))) for row in rows]
+                fh.write(sep + json.dumps(chunk, indent=1)[2:-2])  # without "[\n" and "\n]"
+                sep = ",\n"
         fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 

@@ -40,6 +40,8 @@ BETA_MAX = math.sqrt(R0_SQUARED)
 # N is refused where that passes SCALE_MAX^4, the ceiling of the generated
 # formulas at the edge of the parameter domain
 COEFF_MAX = SCALE_MAX**4
+# the kept roots of p lie below t = 841 (beta < sqrt(2) - 1e-6), inside [0, T_KEPT)
+T_KEPT = 1e3
 
 
 def condensate_energy(params: ModelParams, N, beta, gamma=0.0):
@@ -115,6 +117,10 @@ def surface_stationary_points(params: ModelParams, N, N_gamma):
     # near t = 0 the lowest nonzero power of p sets the sign of dE/dtheta
     rising = next((c for c in p[::-1] if c != 0.0), 0.0) >= 0.0
     found = [(0.0, "min" if rising else "max")]
+    # a leading term below eps of p's largest on [0, T_KEPT) only adds a root
+    # far beyond T_KEPT, and np.roots would lose the others to its size
+    terms = np.abs(p) * T_KEPT ** np.arange(4, -1, -1)
+    p = p[np.argmax(terms >= np.finfo(float).eps * terms.max()):]
     roots = np.roots(p)
     dp = np.polyder(p)
     for t in roots[(roots.imag == 0.0) & (roots.real > 0.0)].real:

@@ -78,9 +78,6 @@ def test_table_is_its_blocks_rows():
     table = Table((np.array([0.5, 1.5]), np.arange(2), ["a", np.float64(2.5)]), [[]] * 3,
                   (np.broadcast_to(0.25, 1), np.array([7]), [None]))
     assert len(table) == 3
-    rows = list(table)
-    assert rows == [(0.5, 0, "a"), (1.5, 1, 2.5), (0.25, 7, None)]
-    assert [type(v) for v in rows[0][:2]] == [float, int]
     with pytest.raises(ValueError, match="differ in length"):
         Table((np.arange(3), [1, 2]))
 
@@ -581,6 +578,35 @@ def test_phase_diagram_records_samples_binned_and_drawn(tmp_path, monkeypatch, p
     assert diag["mc_draws"] == 50_000
 
 
+@pytest.mark.parametrize("beta0p, lam", [("1.7", "2.5"), (SQRT2_STR, "1.0")])
+def test_oscillatory_reports_its_coverage(tmp_path, capsys, beta0p, lam):
+    # at (1.7, 2.5) about a quarter of the samples fall outside the window
+    out = tmp_path / "osc.csv"
+    assert cli.main(["oscillatory", "--beta0p", beta0p, "--lambda", lam, "--n", "10",
+                     "--n-samples", "20000", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    diag = json.loads((tmp_path / "osc.csv.manifest.json").read_text())["diagnostics"]
+    assert (diag["mc_samples"], diag["mc_draws"]) == (20000, 20000)
+    if beta0p == "1.7":
+        assert 0.5 < diag["coverage_min"] < 0.9
+        assert err.startswith("esqpt: warning: 1 of 1 lambda values")
+        assert err.count("\n") == 1
+    else:
+        assert diag["coverage_min"] == 1.0
+        assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--lambda-start", "0.5", "--lambda-stop", "0.6",
+                                   "--lambda-step", "0.1"],
+                                  ["flow", "--lambda", "0.5"],
+                                  ["oscillatory", "--lambda", "1.0", "--n-samples", "2000"]])
+def test_quantum_manifests_record_the_basis_dimension(tmp_path, argv):
+    out = tmp_path / "q.csv"
+    assert cli.main([*argv, "--beta0p", SQRT2_STR, "--n", "50", "-o", str(out)]) == 0
+    diag = json.loads((tmp_path / "q.csv.manifest.json").read_text())["diagnostics"]
+    assert diag["basis_dimension"] == quantum.basis_dimension(50) == 234
+
+
 def test_manifest_without_mc_has_only_thread_diagnostics(tmp_path):
     out = tmp_path / "spin.csv"
     assert cli.main(["spinodal", "--beta0p", "1.7", "-o", str(out)]) == 0
@@ -796,6 +822,41 @@ def test_json_format(tmp_path):
     assert doc[0]["e_min"] == pytest.approx(1.0, abs=1e-6)
 
 
+# every table-writing command at a small config
+SMALL_JOBS = {
+    "spinodal": [],
+    "boundary": ["--lambda-start", "0", "--lambda-stop", "1", "--lambda-step", "0.5"],
+    "stationary": ["--lambda-start", "0.5", "--lambda-stop", "1.5", "--lambda-step", "0.5"],
+    "spectrum": ["--lambda-start", "0.5", "--lambda-stop", "0.7", "--lambda-step", "0.1",
+                 "--n", "6"],
+    "phase-diagram": ["--lambda-start", "0.5", "--lambda-stop", "2.5", "--lambda-step", "1",
+                      "--n-samples", "5000", "--e-bins", "40"],
+    "density-cut": ["--lambda", "0.2", "--n-samples", "5000", "--e-bins", "40"],
+    "flow": ["--lambda", "0.5", "--n", "6", "--e-bins", "40"],
+    "oscillatory": ["--lambda", "1.0", "--n", "6", "--n-samples", "5000", "--e-bins", "40"],
+    "excited-surfaces": ["--lambda-start", "0.5", "--lambda-stop", "1.5",
+                         "--lambda-step", "0.5", "--n", "10", "--n-gamma", "0,2",
+                         "--n-beta", "7"],
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_JOBS))
+def test_json_holds_the_csv_values(tmp_path, capsys, command):
+    # the same table in both formats: one header, one row count, and each JSON
+    # value printed by io.fmt is the CSV's text
+    for kind in ("csv", "json"):
+        assert cli.main([command, "--beta0p", "1.7", *SMALL_JOBS[command], "--format", kind,
+                         "-o", str(tmp_path / f"t.{kind}")]) == 0
+    stems = ["t", "t_stationary"] if command == "excited-surfaces" else ["t"]
+    for stem in stems:
+        header, *rows = [line.split(",") for line in read_lines(tmp_path / f"{stem}.csv")]
+        records = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert rows and len(records) == len(rows)
+        for record, row in zip(records, rows):
+            assert list(record) == header
+            assert [fmt(value) for value in record.values()] == row
+
+
 # writes a 200 000-row table of arrays as JSON in a fresh process; prints how
 # far the write raised the process's peak resident set (VmHWM, which unlike
 # ru_maxrss is not inherited) over its resident set before, in MB, and whether
@@ -813,7 +874,8 @@ def status_kb(key):
 rss = status_kb("VmRSS:")
 write_table(sys.argv[1], header, table, "json")
 grown = (status_kb("VmHWM:") - rss) / 1024
-records = [dict(zip(header, map(_jsonable, row))) for row in table]
+records = [dict(zip(header, map(_jsonable, row)))
+           for row in zip(*(c.tolist() for c in table.blocks[0]))]
 with open(sys.argv[1]) as fh:
     print(grown, fh.read() == json.dumps(records, indent=1) + "\\n")
 """
@@ -982,8 +1044,8 @@ def test_every_command_runs_clean_at_the_edge_of_the_parameter_domain(tmp_path, 
             warnings.simplefilter("error")
             assert cli.main(argv + (["--lambda", repr(lam)] if "lambda" in options else [])) == 0
         err = capsys.readouterr().err
-        # the density commands' energies lie far above the Monte-Carlo window
-        assert err == "" or (command in ("phase-diagram", "density-cut")
+        # the Monte-Carlo commands' energies lie far above the window
+        assert err == "" or (command in ("phase-diagram", "density-cut", "oscillatory")
                              and err.startswith("esqpt: warning: ") and err.count("\n") == 1)
 
 
@@ -1049,8 +1111,18 @@ def test_config_values_are_converted_like_flags(tmp_path, capsys):
     assert exc.value.code == 64
     assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
     cfgfile.write_text("beta0p = 1.7\nlambda = 0.2\nformat = xml\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["boundary", "--config", str(cfgfile), "-o", str(tmp_path / "x.csv")])
+    assert exc.value.code == 64
+    # the usage and one error line, as for the flag
+    assert capsys.readouterr().err == (
+        cli.build_parser().commands["boundary"].format_usage()
+        + "esqpt boundary: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'csv', 'json')\n")
+    # a value of the right type outside the domain is a domain error
+    cfgfile.write_text("beta0p = 1.7\nlambda = -0.5\n")
     assert cli.main(["boundary", "--config", str(cfgfile), "-o", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err == "esqpt: domain error: unknown format: xml\n"
+    assert capsys.readouterr().err.startswith("esqpt: domain error: ")
     assert list(tmp_path.iterdir()) == [cfgfile]
 
 

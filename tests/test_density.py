@@ -1,5 +1,6 @@
 """Monte-Carlo level density, derivative, singularity detection, flow."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -263,7 +264,7 @@ def test_density_validation():
 
 def test_derivative_flat_region_is_quiet():
     grid = density.mc_density(ModelParams(SQRT2, 0.2), n_samples=2_000_000, seed=6)
-    d = density.density_derivative(grid)
+    d = grid.drho_dE
     sel = (grid.e_centers > 1.9) & (grid.e_centers < 2.7)
     assert np.abs(d[sel]).max() < 5 * grid.drho_error[sel].max()
 
@@ -281,14 +282,24 @@ def test_detect_singularities_spherical_cut():
     assert kin[0].strength > 5.0
 
 
+def test_grid_is_built_with_its_derivative():
+    grid = density.mc_density(ModelParams(1.7, 0.5), n_samples=20_000, seed=2, bins=60)
+    rho, err = grid.rho.copy(), grid.mc_error.copy()
+    d, derr = density.density_derivative(grid.rho, grid.mc_error, grid.binwidth)
+    assert np.array_equal(d, grid.drho_dE) and np.array_equal(derr, grid.drho_error)
+    assert np.array_equal(rho, grid.rho) and np.array_equal(err, grid.mc_error)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.drho_dE = d
+
+
 def test_phase_diagram_shapes():
     cfg = cli.make_config(["phase-diagram", "--beta0p", repr(SQRT2), "--lambda-start", "0.1",
                            "--lambda-stop", "0.3", "--lambda-step", "0.2", "--n-samples", "50000"])
     grids = density.mc_density_scan(cfg.beta0p, cfg.lambdas, n_samples=cfg.n_samples,
                                     seed=cfg.seed, bins=cfg.e_bins, ref_N=cfg.ref_N)
     assert len(grids) == 2
-    header, rows = cli.run_phase_diagram(cfg)
-    mat = np.array([r[header.index("drho_dE")] for r in rows]).reshape(2, -1)
+    header, table = cli.run_phase_diagram(cfg)
+    mat = np.array([block[header.index("drho_dE")] for block in table.blocks])
     assert mat.shape == (2, density.DEFAULT_BINS)
     assert np.array_equal(mat[0], grids[0].drho_dE)
 

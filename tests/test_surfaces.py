@@ -208,3 +208,18 @@ def test_an_n_past_the_float_range_is_refused(beta0p, lam, n_clean, n_refused):
             assert surfaces.surface_stationary_points(params, n_clean, ng)
         with pytest.raises(ValueError, match=f"N = {n_refused} is above"):
             surfaces.excited_energy(params, n_refused, 0, betas)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-10])
+@pytest.mark.parametrize("n_gamma", [0, 2])
+def test_tiny_lambda_gives_the_lambda_zero_points(lam, n_gamma):
+    # p's t^4 coefficient -f_3 is proportional to zeta = lambda; left in, its
+    # root near 1/lambda makes np.roots lose the others and overflows t * t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = surfaces.surface_stationary_points(ModelParams(1.7, lam), 10, n_gamma)
+    limit = surfaces.surface_stationary_points(ModelParams(1.7, 0.0), 10, n_gamma)
+    assert [p.kind for p in pts] == [p.kind for p in limit] == ["primary_min", "max"]
+    for p, q in zip(pts, limit):
+        assert (p.beta, p.energy) == pytest.approx((q.beta, q.energy), abs=1e-9)
+    assert pts[1].beta == pytest.approx(1.2366 if n_gamma == 0 else 1.1809, abs=1e-4)
