@@ -257,6 +257,8 @@ def run_spectrum(cfg):
     def solve(lam):
         return quantum.diagonalize(ModelParams(cfg.beta0p, float(lam)), cfg.N)
 
+    # the memo fills here, so the pool's threads do not each build the operators
+    quantum._operators(cfg.N, cfg.beta0p)
     spectra = _pool_map(cfg, solve)
     cfg.diagnostics["basis_dimension"] = quantum.basis_dimension(cfg.N)
     levels = np.arange(len(spectra[0].energies))

@@ -61,21 +61,24 @@ class DensityGrid:
         return float(self.e_edges[1] - self.e_edges[0])
 
 
-def _ball_points(normals, u):
+def _ball_points(normals):
     """Uniform points in the 4-ball of radius sqrt(2), as rows (x, y, px, py).
 
-    Each standard-normal row of `normals` is scaled to unit length and then to
-    radius sqrt(2) u**(1/4). The squared norm is summed x^2 + y^2 + px^2 + py^2
-    left to right, the order of np.linalg.norm(axis=1), so a point depends on
-    its own row and radius only, not on the block it is evaluated in.
+    A row g of four standard normals has a uniform direction and, independent
+    of it, t = |g|^2 with the chi-square distribution of 4 degrees of freedom,
+    whose CDF u = 1 - e^(-h) (1 + h), h = t/2, is uniform on (0, 1). Each row
+    is scaled to radius sqrt(2) u**(1/4) by one multiply, sqrt(2)
+    sqrt(sqrt(u) / t). t is summed x^2 + y^2 + px^2 + py^2 left to right, so a
+    point depends on its own row only, not on the block it is evaluated in.
     """
     w = normals.T.copy()
-    nrm = w[0] * w[0]
-    nrm += w[1] * w[1]
-    nrm += w[2] * w[2]
-    nrm += w[3] * w[3]
-    w /= np.sqrt(nrm)
-    w *= math.sqrt(R0_SQUARED) * u**0.25
+    t = w[0] * w[0]
+    t += w[1] * w[1]
+    t += w[2] * w[2]
+    t += w[3] * w[3]
+    h = 0.5 * t
+    u = -np.expm1(-h) - h * np.exp(-h)
+    w *= math.sqrt(R0_SQUARED) * np.sqrt(np.sqrt(u) / t)
     return w
 
 
@@ -96,9 +99,9 @@ def mc_density_scan(
     energy scale, on `bins` bins of the window DEFAULT_E_RANGE.
 
     Every lambda bins the same `n_samples` phase-space points. The i-th point
-    has the i-th direction (four standard normals) of the seed's first child
-    stream and the i-th radius variate of its second, so the sample does not
-    depend on how it is cut into blocks. H is linear in the couplings, so each
+    is the i-th row of four standard normals of `np.random.default_rng(seed)`,
+    mapped into the ball by `_ball_points`, so the sample does not depend on
+    how it is cut into blocks. H is linear in the couplings, so each
     block of `_BLOCK` points gets its lambda-independent parts once
     (`_derivs.h_parts`) and each lambda costs one `_kernels.h_combine`, a new
     array, sorted in place, and a search of the bin edges, which count as
@@ -107,7 +110,7 @@ def mc_density_scan(
 
     `workers` threads share the blocks; one worker runs in the calling
     thread. Each worker owns its buffers and counts. Under one lock it takes
-    the next block and draws that block's stretch of both streams, so block
+    the next block and draws that block's stretch of the stream, so block
     k holds the same points whichever worker draws it; the parts and the
     binning run outside the lock, on numpy calls that release the GIL. The
     workers' integer counts are summed, so every output is the same for any
@@ -126,7 +129,7 @@ def mc_density_scan(
     edges = np.linspace(*DEFAULT_E_RANGE, bins + 1)
     # h < cuts[-1] is h <= edges[-1]: the last bin is closed, as in np.histogram
     cuts = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
-    directions, radii = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    rng = np.random.default_rng(seed)
     starts = iter(range(0, n_samples, _BLOCK))
     lock = threading.Lock()
 
@@ -135,16 +138,14 @@ def mc_density_scan(
         worker takes."""
         below = np.zeros((len(params), bins + 1), dtype=np.int64)
         normals = np.empty((min(n_samples, _BLOCK), 4))
-        u = np.empty(len(normals))
         while True:
             with lock:
                 a = next(starts, None)
                 if a is None:
                     return below
                 take = min(_BLOCK, n_samples - a)
-                directions.standard_normal(out=normals[:take])
-                radii.random(out=u[:take])
-            parts = _derivs.h_parts(*_ball_points(normals[:take], u[:take]), beta0p, with_xi)
+                rng.standard_normal(out=normals[:take])
+            parts = _derivs.h_parts(*_ball_points(normals[:take]), beta0p, with_xi)
             for row, par in zip(below, params):
                 h = _kernels.h_combine(parts, par.couplings)
                 h.sort()

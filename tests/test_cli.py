@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -409,13 +410,23 @@ def test_pool_map_parts(monkeypatch, pool_tasks):
     assert asked == mapped == []
 
 
-def test_spectrum_builds_the_operators_once(tmp_path, monkeypatch):
-    # the lambda-independent operators and labels of one (N, beta0p) serve every lambda
-    monkeypatch.setenv("ESQPT_THREADS", "1")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_spectrum_builds_the_operators_once(tmp_path, monkeypatch, threads):
+    # the lambda-independent operators and labels of one (N, beta0p) serve every
+    # lambda, also when two threads start on the first lambda values together;
+    # a slow labelling keeps a first build open while a second thread starts
+    monkeypatch.setenv("ESQPT_THREADS", threads)
+    usable_cpus(monkeypatch, 2)
     quantum._operators.cache_clear()
     labelled = []
     chain_blocks = quantum.chain_blocks
-    monkeypatch.setattr(quantum, "chain_blocks", lambda n: labelled.append(n) or chain_blocks(n))
+
+    def slow_chain_blocks(n):
+        labelled.append(n)
+        time.sleep(0.05)
+        return chain_blocks(n)
+
+    monkeypatch.setattr(quantum, "chain_blocks", slow_chain_blocks)
     assert cli.main(["spectrum", "--beta0p", "1.7", "--lambda-start", "0.4",
                      "--lambda-stop", "2.0", "--lambda-step", "0.4", "--n", "6",
                      "-o", str(tmp_path / "spec.csv")]) == 0

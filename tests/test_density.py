@@ -47,21 +47,22 @@ def test_density_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.rho, c.rho)
 
 
-def _sample_ball(directions, radii, n):
-    """The unblocked sampler: n direction rows from `directions` and n radius
-    variates from `radii`, each in one draw; np.linalg.norm of whole rows."""
-    v = directions.standard_normal((n, 4))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    r = math.sqrt(2.0) * radii.random(n) ** 0.25
-    return v * r[:, None]
+def _sample_ball(rng, n):
+    """The unblocked sampler: n rows of four normals from `rng` in one draw,
+    each scaled to the radius sqrt(2) u**(1/4) of u, the chi-square(4) CDF of
+    its squared norm; the norms are sums over whole rows."""
+    g = rng.standard_normal((n, 4))
+    t = (g * g).sum(axis=1)
+    h = t / 2
+    u = -np.expm1(-h) - h * np.exp(-h)
+    return g * (math.sqrt(2.0) * np.sqrt(np.sqrt(u) / t))[:, None]
 
 
 def _oracle_mc_density(params, n_samples, seed):
-    """mc_density as one evaluation of the whole sample: all directions from
-    the seed's first child stream, all radii from its second."""
+    """mc_density as one evaluation of the whole sample, drawn from one
+    generator seeded with `seed`."""
     edges = np.linspace(*density.DEFAULT_E_RANGE, density.DEFAULT_BINS + 1)
-    directions, radii = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    pts = _sample_ball(directions, radii, n_samples)
+    pts = _sample_ball(np.random.default_rng(seed), n_samples)
     e = _kernels.h_eval(*pts.T, params.beta0p, params.couplings)
     counts = np.histogram(e, bins=edges)[0]
     dim = quantum.basis_dimension(density.DEFAULT_REF_N)
@@ -75,14 +76,39 @@ def _oracle_mc_density(params, n_samples, seed):
 def test_ball_points_equal_the_row_norm_points():
     # bit for bit, so no sample can change its energy bin
     n = 100_000
-    rng = np.random.default_rng(5)
-    rows = _sample_ball(rng, rng, n)
-    rng = np.random.default_rng(5)
-    normals = rng.standard_normal((n, 4))
-    u = rng.random(n)
-    assert np.array_equal(density._ball_points(normals, u), rows.T)
-    assert np.array_equal(density._ball_points(normals[777:2000], u[777:2000]),
-                          rows[777:2000].T)
+    rows = _sample_ball(np.random.default_rng(5), n)
+    normals = np.random.default_rng(5).standard_normal((n, 4))
+    assert np.array_equal(density._ball_points(normals), rows.T)
+    assert np.array_equal(density._ball_points(normals[777:2000]), rows[777:2000].T)
+
+
+def _radius_cdf(normals):
+    """u of each row, read back from its ball point: |point|^2 = 2 sqrt(u)."""
+    r2 = (density._ball_points(normals) ** 2).sum(axis=0)
+    return (r2 / 2) ** 2
+
+
+def test_radius_cdf_of_the_normals_is_uniform():
+    # the squared norm of four normals is chi-square(4), so its CDF u is
+    # uniform: Pearson's chi-square of 1e6 values over 1000 equal bins, with
+    # the Wilson-Hilferty bound of the exact counting-function tests below
+    n, k = 1_000_000, 1000
+    u = _radius_cdf(np.random.default_rng(1).standard_normal((n, 4)))
+    assert u.min() > 0.0 and u.max() < 1.0
+    counts = np.bincount((u * k).astype(np.int64), minlength=k)
+    chi2 = float(np.sum((counts - n / k) ** 2 / (n / k)))
+    z = ((chi2 / k) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * k))) / math.sqrt(2.0 / (9.0 * k))
+    assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-4, 1e-2, 0.5])
+def test_radius_cdf_matches_its_series(h):
+    # u = 1 - e^-h (1 + h) = sum_{k>=2} (-1)^k (k-1) h^k / k!; at small h
+    # the expm1 form loses digits to cancellation and the series does not.
+    # The row has squared norm t = 2h
+    series = math.fsum((-1) ** k * (k - 1) * h**k / math.factorial(k) for k in range(2, 40))
+    u = _radius_cdf(np.array([[math.sqrt(2 * h), 0.0, 0.0, 0.0]]))
+    assert u[0] == pytest.approx(series, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.7, 2.5])  # xi = 0 and xi = 1.5

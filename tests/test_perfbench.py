@@ -1,6 +1,6 @@
 """The benchmark's job entry points still run against the package: every
 name that `perfbench/job.py` and its span recorder look up must exist, and
-the census jobs pass the benchmark's own output checks."""
+the census and density jobs pass the benchmark's own output checks."""
 
 import json
 import os
@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,9 +80,9 @@ CHECK_JOBS = textwrap.dedent("""
     import json, sys
     from pathlib import Path
     import run, workloads
-    outdir, problems = Path(sys.argv[1]), {}
-    for job in workloads.WORKLOADS["classical-scan"]:
-        if job.name in sys.argv[2:]:
+    outdir, workload, problems = Path(sys.argv[1]), sys.argv[2], {}
+    for job in workloads.WORKLOADS[workload]:
+        if job.name in sys.argv[3:]:
             argv = run.job_argv(job, run.DEFAULT_SEED, outdir, "-")
             proc = run.run_process(argv, run.child_env(outdir), outdir, outdir / job.name)
             problems[job.name] = ([f"exit {proc.returncode}: {proc.stderr[-500:]}"]
@@ -92,7 +94,15 @@ CHECK_JOBS = textwrap.dedent("""
 def test_classical_scan_census_jobs_pass_the_benchmark_checks(tmp_path):
     # a census whose outputs the benchmark would refuse fails here first
     jobs = ["stationary", "stationary-l0", "trace-borderlines"]
-    out = run_python("-c", CHECK_JOBS, tmp_path, *jobs, cwd=ROOT / "perfbench")
+    out = run_python("-c", CHECK_JOBS, tmp_path, "classical-scan", *jobs, cwd=ROOT / "perfbench")
+    assert json.loads(out) == {job: [] for job in jobs}
+
+
+@pytest.mark.parametrize("workload, jobs", [("density-map", ["phase-diagram", "density-cut"]),
+                                            ("spectra", ["oscillatory"])])
+def test_density_jobs_pass_the_benchmark_checks(tmp_path, workload, jobs):
+    # a sampler whose densities the benchmark would refuse fails here first
+    out = run_python("-c", CHECK_JOBS, tmp_path, workload, *jobs, cwd=ROOT / "perfbench")
     assert json.loads(out) == {job: [] for job in jobs}
 
 
